@@ -27,7 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .model import ChainSpec, catastrophe_floor_at, reduced_system_at
+from .model import (ChainSpec, TimeBlock, column_sums, reduced_system_at,
+                    time_blocks)
 from .quadrature import (ANALYSIS_GRID, adaptive_simpson, doubled_grid,
                          peak_running_integral, simpson_on_grid)
 from .rates import RateFunction, periodic_mean
@@ -101,28 +102,31 @@ class WeightSequence:
         inv[idx, idx + 1] = -1.0 / self.values[1:]
         return inv
 
-    def weighted_norm(self, z: np.ndarray) -> float:
-        """l1 norm of D z, via tail sums of z."""
-        tails = np.cumsum(z[::-1])[::-1]
-        return float(np.abs(tails * self.values).sum())
+    def weighted_norm(self, z: np.ndarray):
+        """l1 norm of D z, via tail sums of z; rows of a (T, n) block give
+        T norms."""
+        tails = np.cumsum(z[..., ::-1], axis=-1)[..., ::-1]
+        norms = np.abs(tails * self.values).sum(axis=-1)
+        return float(norms) if z.ndim == 1 else norms
 
 
 # ---------------------------------------------------------------------------
 # the transformed reduced matrix, band by band
 
-def _batch_scalars(batches, n: int, t: float) -> tuple[np.ndarray, int]:
-    """Batch rates as a dense vector indexed 1..n plus the largest size."""
-    vals = np.zeros(n + 1)
+def _batch_rates(batches, n: int, tb: TimeBlock) -> tuple[np.ndarray, int]:
+    """Batch rates as (T, n+1) rows indexed 1..n plus the largest size."""
+    vals = np.zeros((len(tb), n + 1))
     top = 0
     for k, fam in batches.items():
-        vals[k] = float(fam.values(t)[0])
+        vals[:, k] = fam.block(tb)[:, 0]
         top = max(top, k)
     return vals, top
 
 
-def weighted_reduced_bands(spec: ChainSpec, w: WeightSequence,
-                           t: float) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Diagonal and off-diagonal bands of the weighted reduced matrix.
+def reduced_bands_block(spec: ChainSpec, w: WeightSequence,
+                        tb: TimeBlock) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Diagonal and off-diagonal bands of the weighted reduced matrix at
+    the times of a block, each with a leading time axis.
 
     Band key is row - column; positive keys sit below the diagonal.
     Entries are exact per-kind formulas (no dense similarity transform),
@@ -140,46 +144,53 @@ def weighted_reduced_bands(spec: ChainSpec, w: WeightSequence,
     bands: dict[int, np.ndarray] = {}
 
     if spec.kind == "birth-death":
-        lam = spec.births.values(t)
-        mu = spec.deaths.values(t)
+        lam = spec.births.block(tb)
+        mu = spec.deaths.block(tb)
         diag = -(lam + mu)
         if n > 1:
-            bands[1] = (d[1:] / d[:-1]) * lam[1:]
-            bands[-1] = (d[:-1] / d[1:]) * mu[:-1]
+            bands[1] = (d[1:] / d[:-1]) * lam[:, 1:]
+            bands[-1] = (d[:-1] / d[1:]) * mu[:, :-1]
         return diag, bands
 
     if spec.kind == "batch-arrival":
-        a, top = _batch_scalars(spec.arrival_batches, n, t)
-        cum_a = np.cumsum(a)
-        mu = spec.services.values(t)
-        diag = -(mu + cum_a[1:][::-1])
+        a, top = _batch_rates(spec.arrival_batches, n, tb)
+        cum_a = np.cumsum(a, axis=1)
+        mu = spec.services.block(tb)
+        diag = -(mu + cum_a[:, 1:][:, ::-1])
         if n > 1:
-            bands[-1] = (d[:-1] / d[1:]) * mu[:-1]
+            bands[-1] = (d[:-1] / d[1:]) * mu[:, :-1]
         for o in range(1, min(top + 1, n)):
-            bands[o] = (d[o:] / d[:n - o]) * (a[o] - a[o + 1:][::-1])
+            bands[o] = (d[o:] / d[:n - o]) * (a[:, o:o + 1] - a[:, o + 1:][:, ::-1])
         return diag, bands
 
     if spec.kind == "batch-service":
-        lam = spec.births.values(t)
-        b, top = _batch_scalars(spec.service_batches, n, t)
-        cum_b = np.cumsum(b)
-        diag = -(lam + cum_b[1:])
+        lam = spec.births.block(tb)
+        b, top = _batch_rates(spec.service_batches, n, tb)
+        cum_b = np.cumsum(b, axis=1)
+        diag = -(lam + cum_b[:, 1:])
         if n > 1:
-            bands[1] = (d[1:] / d[:-1]) * lam[1:]
+            bands[1] = (d[1:] / d[:-1]) * lam[:, 1:]
         for o in range(1, min(top + 1, n)):
-            bands[-o] = (d[:n - o] / d[o:]) * (b[o] - b[o + 1:])
+            bands[-o] = (d[:n - o] / d[o:]) * (b[:, o:o + 1] - b[:, o + 1:])
         return diag, bands
 
-    a, top_a = _batch_scalars(spec.arrival_batches, n, t)
-    b, top_b = _batch_scalars(spec.service_batches, n, t)
-    cum_a = np.cumsum(a)
-    cum_b = np.cumsum(b)
-    diag = -(cum_a[1:][::-1] + cum_b[1:])
+    a, top_a = _batch_rates(spec.arrival_batches, n, tb)
+    b, top_b = _batch_rates(spec.service_batches, n, tb)
+    cum_a = np.cumsum(a, axis=1)
+    cum_b = np.cumsum(b, axis=1)
+    diag = -(cum_a[:, 1:][:, ::-1] + cum_b[:, 1:])
     for o in range(1, min(top_a + 1, n)):
-        bands[o] = (d[o:] / d[:n - o]) * (a[o] - a[o + 1:][::-1])
+        bands[o] = (d[o:] / d[:n - o]) * (a[:, o:o + 1] - a[:, o + 1:][:, ::-1])
     for o in range(1, min(top_b + 1, n)):
-        bands[-o] = (d[:n - o] / d[o:]) * (b[o] - b[o + 1:])
+        bands[-o] = (d[:n - o] / d[o:]) * (b[:, o:o + 1] - b[:, o + 1:])
     return diag, bands
+
+
+def weighted_reduced_bands(spec: ChainSpec, w: WeightSequence,
+                           t: float) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """``reduced_bands_block`` at the single time t."""
+    diag, bands = reduced_bands_block(spec, w, TimeBlock(t))
+    return diag[0], {k: v[0] for k, v in bands.items()}
 
 
 def weighted_reduced_matrix(spec: ChainSpec, w: WeightSequence,
@@ -205,17 +216,16 @@ def similarity_reduced_matrix(spec: ChainSpec, w: WeightSequence,
     return w.matrix() @ red.matrix @ w.inverse_matrix()
 
 
-def _column_stats(diag: np.ndarray,
-                  bands: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(decay rates, l1 column sums) from a band representation."""
-    n = len(diag)
-    offabs = np.zeros(n)
-    for k, vals in bands.items():
-        if k > 0:
-            offabs[:len(vals)] += np.abs(vals)
-        else:
-            offabs[-len(vals):] += np.abs(vals)
+def column_stats(diag: np.ndarray,
+                 bands: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(decay rates, l1 column sums) per time from reduced bands with a
+    leading time axis."""
+    offabs = column_sums(bands, diag.shape, absolute=True)
     return -(diag + offabs), np.abs(diag) + offabs
+
+
+def _reduced_stats(spec: ChainSpec, w: WeightSequence, tb: TimeBlock):
+    return column_stats(*reduced_bands_block(spec, w, tb))
 
 
 def log_norm(m: np.ndarray) -> float:
@@ -229,9 +239,7 @@ def log_norm(m: np.ndarray) -> float:
 def decay_rates_at(spec: ChainSpec, w: WeightSequence, t: float) -> np.ndarray:
     """Per-column exponential decay rates of the weighted reduced matrix;
     their minimum is -log_norm of that matrix."""
-    diag, bands = weighted_reduced_bands(spec, w, t)
-    rates, _ = _column_stats(diag, bands)
-    return rates
+    return _reduced_stats(spec, w, TimeBlock(t))[0][0]
 
 
 def decay_rate_at(spec: ChainSpec, w: WeightSequence, t: float) -> float:
@@ -243,33 +251,20 @@ def decay_rate_fn(spec: ChainSpec, w: WeightSequence) -> Callable[[np.ndarray], 
 
     def fn(ts: np.ndarray) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.array([decay_rate_at(spec, w, t) for t in ts])
+        return np.concatenate([_reduced_stats(spec, w, tb)[0].min(axis=1)
+                               for tb in time_blocks(ts)])
 
     return fn
 
 
 def reduced_norm_at(spec: ChainSpec, w: WeightSequence, t: float) -> float:
     """l1 norm of the weighted reduced matrix at time t."""
-    diag, bands = weighted_reduced_bands(spec, w, t)
-    _, colsums = _column_stats(diag, bands)
-    return float(colsums.max())
-
-
-def _forcing(spec: ChainSpec, t: float) -> np.ndarray:
-    """Reduced-system forcing vector without a full band assembly."""
-    f = np.zeros(spec.n)
-    if spec.kind in ("birth-death", "batch-service"):
-        f[0] = spec.births.first(t)
-    else:
-        for k, fam in spec.arrival_batches.items():
-            f[k - 1] = fam.first(t)
-    return f
+    return float(_reduced_stats(spec, w, TimeBlock(t))[1].max())
 
 
 def forcing_norm_at(spec: ChainSpec, w: WeightSequence, t: float) -> float:
     """Weighted l1 norm of the reduced-system forcing vector at time t."""
-    f = spec.bands_at(t).forcing()
-    return w.weighted_norm(f)
+    return float(w.weighted_norm(spec.bands_block(TimeBlock(t)).forcing())[0])
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +333,16 @@ def weighted_certificate(spec: ChainSpec, w: WeightSequence,
     period = _require_period(spec)
     if spec.kind not in WEIGHTED_KINDS:
         raise CertificateError(f"no weighted certificate for kind {spec.kind!r}")
-    ts = doubled_grid(period, grid)
-    alphas = np.empty(len(ts))
+    alphas = []
     b_sup = 0.0
     f_sup = 0.0
-    for i, t in enumerate(ts):
-        diag, bands = weighted_reduced_bands(spec, w, t)
-        rates, colsums = _column_stats(diag, bands)
-        alphas[i] = rates.min()
+    for tb in time_blocks(doubled_grid(period, grid)):
+        rates, colsums = _reduced_stats(spec, w, tb)
+        alphas.append(rates.min(axis=1))
         b_sup = max(b_sup, float(colsums.max()))
-        f_sup = max(f_sup, w.weighted_norm(_forcing(spec, t)))
+        forcing = spec.bands_block(tb).forcing()
+        f_sup = max(f_sup, float(w.weighted_norm(forcing).max()))
+    alphas = np.concatenate(alphas)
     alpha = decay_rate_fn(spec, w)
     total = simpson_on_grid(alphas, period)
     if total is None:
@@ -409,7 +404,8 @@ def catastrophe_uniform_certificate(spec: ChainSpec,
 
     def floor_vec(ts):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.array([catastrophe_floor_at(spec, t) for t in ts])
+        return np.concatenate([spec.bands_block(tb).direct_to_zero().min(axis=1)
+                               for tb in time_blocks(ts)])
 
     floors = floor_vec(doubled_grid(period, grid))
     total = simpson_on_grid(floors, period)
@@ -428,9 +424,3 @@ def catastrophe_uniform_certificate(spec: ChainSpec,
         period=period,
         grid=grid,
     )
-
-
-def generator_norm_at(chain, t: float) -> float:
-    """l1 norm of the full generator slice; equals twice the largest
-    diagonal magnitude because columns sum to zero."""
-    return float(2.0 * np.abs(chain.bands_at(t).diag).max())

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (ErgodicityCertificate, WeightSequence, _column_stats,
-                       weighted_reduced_bands)
-from .model import Chain, ChainSpec
+from .analysis import (WEIGHTED_KINDS, ErgodicityCertificate, WeightSequence,
+                       column_stats, reduced_bands_block)
+from .model import (Chain, ChainSpec, GeneratorBlock, band_difference,
+                    column_sums, time_blocks)
 from .quadrature import ANALYSIS_GRID, doubled_grid
 
 
@@ -150,43 +151,21 @@ class PerturbationGaps:
     grid: int
 
 
-def _generator_norm_gap(chain: Chain, other: Chain, t: float) -> float:
-    """l1 distance of the two generator slices via their band difference."""
-    b1 = chain.bands_at(t)
-    b2 = other.bands_at(t)
-    n = b1.n
-    pos = np.zeros(n + 1)
-    absdiff = np.zeros(n + 1)
-    for k in set(b1.bands) | set(b2.bands):
-        v1 = b1.bands.get(k)
-        v2 = b2.bands.get(k)
-        if v1 is None:
-            d = -v2
-        elif v2 is None:
-            d = v1
-        else:
-            d = v1 - v2
-        if k > 0:
-            pos[:len(d)] += d
-            absdiff[:len(d)] += np.abs(d)
-        else:
-            pos[-len(d):] += d
-            absdiff[-len(d):] += np.abs(d)
-    for attr in ("row0", "col0"):
-        r1 = getattr(b1, attr)
-        r2 = getattr(b2, attr)
-        if r1 is None and r2 is None:
-            continue
-        d = (r1 if r1 is not None else 0.0) - (r2 if r2 is not None else 0.0)
-        d = np.asarray(d)
-        if attr == "row0":
-            pos[1:] += d[1:]
-            absdiff[1:] += np.abs(d[1:])
-        else:
-            pos[0] += d[1:].sum()
-            absdiff[0] += np.abs(d[1:]).sum()
+def _overlay_difference(r1: np.ndarray | None, r2: np.ndarray | None):
+    if r1 is None and r2 is None:
+        return None
+    return (r1 if r1 is not None else 0.0) - (r2 if r2 is not None else 0.0)
+
+
+def _generator_norm_gaps(g1: GeneratorBlock, g2: GeneratorBlock) -> np.ndarray:
+    """l1 distance of two generators per time, via their band difference."""
+    diff = band_difference(g1.bands, g2.bands)
+    row0 = _overlay_difference(g1.row0, g2.row0)
+    col0 = _overlay_difference(g1.col0, g2.col0)
+    pos = column_sums(diff, g1.diag.shape, row0=row0, col0=col0)
+    absdiff = column_sums(diff, g1.diag.shape, True, row0, col0)
     # the diagonal difference restores zero column sums of the difference
-    return float((absdiff + np.abs(pos)).max())
+    return (absdiff + np.abs(pos)).max(axis=1)
 
 
 def perturbation_gaps(spec: ChainSpec, perturbed: Chain, w: WeightSequence,
@@ -194,39 +173,30 @@ def perturbation_gaps(spec: ChainSpec, perturbed: Chain, w: WeightSequence,
     """Grid suprema of the perturbation distances over one period.
 
     The weighted gaps require the perturbed chain to share the structural
-    kind and dimension of the original; the generator gap is defined for
-    any perturbed chain on the same state space.
+    kind and dimension of the original, and that kind to have a weighted
+    reduction; the generator gap is defined for any perturbed chain on
+    the same state space.
     """
     if perturbed.size != spec.size:
         raise ValueError("perturbed chain must share the state space")
     period = spec.period if spec.period is not None else 1.0
-    ts = doubled_grid(period, grid)
-    structural = isinstance(perturbed, ChainSpec) and perturbed.kind == spec.kind
+    structural = isinstance(perturbed, ChainSpec) and \
+        perturbed.kind == spec.kind and spec.kind in WEIGHTED_KINDS
     red = 0.0
     forc = 0.0
     gen = 0.0
-    for t in ts:
-        gen = max(gen, _generator_norm_gap(spec, perturbed, t))
+    for tb in time_blocks(doubled_grid(period, grid)):
+        g1 = spec.bands_block(tb)
+        g2 = perturbed.bands_block(tb)
+        gen = max(gen, float(_generator_norm_gaps(g1, g2).max()))
         if not structural:
             continue
-        d1, bands1 = weighted_reduced_bands(spec, w, t)
-        d2, bands2 = weighted_reduced_bands(perturbed, w, t)
-        dd = d1 - d2
-        db = {}
-        for k in set(bands1) | set(bands2):
-            v1 = bands1.get(k)
-            v2 = bands2.get(k)
-            if v1 is None:
-                db[k] = -v2
-            elif v2 is None:
-                db[k] = v1
-            else:
-                db[k] = v1 - v2
-        _, colsums = _column_stats(dd, db)
+        d1, bands1 = reduced_bands_block(spec, w, tb)
+        d2, bands2 = reduced_bands_block(perturbed, w, tb)
+        _, colsums = column_stats(d1 - d2, band_difference(bands1, bands2))
         red = max(red, float(colsums.max()))
-        f1 = spec.bands_at(t).forcing()
-        f2 = perturbed.bands_at(t).forcing()
-        forc = max(forc, w.weighted_norm(f1 - f2))
+        forcing = g1.forcing() - g2.forcing()
+        forc = max(forc, float(w.weighted_norm(forcing).max()))
     if not structural:
         red = math.nan
         forc = math.nan

@@ -270,7 +270,11 @@ def build_chain(scn: Scenario, section: str = "chain",
     size_raw = cfg.get("states")
     if size_raw is None:
         raise ScenarioError("missing state count", section, "states")
-    size = int(size_raw)
+    try:
+        size = int(size_raw)
+    except ValueError:
+        raise ScenarioError(f"expected an integer, got {size_raw!r}", section,
+                            "states")
     if size < 2:
         raise ScenarioError("need at least two states", section, "states")
     period = _decode_float(scn, section, "period",
@@ -595,7 +599,7 @@ def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
             if _decode_bool(outputs.get("distance")):
                 path = out_dir / f"{stem}_distance_{label}.csv"
                 with open(path, "w") as fh:
-                    fh.write("t,mean\n")
+                    fh.write("t,dist\n")
                     for t, v in zip(curve.times, curve.dists):
                         fh.write(f"{t:.17g},{v:.17g}\n")
                 result.artifacts.append(path)
@@ -718,8 +722,7 @@ def main(argv=None) -> int:
             return reproduce(args.target, out_dir, grid=args.grid,
                              step=args.step, seed=args.seed)
         scn = load_scenario(args.scenario)
-        stage = args.command if args.command != "compare" else "compare"
-        result = run_pipeline(scn, out_dir, stage, grid=args.grid,
+        result = run_pipeline(scn, out_dir, args.command, grid=args.grid,
                               step=args.step, seed=args.seed)
         return _emit(result, out_dir)
     except ScenarioError as exc:

@@ -145,11 +145,6 @@ def peak_running_integral(f: VecFn, period: float, mean: float,
     return max(float(cum[j]), refined, 0.0)
 
 
-def period_grid(period: float, grid: int = ANALYSIS_GRID) -> np.ndarray:
-    """Uniform closed grid over one period, ``grid`` subintervals."""
-    return np.linspace(0.0, period, grid + 1)
-
-
 def doubled_grid(period: float, grid: int = ANALYSIS_GRID) -> np.ndarray:
     """Grid refined once; used for sup-type certificates so that every
     coarse node is also probed."""

@@ -9,9 +9,9 @@ tautology.
 import numpy as np
 import pytest
 
-from ctmcpert import (RateFunction, WeightSequence, batch_arrival_chain,
-                      batch_chain, batch_service_chain, birth_death_chain,
-                      parse_rate, rate_family)
+from ctmcpert import (MassArrivalChain, RateFunction, WeightSequence,
+                      batch_arrival_chain, batch_chain, batch_service_chain,
+                      birth_death_chain, parse_rate, rate_family)
 
 
 def dense_rk4(matrix_at, y0, t0, t1, steps):
@@ -47,35 +47,93 @@ def random_rate(rng, allow_zero=True):
     return parse_rate(f"{base}*(1+{amp}*{fn}(2*pi*t))", period=1.0)
 
 
-def random_family(rng, count):
+def rich_rate(rng):
+    """Like ``random_rate``, plus exp expressions and periodic step tables,
+    whose scalar and vectorised evaluations need not agree bit for bit."""
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        base = float(rng.uniform(0.1, 2.0))
+        amp = float(rng.uniform(0.0, 1.5))
+        return parse_rate(f"{base}*exp({amp}*sin(2*pi*t))", period=1.0)
+    if kind == 1:
+        breaks = np.sort(rng.uniform(0.05, 0.95, 2))
+        return RateFunction.from_table(
+            [(0.0, float(rng.uniform(0.0, 3.0)))]
+            + [(float(b), float(rng.uniform(0.0, 3.0))) for b in breaks],
+            period=1.0)
+    return random_rate(rng)
+
+
+def random_family(rng, count, rate=random_rate):
     if rng.random() < 0.5:
-        return rate_family(shared=random_rate(rng),
+        return rate_family(shared=rate(rng),
                            multipliers=rng.uniform(0.1, 3.0, count))
-    return rate_family(members=[random_rate(rng) for _ in range(count)])
+    return rate_family(members=[rate(rng) for _ in range(count)])
 
 
-def random_batches(rng, n):
+def random_batches(rng, n, rate=random_rate):
     top = min(n, 6)
     sizes = rng.choice(np.arange(1, top), size=int(rng.integers(1, 4)) if top > 4
                        else 1, replace=False)
-    return {int(k): random_rate(rng) for k in sizes}
+    return {int(k): rate(rng) for k in sizes}
 
 
-def random_chain(rng, kind, n):
+def random_chain(rng, kind, n, rate=random_rate):
+    """A validated chain of one of the four structural kinds with rates
+    drawn by ``rate``."""
     size = n + 1
     if kind == "birth-death":
-        return birth_death_chain(random_family(rng, n), random_family(rng, n),
+        return birth_death_chain(random_family(rng, n, rate),
+                                 random_family(rng, n, rate),
                                  size, validation_grid=32)
     if kind == "batch-arrival":
-        return batch_arrival_chain(random_batches(rng, n),
-                                   random_family(rng, n), size,
+        return batch_arrival_chain(random_batches(rng, n, rate),
+                                   random_family(rng, n, rate), size,
                                    validation_grid=32)
     if kind == "batch-service":
-        return batch_service_chain(random_family(rng, n),
-                                   random_batches(rng, n), size,
+        return batch_service_chain(random_family(rng, n, rate),
+                                   random_batches(rng, n, rate), size,
                                    validation_grid=32)
-    return batch_chain(random_batches(rng, n), random_batches(rng, n), size,
+    return batch_chain(random_batches(rng, n, rate),
+                       random_batches(rng, n, rate), size,
                        validation_grid=32)
+
+
+def family_at(fam, t):
+    """A rate family at one time: multipliers times the scalar rate."""
+    fns = fam.members if fam.members is not None else (fam.shared,) * fam.count
+    return fam.multipliers * np.array([f(t) for f in fns])
+
+
+def dense_generator(chain, t):
+    """Dense A(t) from the transition rates of each kind, with the
+    diagonal left at zero: A[i, j] is the rate of the jump j -> i."""
+    n = chain.n
+    m = np.zeros((n + 1, n + 1))
+    if isinstance(chain, MassArrivalChain):
+        m = dense_generator(chain.base, t)
+        ks = np.arange(1, n)
+        m[1:n, 0] += chain.eps / (ks * (ks + 1.0))
+        m[n, 0] += chain.eps / n
+        return m
+    if chain.kind == "catastrophe":
+        m = dense_generator(chain.base, t)
+        m[0, 1:] += family_at(chain.catastrophes, t)
+        return m
+    js = np.arange(n)
+    if chain.births is not None:
+        m[js + 1, js] = family_at(chain.births, t)
+    if chain.deaths is not None:
+        m[js, js + 1] = family_at(chain.deaths, t)
+    if chain.services is not None:
+        m[js, js + 1] = family_at(chain.services, t)
+    for k, fam in chain.arrival_batches.items():
+        src = np.arange(n + 1 - k)
+        m[src + k, src] = family_at(fam, t)[0]
+    for k, fam in chain.service_batches.items():
+        src = np.arange(k, n + 1)
+        m[src - k, src] = family_at(fam, t)[0]
+    return m
 
 
 def random_weights(rng, n):

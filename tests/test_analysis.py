@@ -12,7 +12,10 @@ from ctmcpert import (CertificateError, RateFunction, WeightSequence,
                       similarity_reduced_matrix,
                       uniform_from_weighted, weighted_certificate,
                       weighted_reduced_matrix)
-from conftest import dense_rk4, expm_ode, random_chain, random_weights
+from ctmcpert.analysis import reduced_bands_block
+from ctmcpert.model import TimeBlock
+from conftest import (dense_rk4, expm_ode, random_chain, random_weights,
+                      rich_rate)
 
 ONE = RateFunction.constant(1.0)
 FOUR = RateFunction.constant(4.0)
@@ -89,6 +92,20 @@ def test_transcription_against_similarity():
             direct = weighted_reduced_matrix(spec, w, t)
             oracle = similarity_reduced_matrix(spec, w, t)
             assert np.abs(direct - oracle).max() < 1e-10
+    # a block of nodes, one dense transform per node
+    for kind in ("birth-death", "batch-arrival", "batch-service", "batch"):
+        for _ in range(4):
+            n = int(rng.integers(3, 16))
+            spec = random_chain(rng, kind, n, rate=rich_rate)
+            w = random_weights(rng, n)
+            ts = rng.uniform(0, 2, 5)
+            diag, bands = reduced_bands_block(spec, w, TimeBlock(ts))
+            for i, t in enumerate(ts):
+                direct = np.diag(diag[i])
+                for k, vals in bands.items():
+                    direct += np.diag(vals[i], -k)
+                oracle = similarity_reduced_matrix(spec, w, float(t))
+                assert np.abs(direct - oracle).max() < 1e-10
 
 
 def test_weight_length_must_match_chain():

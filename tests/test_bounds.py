@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from ctmcpert import (InfeasibleBoundError, Perturbation, RateFunction,
-                      WeightSequence, birth_death_chain,
-                      build_report, critical_reduced_gap, perturb,
-                      perturbation_gaps, to_total_variation,
+                      WeightSequence, birth_death_chain, build_report,
+                      catastrophe_chain, critical_reduced_gap, generator_at,
+                      perturb, perturbation_gaps, similarity_reduced_matrix,
+                      to_total_variation,
                       uniform_bound_at, uniform_from_weighted,
                       uniform_limsup_bound, uniform_mean_limsup_bound,
                       weighted_certificate, weighted_feasible,
                       weighted_limsup_bound, weighted_mean_limsup_bound)
 from ctmcpert.analysis import ErgodicityCertificate
+from ctmcpert.quadrature import doubled_grid
+from conftest import random_chain, random_weights, rich_rate
 
 
 def make_cert(approach, amplitude, rate, forcing_sup=None, min_weight=1.0,
@@ -156,6 +159,48 @@ def test_gaps_mass_arrival_generator_norm():
     # column 0 gains eps of new outflow, so the operator gap is 2 eps
     assert g.generator == pytest.approx(0.2, rel=1e-12)
     assert math.isnan(g.reduced) and math.isnan(g.forcing)
+
+
+def _dense_gaps(spec, pert, w, grid, structural):
+    """Grid maxima of the three gaps from dense matrices at every node."""
+    gen = red = forc = 0.0
+    for t in doubled_grid(spec.period, grid):
+        a1 = generator_at(spec, float(t)).matrix
+        a2 = generator_at(pert, float(t)).matrix
+        gen = max(gen, np.abs(a1 - a2).sum(axis=0).max())
+        if structural:
+            s = similarity_reduced_matrix(spec, w, float(t)) \
+                - similarity_reduced_matrix(pert, w, float(t))
+            red = max(red, np.abs(s).sum(axis=0).max())
+            forc = max(forc, np.abs(w.matrix() @ (a1[1:, 0] - a2[1:, 0])).sum())
+    return gen, red, forc
+
+
+def test_gaps_against_dense_matrices():
+    rng = np.random.default_rng(77)
+    cases = []
+    for kind in ("birth-death", "batch-arrival", "batch-service", "batch"):
+        for _ in range(2):
+            n = int(rng.integers(3, 12))
+            spec = random_chain(rng, kind, n, rate=rich_rate)
+            pert = perturb(spec, Perturbation("rate-offsets", eps=0.05,
+                                              seed=int(rng.integers(1 << 30))))
+            cases.append((spec, pert, random_weights(rng, n), True))
+    cat = catastrophe_chain(random_chain(rng, "birth-death", 8, rate=rich_rate),
+                            rich_rate(rng))
+    for mode in ("rate-offsets", "multiplicative", "mass-arrival"):
+        pert = perturb(cat, Perturbation(mode, eps=0.05, seed=3))
+        cases.append((cat, pert, WeightSequence.unit(8), False))
+    for spec, pert, w, structural in cases:
+        g = perturbation_gaps(spec, pert, w, grid=16)
+        gen, red, forc = _dense_gaps(spec, pert, w, 16, structural)
+        assert g.generator == pytest.approx(gen, rel=1e-10, abs=1e-13)
+        if structural:
+            assert g.reduced == pytest.approx(red, rel=1e-10, abs=1e-13)
+            assert g.forcing == pytest.approx(forc, rel=1e-10, abs=1e-13)
+        else:
+            assert math.isnan(g.reduced) and math.isnan(g.forcing)
+            assert g.generator > 0
 
 
 def test_gap_dimension_mismatch(loss_queue):

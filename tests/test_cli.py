@@ -163,7 +163,8 @@ def test_run_pipeline_full(small_scn, tmp_path):
     assert rep["bounds.weighted.feasible"] is True
     assert rep["cert.weighted.certified"] is True
     assert (out / "small_mean_x0.csv").exists()
-    assert (out / "small_distance_draw0.csv").exists()
+    distance = (out / "small_distance_draw0.csv").read_text().splitlines()
+    assert distance[0] == "t,dist"
 
 
 def test_run_determinism(small_scn, tmp_path):
@@ -280,6 +281,42 @@ def test_main_exit_codes(small_scn, tmp_path, capsys):
     syntax = tmp_path / "syntax.scn"
     syntax.write_text("[chain]\nbogus_key = 1\n")
     assert main(["--out", out, "analyze", str(syntax)]) == EXIT_PARSE
+    states = tmp_path / "states.scn"
+    states.write_text("[chain]\nkind = birth-death\nstates = abc\n"
+                      "birth = \"1\"\ndeath = \"1\"\nperiod = 1\n")
+    assert main(["--out", out, "analyze", str(states)]) == EXIT_PARSE
+    assert "integer" in capsys.readouterr().err
+
+
+def test_catastrophe_perturbation_bounds(tmp_path, capsys):
+    # a same-kind perturbed catastrophe chain has no weighted reduction:
+    # only the uniform route and the generator gap apply
+    path = tmp_path / "cat.scn"
+    path.write_text("""
+[chain]
+kind = catastrophe
+base_kind = birth-death
+states = 40
+period = 1
+birth = "1+0.5*sin(2*pi*t)"
+death = "2"
+catastrophe = "0.3*(1+sin(2*pi*t))"
+
+[perturbation]
+mode = rate-offsets
+epsilon = 0.01
+draws = 2
+""")
+    out = tmp_path / "out"
+    for command in ("bounds", "compare"):
+        assert main(["--out", str(out), "--grid", "256", command,
+                     str(path)]) == EXIT_OK
+        kv = dict(line.split(" = ") for line in
+                  (out / "cat.report.kv").read_text().splitlines())
+        assert math.isfinite(float(kv["bounds.uniform.limsup"]))
+        assert 0 < float(kv["bounds.gaps.generator"]) <= 2 * 3 * 0.01
+        assert kv["bounds.gaps.reduced"] == "nan"
+    capsys.readouterr()
 
 
 def test_step_and_seed_overrides(small_scn, tmp_path):

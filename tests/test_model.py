@@ -7,7 +7,8 @@ from ctmcpert import (ChainValidationError, Perturbation, RateFunction,
                       catastrophe_floor_at, catastrophe_reduction_at,
                       generator_at, parse_rate, perturb, rate_family,
                       reduced_system_at)
-from conftest import random_chain
+from ctmcpert.model import TimeBlock
+from conftest import dense_generator, random_chain, rich_rate
 
 ONE = RateFunction.constant(1.0)
 TWO = RateFunction.constant(2.0)
@@ -167,6 +168,30 @@ def test_generator_invariants(kind):
             # l1 norm of a conservative generator is twice the worst diagonal
             assert np.abs(a).sum(axis=0).max() == pytest.approx(
                 2 * np.abs(np.diag(a)).max(), rel=1e-12)
+
+
+def test_block_bands_equal_scalar_rates():
+    # every band entry of a block is multiplier * RateFunction.__call__(t),
+    # bit for bit, for rates whose vectorised evaluation may differ
+    rng = np.random.default_rng(31)
+    chains = []
+    for kind in ("birth-death", "batch-arrival", "batch-service", "batch"):
+        for _ in range(3):
+            chains.append(random_chain(rng, kind, int(rng.integers(3, 12)),
+                                       rate=rich_rate))
+    for base in chains[::3]:
+        cat = catastrophe_chain(base, rich_rate(rng))
+        chains += [cat, perturb(cat, Perturbation("mass-arrival", eps=0.1))]
+    chains.append(perturb(chains[1], Perturbation("mass-arrival", eps=0.2)))
+    ts = np.concatenate((rng.uniform(0, 2, 6), [0.0, 1.0]))
+    for chain in chains:
+        block = chain.bands_block(TimeBlock(ts))
+        assert block.diag.shape == (len(ts), chain.size)
+        for i, t in enumerate(ts):
+            a = block.at(i).dense()
+            off = a - np.diag(np.diag(a))
+            assert np.array_equal(off, dense_generator(chain, float(t)))
+            assert np.abs(a.sum(axis=0)).max() <= 1e-12 * max(1.0, off.max())
 
 
 def test_reduced_system_consistency():

@@ -50,7 +50,7 @@ print(f"uniform certificate:  amplitude {uniform.amplitude:.1f}, "
 # total variation.  For this finite system the uniform route wins.
 eps = 0.01
 draw = perturb(queue, Perturbation("rate-offsets", eps=eps, seed=1))
-gaps = perturbation_gaps(queue, draw, weights)
+gaps = perturbation_gaps(queue, [draw], weights)
 u_bound = uniform_limsup_bound(uniform, eps)
 w_bound = to_total_variation(
     weighted_limsup_bound(cert, gaps.reduced, gaps.forcing), cert.min_weight)

@@ -40,7 +40,7 @@ print(f"\nchosen delta = 2: amplitude {cert.amplitude:.4f}, "
 
 eps = 0.01
 draw = perturb(queue, Perturbation("rate-offsets", eps=eps, seed=3))
-gaps = perturbation_gaps(queue, draw, w)
+gaps = perturbation_gaps(queue, [draw], w)
 one_d = weighted_limsup_bound(cert, gaps.reduced, gaps.forcing)
 print(f"\nper-rate eps = {eps}: gaps reduced {gaps.reduced:.4f}, "
       f"forcing {gaps.forcing:.4f}")

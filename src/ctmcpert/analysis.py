@@ -2,11 +2,15 @@
 
 For a chain on 0..n, eliminating p_0 gives a reduced system for
 z = (p_1, ..., p_n).  With a nondecreasing weight sequence d_1 <= ... <= d_n
-and the cumulative upper-triangular weight matrix D (row i holds d_i from
-column i on), the similarity transform of the reduced matrix by D has, for
-each structural kind, an explicit banded form whose column sums are cheap
-to evaluate on a time grid.  The per-column decay rates and their infimum
-drive the certificates:
+and the cumulative upper-triangular weight matrix D = diag(d) U (U the
+upper-triangular matrix of ones), the similarity transform of the reduced
+matrix B by D follows from one identity for every chain without overlays:
+(U B U^{-1})[i, j] = sum_{r >= i} (A[r, j] - A[r, j-1]).  Since every
+column of A sums to zero, these tail sums come from the off-diagonal
+bands alone and stay within the generator's own band range, so the
+transform is banded and its column sums are cheap to evaluate on a time
+grid.  The per-column decay rates and their infimum drive the
+certificates:
 
 * weighted certificate (amplitude M, rate a): the D-weighted distance of
   any two solutions contracts at least like M * exp(-a (t-s));
@@ -27,8 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .model import (ChainSpec, TimeBlock, column_sums, reduced_system_at,
-                    time_blocks)
+from .model import (Chain, ChainSpec, GeneratorBlock, TimeBlock, column_sums,
+                    reduced_system_at, time_blocks)
 from .quadrature import (ANALYSIS_GRID, adaptive_simpson, doubled_grid,
                          peak_running_integral, simpson_on_grid)
 from .rates import RateFunction, periodic_mean
@@ -113,89 +117,75 @@ class WeightSequence:
 # ---------------------------------------------------------------------------
 # the transformed reduced matrix, band by band
 
-def _batch_rates(batches, n: int, tb: TimeBlock) -> tuple[np.ndarray, int]:
-    """Batch rates as (T, n+1) rows indexed 1..n plus the largest size."""
-    vals = np.zeros((len(tb), n + 1))
-    top = 0
-    for k, fam in batches.items():
-        vals[:, k] = fam.block(tb)[:, 0]
-        top = max(top, k)
-    return vals, top
+def reduced_bands_block(g: GeneratorBlock, w: WeightSequence
+                        ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Diagonal and off-diagonal bands of the weighted reduced matrix
+    D B D^{-1} for the generator slices of a block, each with a leading
+    time axis.
 
-
-def reduced_bands_block(spec: ChainSpec, w: WeightSequence,
-                        tb: TimeBlock) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Diagonal and off-diagonal bands of the weighted reduced matrix at
-    the times of a block, each with a leading time axis.
-
-    Band key is row - column; positive keys sit below the diagonal.
-    Entries are exact per-kind formulas (no dense similarity transform),
-    including the tail corrections that truncation introduces in the last
-    columns of the batch kinds.
+    Band key is row - column; positive keys sit below the diagonal.  With
+    T(i, j) = sum_{r >= i} A[r, j], entry (i, j), i, j = 1..n, is
+    d_i / d_j * (T(i, j) - T(i, j-1)).  Because every column of A sums to
+    zero, T needs no diagonal entry: for i > j it is a tail sum of the
+    lower bands, and for i <= j it is minus the sum of the upper bands'
+    entries above row i.  Both are running sums over the bands, and the
+    result keeps the generator's own band range.  Off the diagonal the
+    difference is taken as A[i, j] (or A[i-1, j-1] above the diagonal)
+    plus the change of one tail sum between neighbouring columns, which
+    is exactly zero wherever truncation does not cut a band.  A block
+    with a catastrophe row or mass-arrival column overlay is refused.
     """
-    if spec.kind not in WEIGHTED_KINDS:
+    if g.row0 is not None or g.col0 is not None:
         raise CertificateError(
-            f"weighted reduction is defined for kinds {WEIGHTED_KINDS}, "
-            f"not {spec.kind!r}")
-    n = spec.n
+            "weighted reduction is not defined for a generator with a "
+            "catastrophe row or a mass-arrival column")
+    n = g.n
     d = w.values
     if len(d) != n:
         raise CertificateError(f"need {n} weights, got {len(d)}")
+    p = max((k for k in g.bands if k > 0), default=0)
+    q = max((-k for k in g.bands if k < 0), default=0)
+    # low[o][:, c] = sum_{k >= o} A[c+k, c]
+    # up[e][:, c] = sum_{m > e} A[c-m, c]
+    zero = np.zeros(g.diag.shape)
+    low = {p + 1: zero}
+    for o in range(p, 0, -1):
+        low[o] = low[o + 1].copy()
+        if o in g.bands:
+            low[o][:, :n + 1 - o] += g.bands[o]
+    up = {q: zero}
+    for e in range(q, 0, -1):
+        up[e - 1] = up[e].copy()
+        if -e in g.bands:
+            up[e - 1][:, e:] += g.bands[-e]
+
+    diag = -(low[1][:, :n] + up[0][:, 1:])
     bands: dict[int, np.ndarray] = {}
-
-    if spec.kind == "birth-death":
-        lam = spec.births.block(tb)
-        mu = spec.deaths.block(tb)
-        diag = -(lam + mu)
-        if n > 1:
-            bands[1] = (d[1:] / d[:-1]) * lam[:, 1:]
-            bands[-1] = (d[:-1] / d[1:]) * mu[:, :-1]
-        return diag, bands
-
-    if spec.kind == "batch-arrival":
-        a, top = _batch_rates(spec.arrival_batches, n, tb)
-        cum_a = np.cumsum(a, axis=1)
-        mu = spec.services.block(tb)
-        diag = -(mu + cum_a[:, 1:][:, ::-1])
-        if n > 1:
-            bands[-1] = (d[:-1] / d[1:]) * mu[:, :-1]
-        for o in range(1, min(top + 1, n)):
-            bands[o] = (d[o:] / d[:n - o]) * (a[:, o:o + 1] - a[:, o + 1:][:, ::-1])
-        return diag, bands
-
-    if spec.kind == "batch-service":
-        lam = spec.births.block(tb)
-        b, top = _batch_rates(spec.service_batches, n, tb)
-        cum_b = np.cumsum(b, axis=1)
-        diag = -(lam + cum_b[:, 1:])
-        if n > 1:
-            bands[1] = (d[1:] / d[:-1]) * lam[:, 1:]
-        for o in range(1, min(top + 1, n)):
-            bands[-o] = (d[:n - o] / d[o:]) * (b[:, o:o + 1] - b[:, o + 1:])
-        return diag, bands
-
-    a, top_a = _batch_rates(spec.arrival_batches, n, tb)
-    b, top_b = _batch_rates(spec.service_batches, n, tb)
-    cum_a = np.cumsum(a, axis=1)
-    cum_b = np.cumsum(b, axis=1)
-    diag = -(cum_a[:, 1:][:, ::-1] + cum_b[:, 1:])
-    for o in range(1, min(top_a + 1, n)):
-        bands[o] = (d[o:] / d[:n - o]) * (a[:, o:o + 1] - a[:, o + 1:][:, ::-1])
-    for o in range(1, min(top_b + 1, n)):
-        bands[-o] = (d[:n - o] / d[o:]) * (b[:, o:o + 1] - b[:, o + 1:])
+    # the outermost band on each side has no tail beyond it
+    for e in range(1, min(q + 1, n)):
+        v = g.bands[-e][:, :n - e] if -e in g.bands else 0.0
+        if e < q:
+            v = v + (up[e][:, e:n] - up[e][:, e + 1:])
+        bands[-e] = (d[:n - e] / d[e:]) * v
+    for k in range(1, min(p + 1, n)):
+        v = g.bands[k][:, 1:n + 1 - k] if k in g.bands else 0.0
+        if k < p:
+            v = v + (low[k + 1][:, 1:n + 1 - k] - low[k + 1][:, :n - k])
+        bands[k] = (d[k:] / d[:n - k]) * v
     return diag, bands
 
 
-def weighted_reduced_bands(spec: ChainSpec, w: WeightSequence,
+def weighted_reduced_bands(chain: Chain, w: WeightSequence,
                            t: float) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """``reduced_bands_block`` at the single time t."""
-    diag, bands = reduced_bands_block(spec, w, TimeBlock(t))
+    diag, bands = reduced_bands_block(chain.bands_block(TimeBlock(t)), w)
     return diag[0], {k: v[0] for k, v in bands.items()}
 
 
 def weighted_reduced_matrix(spec: ChainSpec, w: WeightSequence,
                             t: float) -> np.ndarray:
-    """Dense weighted reduced matrix from the per-kind band formulas."""
+    """Dense weighted reduced matrix assembled from the tail-sum bands of
+    ``reduced_bands_block``."""
     diag, bands = weighted_reduced_bands(spec, w, t)
     n = spec.n
     m = np.diag(diag)
@@ -225,7 +215,7 @@ def column_stats(diag: np.ndarray,
 
 
 def _reduced_stats(spec: ChainSpec, w: WeightSequence, tb: TimeBlock):
-    return column_stats(*reduced_bands_block(spec, w, tb))
+    return column_stats(*reduced_bands_block(spec.bands_block(tb), w))
 
 
 def log_norm(m: np.ndarray) -> float:
@@ -337,11 +327,11 @@ def weighted_certificate(spec: ChainSpec, w: WeightSequence,
     b_sup = 0.0
     f_sup = 0.0
     for tb in time_blocks(doubled_grid(period, grid)):
-        rates, colsums = _reduced_stats(spec, w, tb)
+        g = spec.bands_block(tb)
+        rates, colsums = column_stats(*reduced_bands_block(g, w))
         alphas.append(rates.min(axis=1))
         b_sup = max(b_sup, float(colsums.max()))
-        forcing = spec.bands_block(tb).forcing()
-        f_sup = max(f_sup, float(w.weighted_norm(forcing).max()))
+        f_sup = max(f_sup, float(w.weighted_norm(g.forcing()).max()))
     alphas = np.concatenate(alphas)
     alpha = decay_rate_fn(spec, w)
     total = simpson_on_grid(alphas, period)

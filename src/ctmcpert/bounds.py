@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -168,35 +169,40 @@ def _generator_norm_gaps(g1: GeneratorBlock, g2: GeneratorBlock) -> np.ndarray:
     return (absdiff + np.abs(pos)).max(axis=1)
 
 
-def perturbation_gaps(spec: ChainSpec, perturbed: Chain, w: WeightSequence,
+def perturbation_gaps(spec: ChainSpec, draws: Sequence[Chain],
+                      w: WeightSequence,
                       grid: int = ANALYSIS_GRID) -> PerturbationGaps:
-    """Grid suprema of the perturbation distances over one period.
+    """Grid suprema over one period of the distances between the original
+    and each perturbed chain of ``draws``, maximised over the draws.
 
-    The weighted gaps require the perturbed chain to share the structural
-    kind and dimension of the original, and that kind to have a weighted
-    reduction; the generator gap is defined for any perturbed chain on
-    the same state space.
+    The weighted gaps require every draw to share the structural kind and
+    dimension of the original, and that kind to have a weighted
+    reduction; otherwise they are nan.  The generator gap is defined for
+    any perturbed chain on the same state space.
     """
-    if perturbed.size != spec.size:
+    if any(chain.size != spec.size for chain in draws):
         raise ValueError("perturbed chain must share the state space")
     period = spec.period if spec.period is not None else 1.0
-    structural = isinstance(perturbed, ChainSpec) and \
-        perturbed.kind == spec.kind and spec.kind in WEIGHTED_KINDS
+    structural = spec.kind in WEIGHTED_KINDS and all(
+        isinstance(chain, ChainSpec) and chain.kind == spec.kind
+        for chain in draws)
     red = 0.0
     forc = 0.0
     gen = 0.0
     for tb in time_blocks(doubled_grid(period, grid)):
         g1 = spec.bands_block(tb)
-        g2 = perturbed.bands_block(tb)
-        gen = max(gen, float(_generator_norm_gaps(g1, g2).max()))
-        if not structural:
-            continue
-        d1, bands1 = reduced_bands_block(spec, w, tb)
-        d2, bands2 = reduced_bands_block(perturbed, w, tb)
-        _, colsums = column_stats(d1 - d2, band_difference(bands1, bands2))
-        red = max(red, float(colsums.max()))
-        forcing = g1.forcing() - g2.forcing()
-        forc = max(forc, float(w.weighted_norm(forcing).max()))
+        if structural:
+            d1, bands1 = reduced_bands_block(g1, w)
+            f1 = g1.forcing()
+        for chain in draws:
+            g2 = chain.bands_block(tb)
+            gen = max(gen, float(_generator_norm_gaps(g1, g2).max()))
+            if not structural:
+                continue
+            d2, bands2 = reduced_bands_block(g2, w)
+            _, colsums = column_stats(d1 - d2, band_difference(bands1, bands2))
+            red = max(red, float(colsums.max()))
+            forc = max(forc, float(w.weighted_norm(f1 - g2.forcing()).max()))
     if not structural:
         red = math.nan
         forc = math.nan

@@ -200,9 +200,9 @@ def _decode_mult(value: str | None, indices: np.ndarray, section: str,
     if value == "k":
         return indices.astype(float)
     m = _MIN_RE.match(value)
-    if m:
-        return np.minimum(indices.astype(float), float(m.group(1)))
     try:
+        if m:
+            return np.minimum(indices.astype(float), float(m.group(1)))
         if "," in value:
             vals = np.array([float(v) for v in value.split(",")])
             if len(vals) != len(indices):
@@ -224,6 +224,15 @@ def _decode_float(scn: Scenario, section: str, key: str,
         return float(raw)
     except ValueError:
         raise ScenarioError(f"expected a number, got {raw!r}", section, key)
+
+
+def _decode_int(scn: Scenario, section: str, key: str, default: int) -> int:
+    """An integer value; an integral number such as ``5.0`` is accepted."""
+    value = _decode_float(scn, section, key, default)
+    if not math.isfinite(value) or value != int(value):
+        raise ScenarioError(
+            f"expected an integer, got {scn.get(section, key)!r}", section, key)
+    return int(value)
 
 
 def _decode_bool(raw: str | None, default: bool = False) -> bool:
@@ -341,7 +350,11 @@ def build_weights(scn: Scenario, n: int) -> analysis.WeightSequence:
         if raw is None:
             raise ScenarioError("explicit weights need values", "weights",
                                 "values")
-        vals = np.array([float(v) for v in raw.split(",")])
+        try:
+            vals = np.array([float(v) for v in raw.split(",")])
+        except ValueError:
+            raise ScenarioError(f"expected numbers, got {raw!r}", "weights",
+                                "values")
         if len(vals) != n:
             raise ScenarioError(f"{len(vals)} weights for {n} reduced states",
                                 "weights", "values")
@@ -367,11 +380,14 @@ def scenario_perturbations(scn: Scenario, spec: model.ChainSpec,
     if mode != "rate-offsets":
         raise ScenarioError(f"unknown perturbation mode {mode!r}",
                             "perturbation", "mode")
-    draws = int(_decode_float(scn, "perturbation", "draws", 1))
+    draws = _decode_int(scn, "perturbation", "draws", 1)
+    if draws < 1:
+        raise ScenarioError(f"expected a positive integer, got {draws}",
+                            "perturbation", "draws")
     base_seed = seed if seed is not None \
-        else int(_decode_float(scn, "perturbation", "seed", 0))
+        else _decode_int(scn, "perturbation", "seed", 0)
     out = []
-    for i in range(max(draws, 1)):
+    for i in range(draws):
         pert = model.Perturbation("rate-offsets", eps=eps, seed=base_seed + i)
         out.append((f"draw{i}", model.perturb(spec, pert)))
     return out
@@ -489,28 +505,15 @@ def run_pipeline(scn: Scenario, out_dir: Path, stage: str,
             perturbed = scenario_perturbations(scn, spec, seed=seed, grid=grid)
         except ChainValidationError as exc:
             raise ScenarioError(str(exc), "perturbation")
-        gaps = None
-        for label, chain in perturbed:
-            g = bounds.perturbation_gaps(spec, chain, weights, grid=grid)
-            if gaps is None:
-                gaps = g
-            else:
-                red = (max(gaps.reduced, g.reduced)
-                       if not math.isnan(g.reduced) else gaps.reduced)
-                gaps = bounds.PerturbationGaps(
-                    reduced=red,
-                    forcing=max(gaps.forcing, g.forcing)
-                    if not math.isnan(g.forcing) else gaps.forcing,
-                    generator=max(gaps.generator, g.generator),
-                    grid=g.grid)
         if perturbed:
+            gaps = bounds.perturbation_gaps(
+                spec, [chain for _, chain in perturbed], weights, grid=grid)
             bound_report = bounds.build_report(
                 eps, uniform_cert, weighted_cert, gaps, top_state=spec.n)
             rep.put("bounds.eps", eps)
-            if gaps is not None:
-                rep.put("bounds.gaps.reduced", gaps.reduced)
-                rep.put("bounds.gaps.forcing", gaps.forcing)
-                rep.put("bounds.gaps.generator", gaps.generator)
+            rep.put("bounds.gaps.reduced", gaps.reduced)
+            rep.put("bounds.gaps.forcing", gaps.forcing)
+            rep.put("bounds.gaps.generator", gaps.generator)
             rep.put("bounds.uniform.limsup", bound_report.uniform_limsup)
             rep.put("bounds.uniform.mean_limsup",
                     bound_report.uniform_mean_limsup)

@@ -327,33 +327,26 @@ class ChainSpec:
     def _offdiag(self, tb: TimeBlock) -> tuple[dict[int, np.ndarray],
                                                np.ndarray | None]:
         """Off-diagonal bands and the catastrophe row overlay at a block
-        of times."""
+        of times, from whichever rate families are set: births +1,
+        arrival batches +k, deaths or services -1, service batches -k,
+        then catastrophes on row 0 over the base chain's bands."""
         n = self.n
-        if self.kind == "catastrophe":
-            bands, row0 = self.base._offdiag(tb)
+        bands, row0 = self.base._offdiag(tb) if self.base is not None \
+            else ({}, None)
+        if self.births is not None:
+            bands[1] = self.births.block(tb)
+        for k, fam in self.arrival_batches.items():
+            bands[k] = _batch_band(fam, tb, n + 1 - k)
+        for fam in (self.deaths, self.services):
+            if fam is not None:
+                bands[-1] = fam.block(tb)
+        for k, fam in self.service_batches.items():
+            bands[-k] = _batch_band(fam, tb, n + 1 - k)
+        if self.catastrophes is not None:
             extra = np.zeros((len(tb), n + 1))
             extra[:, 1:] = self.catastrophes.block(tb)
-            return bands, extra if row0 is None else row0 + extra
-        bands: dict[int, np.ndarray] = {}
-        if self.kind == "birth-death":
-            bands[1] = self.births.block(tb)
-            bands[-1] = self.deaths.block(tb)
-        elif self.kind == "batch-arrival":
-            for k, fam in self.arrival_batches.items():
-                bands[k] = _batch_band(fam, tb, n + 1 - k)
-            bands[-1] = self.services.block(tb)
-        elif self.kind == "batch-service":
-            bands[1] = self.births.block(tb)
-            for k, fam in self.service_batches.items():
-                bands[-k] = _batch_band(fam, tb, n + 1 - k)
-        elif self.kind == "batch":
-            for k, fam in self.arrival_batches.items():
-                bands[k] = _batch_band(fam, tb, n + 1 - k)
-            for k, fam in self.service_batches.items():
-                bands[-k] = _batch_band(fam, tb, n + 1 - k)
-        else:
-            raise ValueError(f"unknown chain kind {self.kind!r}")
-        return bands, None
+            row0 = extra if row0 is None else row0 + extra
+        return bands, row0
 
     def bands_block(self, tb: TimeBlock) -> GeneratorBlock:
         return _finish_block(self.n, len(tb), *self._offdiag(tb), None)
@@ -394,7 +387,8 @@ class ChainSpec:
         else:
             for name in ("births", "deaths", "services"):
                 slot = name.rstrip("s")
-                if slot in new:
+                # a family the chain does not have would become a new band
+                if slot in new and getattr(self, name) is not None:
                     kw[name] = new[slot]
             for coll, prefix in (("arrival_batches", "arrival"),
                                  ("service_batches", "service")):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ctmcpert import (CertificateError, RateFunction, WeightSequence,
-                      birth_death_chain,
+from ctmcpert import (CertificateError, MassArrivalChain, RateFunction,
+                      WeightSequence, birth_death_chain,
                       catastrophe_chain, catastrophe_reduction_at,
                       catastrophe_uniform_certificate, decay_rate_at,
                       decay_rates_at, forcing_norm_at, log_norm, parse_rate,
@@ -14,8 +14,8 @@ from ctmcpert import (CertificateError, RateFunction, WeightSequence,
                       weighted_reduced_matrix)
 from ctmcpert.analysis import reduced_bands_block
 from ctmcpert.model import TimeBlock
-from conftest import (dense_rk4, expm_ode, random_chain, random_weights,
-                      rich_rate)
+from conftest import (dense_rk4, expm_ode, family_at, random_chain,
+                      random_weights, rich_rate)
 
 ONE = RateFunction.constant(1.0)
 FOUR = RateFunction.constant(4.0)
@@ -92,20 +92,43 @@ def test_transcription_against_similarity():
             direct = weighted_reduced_matrix(spec, w, t)
             oracle = similarity_reduced_matrix(spec, w, t)
             assert np.abs(direct - oracle).max() < 1e-10
-    # a block of nodes, one dense transform per node
+    # a block of nodes, one dense transform per node; the tail sums keep
+    # the reduced bands within the generator's own band range [-q, p]
     for kind in ("birth-death", "batch-arrival", "batch-service", "batch"):
-        for _ in range(4):
+        for _ in range(10):
             n = int(rng.integers(3, 16))
             spec = random_chain(rng, kind, n, rate=rich_rate)
             w = random_weights(rng, n)
             ts = rng.uniform(0, 2, 5)
-            diag, bands = reduced_bands_block(spec, w, TimeBlock(ts))
+            g = spec.bands_block(TimeBlock(ts))
+            diag, bands = reduced_bands_block(g, w)
+            assert all(min(g.bands) <= k <= max(g.bands) for k in bands)
             for i, t in enumerate(ts):
                 direct = np.diag(diag[i])
                 for k, vals in bands.items():
                     direct += np.diag(vals[i], -k)
                 oracle = similarity_reduced_matrix(spec, w, float(t))
                 assert np.abs(direct - oracle).max() < 1e-10
+
+
+def test_birth_death_reduction_is_exact():
+    # a birth-death entry is one rate times a weight ratio: the tail sums
+    # must not cancel anything against it
+    rng = np.random.default_rng(99)
+    for _ in range(10):
+        n = int(rng.integers(2, 16))
+        spec = random_chain(rng, "birth-death", n, rate=rich_rate)
+        w = random_weights(rng, n)
+        d = w.values
+        ts = rng.uniform(0, 2, 4)
+        diag, bands = reduced_bands_block(spec.bands_block(TimeBlock(ts)), w)
+        assert sorted(bands) == [-1, 1]
+        for i, t in enumerate(ts):
+            lam = family_at(spec.births, float(t))
+            mu = family_at(spec.deaths, float(t))
+            assert np.array_equal(diag[i], -(lam + mu))
+            assert np.array_equal(bands[1][i], (d[1:] / d[:-1]) * lam[1:])
+            assert np.array_equal(bands[-1][i], (d[:-1] / d[1:]) * mu[:-1])
 
 
 def test_weight_length_must_match_chain():
@@ -115,11 +138,17 @@ def test_weight_length_must_match_chain():
 
 
 def test_weighted_matrix_rejects_catastrophe():
-    cat = catastrophe_chain(birth_death_chain(ONE, FOUR, size=4,
-                                              validation_grid=16),
-                            RateFunction.constant(0.2))
+    base = birth_death_chain(ONE, FOUR, size=4, validation_grid=16)
+    cat = catastrophe_chain(base, RateFunction.constant(0.2))
+    w = WeightSequence.unit(3)
     with pytest.raises(CertificateError):
-        weighted_reduced_matrix(cat, WeightSequence.unit(3), 0.0)
+        weighted_reduced_matrix(cat, w, 0.0)
+    # the row-0 and column-0 overlays are refused by the reduction itself
+    for chain in (cat, MassArrivalChain(base, 0.1)):
+        with pytest.raises(CertificateError, match="not defined"):
+            reduced_bands_block(chain.bands_block(TimeBlock([0.0, 0.5])), w)
+    with pytest.raises(CertificateError):
+        weighted_reduced_matrix(MassArrivalChain(base, 0.1), w, 0.0)
 
 
 # ---------------------------------------------------------------------------

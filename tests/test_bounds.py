@@ -133,7 +133,7 @@ def test_bounds_monotone_in_gaps():
 
 def test_gaps_identical_specs(loss_queue):
     w = WeightSequence.unit(299)
-    g = perturbation_gaps(loss_queue, loss_queue, w, grid=128)
+    g = perturbation_gaps(loss_queue, [loss_queue], w, grid=128)
     assert g.reduced == 0.0 and g.forcing == 0.0 and g.generator == 0.0
 
 
@@ -141,12 +141,12 @@ def test_gaps_structural_multipliers(loss_queue, pair_queue):
     eps = 0.01
     w1 = WeightSequence.unit(299)
     pert = perturb(loss_queue, Perturbation("rate-offsets", eps=eps, seed=9))
-    g = perturbation_gaps(loss_queue, pert, w1, grid=256)
+    g = perturbation_gaps(loss_queue, [pert], w1, grid=256)
     assert 0 < g.reduced <= 5 * eps + 1e-12
     assert 0 < g.forcing <= eps + 1e-12
     w2 = WeightSequence.geometric(2.0, 299)
     pert2 = perturb(pair_queue, Perturbation("rate-offsets", eps=eps, seed=9))
-    g2 = perturbation_gaps(pair_queue, pert2, w2, grid=256)
+    g2 = perturbation_gaps(pair_queue, [pert2], w2, grid=256)
     assert 0 < g2.forcing <= 5 * eps + 1e-12
 
 
@@ -155,7 +155,7 @@ def test_gaps_mass_arrival_generator_norm():
                              RateFunction.constant(4.0, period=1.0),
                              size=51, validation_grid=32)
     pert = perturb(spec, Perturbation("mass-arrival", eps=0.1))
-    g = perturbation_gaps(spec, pert, WeightSequence.unit(50), grid=64)
+    g = perturbation_gaps(spec, [pert], WeightSequence.unit(50), grid=64)
     # column 0 gains eps of new outflow, so the operator gap is 2 eps
     assert g.generator == pytest.approx(0.2, rel=1e-12)
     assert math.isnan(g.reduced) and math.isnan(g.forcing)
@@ -177,23 +177,32 @@ def _dense_gaps(spec, pert, w, grid, structural):
 
 
 def test_gaps_against_dense_matrices():
+    # each case lists its draws; with several, every gap is the largest
+    # of the per-draw dense gaps
     rng = np.random.default_rng(77)
     cases = []
     for kind in ("birth-death", "batch-arrival", "batch-service", "batch"):
-        for _ in range(2):
+        for count in (1, 2):
             n = int(rng.integers(3, 12))
             spec = random_chain(rng, kind, n, rate=rich_rate)
-            pert = perturb(spec, Perturbation("rate-offsets", eps=0.05,
-                                              seed=int(rng.integers(1 << 30))))
-            cases.append((spec, pert, random_weights(rng, n), True))
+            draws = [perturb(spec, Perturbation(
+                "rate-offsets", eps=0.05, seed=int(rng.integers(1 << 30))))
+                for _ in range(count)]
+            cases.append((spec, draws, random_weights(rng, n), True))
     cat = catastrophe_chain(random_chain(rng, "birth-death", 8, rate=rich_rate),
                             rich_rate(rng))
     for mode in ("rate-offsets", "multiplicative", "mass-arrival"):
         pert = perturb(cat, Perturbation(mode, eps=0.05, seed=3))
-        cases.append((cat, pert, WeightSequence.unit(8), False))
-    for spec, pert, w, structural in cases:
-        g = perturbation_gaps(spec, pert, w, grid=16)
-        gen, red, forc = _dense_gaps(spec, pert, w, 16, structural)
+        cases.append((cat, [pert], WeightSequence.unit(8), False))
+    # one draw without a weighted reduction makes the weighted gaps nan
+    spec = random_chain(rng, "birth-death", 6, rate=rich_rate)
+    cases.append((spec, [perturb(spec, Perturbation("multiplicative", eps=0.05)),
+                         perturb(spec, Perturbation("mass-arrival", eps=0.05))],
+                  WeightSequence.unit(6), False))
+    for spec, draws, w, structural in cases:
+        g = perturbation_gaps(spec, draws, w, grid=16)
+        gen, red, forc = np.max([_dense_gaps(spec, pert, w, 16, structural)
+                                 for pert in draws], axis=0)
         assert g.generator == pytest.approx(gen, rel=1e-10, abs=1e-13)
         if structural:
             assert g.reduced == pytest.approx(red, rel=1e-10, abs=1e-13)
@@ -208,7 +217,7 @@ def test_gap_dimension_mismatch(loss_queue):
                               RateFunction.constant(4.0), size=10,
                               validation_grid=16)
     with pytest.raises(ValueError, match="state space"):
-        perturbation_gaps(loss_queue, other, WeightSequence.unit(299))
+        perturbation_gaps(loss_queue, [other], WeightSequence.unit(299))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +228,7 @@ def test_build_report_routes(loss_queue):
     cert = weighted_certificate(loss_queue, w, grid=512)
     uc = uniform_from_weighted(cert, w)
     pert = perturb(loss_queue, Perturbation("rate-offsets", eps=0.01, seed=1))
-    gaps = perturbation_gaps(loss_queue, pert, w, grid=256)
+    gaps = perturbation_gaps(loss_queue, [pert], w, grid=256)
     rep = build_report(0.01, uc, cert, gaps, top_state=299)
     assert rep.smaller_route == "uniform"
     assert rep.uniform_limsup == pytest.approx((1 + math.log(598.0)) * 0.01,

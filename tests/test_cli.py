@@ -286,6 +286,21 @@ def test_main_exit_codes(small_scn, tmp_path, capsys):
                       "birth = \"1\"\ndeath = \"1\"\nperiod = 1\n")
     assert main(["--out", out, "analyze", str(states)]) == EXIT_PARSE
     assert "integer" in capsys.readouterr().err
+    # malformed numbers inside weights, multipliers and draws
+    chain = ("[chain]\nkind = birth-death\nstates = 4\nperiod = 1\n"
+             "birth = \"1\"\ndeath = \"2\"\n")
+    for name, text, where in (
+            ("values", chain + "[weights]\nkind = explicit\nvalues = 1, x, 3\n",
+             "[weights] key 'values'"),
+            ("mult", chain + "birth_mult = min(k, 1.2.3)\n",
+             "[chain] key 'birth_mult'"),
+            ("draws", chain + "[perturbation]\nmode = rate-offsets\n"
+             "epsilon = 0.01\ndraws = nan\n", "[perturbation] key 'draws'")):
+        path = tmp_path / f"{name}.scn"
+        path.write_text(text)
+        assert main(["--out", out, "--grid", "256", "bounds",
+                     str(path)]) == EXIT_PARSE
+        assert where in capsys.readouterr().err
 
 
 def test_catastrophe_perturbation_bounds(tmp_path, capsys):

@@ -26,7 +26,7 @@ flagged as such in reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -36,8 +36,6 @@ from .model import (Chain, ChainSpec, GeneratorBlock, TimeBlock, column_sums,
 from .quadrature import (ANALYSIS_GRID, adaptive_simpson, doubled_grid,
                          peak_running_integral, simpson_on_grid)
 from .rates import RateFunction, periodic_mean
-
-WEIGHTED_KINDS = ("birth-death", "batch-arrival", "batch-service", "batch")
 
 
 class CertificateError(ValueError):
@@ -321,7 +319,7 @@ def weighted_certificate(spec: ChainSpec, w: WeightSequence,
     (grid plus one refinement), not analytic bounds.
     """
     period = _require_period(spec)
-    if spec.kind not in WEIGHTED_KINDS:
+    if not isinstance(spec, ChainSpec) or spec.catastrophes is not None:
         raise CertificateError(f"no weighted certificate for kind {spec.kind!r}")
     alphas = []
     b_sup = 0.0
@@ -365,21 +363,7 @@ def uniform_from_weighted(cert: ErgodicityCertificate,
     if not cert.certified:
         raise CertificateError("cannot derive uniform constants: not certified")
     c = 4.0 * w.column_norm * cert.amplitude / w.min_weight
-    return ErgodicityCertificate(
-        approach="uniform",
-        certified=True,
-        amplitude=c,
-        rate=cert.rate,
-        period_mean=cert.period_mean,
-        peak_dev=cert.peak_dev,
-        period=cert.period,
-        grid=cert.grid,
-        min_weight=cert.min_weight,
-        weight_state_ratio=cert.weight_state_ratio,
-        weight_column_norm=cert.weight_column_norm,
-        reduced_norm_sup=cert.reduced_norm_sup,
-        forcing_norm_sup=cert.forcing_norm_sup,
-    )
+    return replace(cert, approach="uniform", amplitude=c)
 
 
 def catastrophe_uniform_certificate(spec: ChainSpec,
@@ -387,7 +371,7 @@ def catastrophe_uniform_certificate(spec: ChainSpec,
     """Uniform certificate for a catastrophe chain from the floor of the
     direct-to-zero intensities: amplitude 2 e^{peak}, rate = periodic mean
     of the floor."""
-    if spec.kind != "catastrophe":
+    if not isinstance(spec, ChainSpec) or spec.catastrophes is None:
         raise CertificateError("uniform catastrophe certificate needs a "
                                "catastrophe chain")
     period = _require_period(spec)

@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import (WEIGHTED_KINDS, ErgodicityCertificate, WeightSequence,
-                       column_stats, reduced_bands_block)
+from .analysis import (ErgodicityCertificate, WeightSequence, column_stats,
+                       reduced_bands_block)
 from .model import (Chain, ChainSpec, GeneratorBlock, band_difference,
                     column_sums, time_blocks)
 from .quadrature import ANALYSIS_GRID, doubled_grid
@@ -175,17 +175,18 @@ def perturbation_gaps(spec: ChainSpec, draws: Sequence[Chain],
     """Grid suprema over one period of the distances between the original
     and each perturbed chain of ``draws``, maximised over the draws.
 
-    The weighted gaps require every draw to share the structural kind and
-    dimension of the original, and that kind to have a weighted
-    reduction; otherwise they are nan.  The generator gap is defined for
-    any perturbed chain on the same state space.
+    The weighted gaps require every draw to be a ``ChainSpec`` of the
+    original's kind and dimension, and neither to have catastrophes (a
+    weighted reduction needs a generator without overlays); otherwise
+    they are nan.  The generator gap is defined for any perturbed chain
+    on the same state space.
     """
     if any(chain.size != spec.size for chain in draws):
         raise ValueError("perturbed chain must share the state space")
     period = spec.period if spec.period is not None else 1.0
-    structural = spec.kind in WEIGHTED_KINDS and all(
-        isinstance(chain, ChainSpec) and chain.kind == spec.kind
-        for chain in draws)
+    structural = all(isinstance(chain, ChainSpec) and chain.kind == spec.kind
+                     and chain.catastrophes is None
+                     for chain in (spec, *draws))
     red = 0.0
     forc = 0.0
     gen = 0.0

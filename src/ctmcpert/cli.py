@@ -20,8 +20,8 @@ Subcommands:
   frequencies), ``2`` (pair-arrival queue), ``counterexample``
   (mass-arrival truncation probe).
 
-Exit codes: 0 success, 2 scenario parse error, 3 validation error,
-4 no feasible bound, 5 empirical violation of a reported bound.
+Exit codes: 0 success, 2 scenario parse error or bad option, 3 validation
+error, 4 no feasible bound, 5 empirical violation of a reported bound.
 
 Reports are printed as human-readable text and written as a flat
 machine-readable ``key = value`` document with dot-namespaced keys.
@@ -203,16 +203,15 @@ def _decode_mult(value: str | None, indices: np.ndarray, section: str,
     try:
         if m:
             return np.minimum(indices.astype(float), float(m.group(1)))
-        if "," in value:
-            vals = np.array([float(v) for v in value.split(",")])
-            if len(vals) != len(indices):
-                raise ScenarioError(
-                    f"{len(vals)} multipliers for {len(indices)} states",
-                    section, key)
-            return vals
-        return float(value) * np.ones(len(indices))
+        if "," not in value:
+            return float(value) * np.ones(len(indices))
+        vals = np.array([float(v) for v in value.split(",")])
     except ValueError:
         raise ScenarioError(f"bad multiplier spec {value!r}", section, key)
+    if len(vals) != len(indices):
+        raise ScenarioError(f"{len(vals)} multipliers for {len(indices)} states",
+                            section, key)
+    return vals
 
 
 def _decode_float(scn: Scenario, section: str, key: str,
@@ -295,44 +294,42 @@ def build_chain(scn: Scenario, section: str = "chain",
     kw = dict(truncated=truncated, declared_bound=declared)
     if grid is not None:
         kw["validation_grid"] = grid
+
+    def fam(key: str, first: int) -> model.RateFamily:
+        """The family of ``key`` on the n states first, first+1, ..."""
+        return _family(cfg, key, np.arange(first, first + n), period, section)
+
+    def batches(prefix: str) -> dict[int, RateFunction]:
+        return _batches(cfg, prefix, period, section)
+
+    # model attributes are looked up at call time, so wrappers see the calls
+    builders = {
+        "birth-death": lambda: model.birth_death_chain(
+            fam("birth", 0), fam("death", 1), size, **kw),
+        "batch-arrival": lambda: model.batch_arrival_chain(
+            batches("arrival"), fam("service", 1), size, **kw),
+        "batch-service": lambda: model.batch_service_chain(
+            fam("birth", 0), batches("service"), size, **kw),
+        "batch": lambda: model.batch_chain(
+            batches("arrival"), batches("service"), size, **kw),
+    }
+    base_kind, kind_key = kind, "kind"
+    if kind == "catastrophe":
+        base_kind, kind_key = cfg.get("base_kind"), "base_kind"
+        if base_kind is None:
+            raise ScenarioError("catastrophe chains need base_kind",
+                                section, "base_kind")
+        cat = fam("catastrophe", 1)
+    if base_kind not in builders:
+        raise ScenarioError(f"unknown chain kind {base_kind!r}", section,
+                            kind_key)
     try:
+        chain = builders[base_kind]()
         if kind == "catastrophe":
-            base_kind = cfg.get("base_kind")
-            if base_kind is None:
-                raise ScenarioError("catastrophe chains need base_kind",
-                                    section, "base_kind")
-            inner = dict(cfg)
-            inner["kind"] = base_kind
-            inner.pop("base_kind")
-            cat = _family(cfg, "catastrophe", np.arange(1, n + 1), period,
-                          section)
-            base_scn = Scenario(scn.name, {**scn.sections, section: inner})
-            base = build_chain(base_scn, section, grid)
-            return model.catastrophe_chain(base, cat,
-                                           declared_bound=declared)
-        if kind == "birth-death":
-            return model.birth_death_chain(
-                _family(cfg, "birth", np.arange(0, n), period, section),
-                _family(cfg, "death", np.arange(1, n + 1), period, section),
-                size, **kw)
-        if kind == "batch-arrival":
-            return model.batch_arrival_chain(
-                _batches(cfg, "arrival", period, section),
-                _family(cfg, "service", np.arange(1, n + 1), period, section),
-                size, **kw)
-        if kind == "batch-service":
-            return model.batch_service_chain(
-                _family(cfg, "birth", np.arange(0, n), period, section),
-                _batches(cfg, "service", period, section),
-                size, **kw)
-        if kind == "batch":
-            return model.batch_chain(
-                _batches(cfg, "arrival", period, section),
-                _batches(cfg, "service", period, section),
-                size, **kw)
+            chain = model.catastrophe_chain(chain, cat, declared_bound=declared)
     except ChainValidationError as exc:
         raise ScenarioError(str(exc), section)
-    raise ScenarioError(f"unknown chain kind {kind!r}", section, "kind")
+    return chain
 
 
 def build_weights(scn: Scenario, n: int) -> analysis.WeightSequence:
@@ -384,11 +381,14 @@ def scenario_perturbations(scn: Scenario, spec: model.ChainSpec,
     if draws < 1:
         raise ScenarioError(f"expected a positive integer, got {draws}",
                             "perturbation", "draws")
-    base_seed = seed if seed is not None \
-        else _decode_int(scn, "perturbation", "seed", 0)
+    if seed is None:
+        seed = _decode_int(scn, "perturbation", "seed", 0)
+        if seed < 0:
+            raise ScenarioError(f"expected a non-negative integer, got {seed}",
+                                "perturbation", "seed")
     out = []
     for i in range(draws):
-        pert = model.Perturbation("rate-offsets", eps=eps, seed=base_seed + i)
+        pert = model.Perturbation("rate-offsets", eps=eps, seed=seed + i)
         out.append((f"draw{i}", model.perturb(spec, pert)))
     return out
 
@@ -463,11 +463,11 @@ class PipelineResult:
 def _certificates(spec: model.ChainSpec, weights: analysis.WeightSequence,
                   grid: int):
     weighted = uniform = None
-    if spec.kind in analysis.WEIGHTED_KINDS:
+    if spec.catastrophes is None:
         weighted = analysis.weighted_certificate(spec, weights, grid=grid)
         if weighted.certified:
             uniform = analysis.uniform_from_weighted(weighted, weights)
-    elif spec.kind == "catastrophe":
+    else:
         uniform = analysis.catastrophe_uniform_certificate(spec, grid=grid)
         if not uniform.certified:
             uniform = None
@@ -720,6 +720,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = Path(args.out)
+    if args.grid <= 0 or args.grid % 2:
+        sys.stderr.write(f"option error: --grid must be a positive even "
+                         f"integer, got {args.grid}\n")
+        return EXIT_PARSE
+    if args.seed is not None and args.seed < 0:
+        sys.stderr.write(f"option error: --seed must be a non-negative "
+                         f"integer, got {args.seed}\n")
+        return EXIT_PARSE
     try:
         if args.command == "reproduce":
             return reproduce(args.target, out_dir, grid=args.grid,

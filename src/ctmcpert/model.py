@@ -9,8 +9,8 @@ Five structural kinds are supported, all on states 0..n:
   at rate b_k(t) (a group larger than the current population cannot
   occur);
 * ``batch``          — group arrivals and group services combined;
-* ``catastrophe``    — any base chain overlaid with direct k -> 0
-  transitions from every state.
+* ``catastrophe``    — any of the four above with direct k -> 0
+  transitions from every state, a rate family like the others.
 
 A countable chain is represented by truncation to 0..n: transitions that
 would leave the truncated range are dropped and the diagonal recomputed,
@@ -35,9 +35,6 @@ import numpy as np
 
 from .quadrature import ANALYSIS_GRID
 from .rates import RateFunction
-
-KINDS = ("birth-death", "batch-arrival", "batch-service", "batch", "catastrophe")
-
 
 class ChainValidationError(ValueError):
     """Raised when a chain definition fails grid validation."""
@@ -298,9 +295,17 @@ def _batch_band(fam: RateFamily, tb: TimeBlock, length: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # chain definitions
 
+#: (field, slot name) of every rate family in draw order; a mapping field
+#: holds one family per batch size k, named ``<slot>[k]``
+_SLOT_TABLE = (("births", "birth"), ("deaths", "death"),
+               ("services", "service"), ("arrival_batches", "arrival"),
+               ("service_batches", "service"), ("catastrophes", "catastrophe"))
+
+
 @dataclass(frozen=True, eq=False)
 class ChainSpec:
-    """An inhomogeneous chain of one of the five structural kinds.
+    """An inhomogeneous chain: the rate families that are set define its
+    transitions, and ``kind`` names the structure for reports.
 
     Immutable; generator slices are pure functions of (spec, t) and safe
     to evaluate concurrently.
@@ -315,7 +320,6 @@ class ChainSpec:
     services: RateFamily | None = None        # batch-arrival
     arrival_batches: Mapping[int, RateFamily] = field(default_factory=dict)
     service_batches: Mapping[int, RateFamily] = field(default_factory=dict)
-    base: "ChainSpec | None" = None           # catastrophe
     catastrophes: RateFamily | None = None    # catastrophe
     declared_bound: float | None = None
     validation_grid: int = ANALYSIS_GRID
@@ -329,10 +333,9 @@ class ChainSpec:
         """Off-diagonal bands and the catastrophe row overlay at a block
         of times, from whichever rate families are set: births +1,
         arrival batches +k, deaths or services -1, service batches -k,
-        then catastrophes on row 0 over the base chain's bands."""
+        then catastrophes on row 0."""
         n = self.n
-        bands, row0 = self.base._offdiag(tb) if self.base is not None \
-            else ({}, None)
+        bands, row0 = {}, None
         if self.births is not None:
             bands[1] = self.births.block(tb)
         for k, fam in self.arrival_batches.items():
@@ -343,9 +346,8 @@ class ChainSpec:
         for k, fam in self.service_batches.items():
             bands[-k] = _batch_band(fam, tb, n + 1 - k)
         if self.catastrophes is not None:
-            extra = np.zeros((len(tb), n + 1))
-            extra[:, 1:] = self.catastrophes.block(tb)
-            row0 = extra if row0 is None else row0 + extra
+            row0 = np.zeros((len(tb), n + 1))
+            row0[:, 1:] = self.catastrophes.block(tb)
         return bands, row0
 
     def bands_block(self, tb: TimeBlock) -> GeneratorBlock:
@@ -360,47 +362,32 @@ class ChainSpec:
         return all(f.time_invariant for _, fam in self.rate_slots()
                    for f in fam.rate_functions)
 
+    def _slots(self):
+        """(field, batch size or None, slot name, family) of every rate
+        family that is set, in the order of ``_SLOT_TABLE``."""
+        for name, slot in _SLOT_TABLE:
+            value = getattr(self, name)
+            if isinstance(value, RateFamily):
+                yield name, None, slot, value
+            elif value:
+                for k in sorted(value):
+                    yield name, k, f"{slot}[{k}]", value[k]
+
     def rate_slots(self) -> list[tuple[str, RateFamily]]:
         """All rate families, named by their structural role."""
-        slots = []
-        if self.kind == "catastrophe":
-            slots.extend(self.base.rate_slots())
-            slots.append(("catastrophe", self.catastrophes))
-            return slots
-        for name in ("births", "deaths", "services"):
-            fam = getattr(self, name)
-            if fam is not None:
-                slots.append((name.rstrip("s"), fam))
-        for k, fam in sorted(self.arrival_batches.items()):
-            slots.append((f"arrival[{k}]", fam))
-        for k, fam in sorted(self.service_batches.items()):
-            slots.append((f"service[{k}]", fam))
-        return slots
+        return [(slot, fam) for _, _, slot, fam in self._slots()]
 
     def _replace_slots(self, new: Mapping[str, RateFamily]) -> "ChainSpec":
+        """The chain with the named families replaced; a name the chain
+        has no family for is ignored, since it would add a band."""
         kw = {}
-        if self.kind == "catastrophe":
-            base_new = {k: v for k, v in new.items() if k != "catastrophe"}
-            kw["base"] = self.base._replace_slots(base_new)
-            if "catastrophe" in new:
-                kw["catastrophes"] = new["catastrophe"]
-        else:
-            for name in ("births", "deaths", "services"):
-                slot = name.rstrip("s")
-                # a family the chain does not have would become a new band
-                if slot in new and getattr(self, name) is not None:
-                    kw[name] = new[slot]
-            for coll, prefix in (("arrival_batches", "arrival"),
-                                 ("service_batches", "service")):
-                batches = dict(getattr(self, coll))
-                changed = False
-                for k in batches:
-                    slot = f"{prefix}[{k}]"
-                    if slot in new:
-                        batches[k] = new[slot]
-                        changed = True
-                if changed:
-                    kw[coll] = batches
+        for name, k, slot, _ in self._slots():
+            if slot not in new:
+                continue
+            if k is None:
+                kw[name] = new[slot]
+            else:
+                kw.setdefault(name, dict(getattr(self, name)))[k] = new[slot]
         return replace(self, **kw)
 
     @cached_property
@@ -557,18 +544,24 @@ def _batch_arg(batches: Mapping[int, RateFunction], n: int,
 # ---------------------------------------------------------------------------
 # builders
 
+def _structural_chain(kind: str, size: int, truncated: bool,
+                      declared_bound: float | None, validation_grid: int,
+                      **families) -> ChainSpec:
+    return _built(ChainSpec(kind=kind, n=size - 1, truncated=truncated,
+                            declared_bound=declared_bound,
+                            validation_grid=validation_grid, **families))
+
+
 def birth_death_chain(births, deaths, size: int, truncated: bool = False,
                       declared_bound: float | None = None,
                       validation_grid: int = ANALYSIS_GRID) -> ChainSpec:
     """Chain with single births (rate family on states 0..n-1) and single
     deaths (family on states 1..n)."""
     n = size - 1
-    spec = ChainSpec(kind="birth-death", n=n, truncated=truncated,
-                     births=_family_arg(births, n, "births"),
-                     deaths=_family_arg(deaths, n, "deaths"),
-                     declared_bound=declared_bound,
-                     validation_grid=validation_grid)
-    return _built(spec)
+    return _structural_chain("birth-death", size, truncated, declared_bound,
+                             validation_grid,
+                             births=_family_arg(births, n, "births"),
+                             deaths=_family_arg(deaths, n, "deaths"))
 
 
 def batch_arrival_chain(arrival_batches: Mapping[int, RateFunction], services,
@@ -578,12 +571,10 @@ def batch_arrival_chain(arrival_batches: Mapping[int, RateFunction], services,
     """Group arrivals (size k at rate a_k(t)) with one-by-one service at
     state-dependent rates (family on states 1..n)."""
     n = size - 1
-    spec = ChainSpec(kind="batch-arrival", n=n, truncated=truncated,
-                     arrival_batches=_batch_arg(arrival_batches, n, "arrivals"),
-                     services=_family_arg(services, n, "services"),
-                     declared_bound=declared_bound,
-                     validation_grid=validation_grid)
-    return _built(spec)
+    return _structural_chain(
+        "batch-arrival", size, truncated, declared_bound, validation_grid,
+        arrival_batches=_batch_arg(arrival_batches, n, "arrivals"),
+        services=_family_arg(services, n, "services"))
 
 
 def batch_service_chain(births, service_batches: Mapping[int, RateFunction],
@@ -592,12 +583,10 @@ def batch_service_chain(births, service_batches: Mapping[int, RateFunction],
                         validation_grid: int = ANALYSIS_GRID) -> ChainSpec:
     """Single arrivals with group service of exact size k at rate b_k(t)."""
     n = size - 1
-    spec = ChainSpec(kind="batch-service", n=n, truncated=truncated,
-                     births=_family_arg(births, n, "births"),
-                     service_batches=_batch_arg(service_batches, n, "services"),
-                     declared_bound=declared_bound,
-                     validation_grid=validation_grid)
-    return _built(spec)
+    return _structural_chain(
+        "batch-service", size, truncated, declared_bound, validation_grid,
+        births=_family_arg(births, n, "births"),
+        service_batches=_batch_arg(service_batches, n, "services"))
 
 
 def batch_chain(arrival_batches: Mapping[int, RateFunction],
@@ -607,26 +596,23 @@ def batch_chain(arrival_batches: Mapping[int, RateFunction],
                 validation_grid: int = ANALYSIS_GRID) -> ChainSpec:
     """Group arrivals and group services combined."""
     n = size - 1
-    spec = ChainSpec(kind="batch", n=n, truncated=truncated,
-                     arrival_batches=_batch_arg(arrival_batches, n, "arrivals"),
-                     service_batches=_batch_arg(service_batches, n, "services"),
-                     declared_bound=declared_bound,
-                     validation_grid=validation_grid)
-    return _built(spec)
+    return _structural_chain(
+        "batch", size, truncated, declared_bound, validation_grid,
+        arrival_batches=_batch_arg(arrival_batches, n, "arrivals"),
+        service_batches=_batch_arg(service_batches, n, "services"))
 
 
 def catastrophe_chain(base: ChainSpec, catastrophes,
                       declared_bound: float | None = None) -> ChainSpec:
-    """Overlay direct k -> 0 transitions (family on states 1..n) on any
-    base chain; the diagonal is recomputed so columns still sum to zero."""
-    if isinstance(base, MassArrivalChain):
-        raise TypeError("catastrophes must be overlaid on a structural chain")
-    spec = ChainSpec(kind="catastrophe", n=base.n, truncated=base.truncated,
-                     base=base,
-                     catastrophes=_family_arg(catastrophes, base.n, "catastrophes"),
-                     declared_bound=declared_bound,
-                     validation_grid=base.validation_grid)
-    return _built(spec)
+    """Add direct k -> 0 transitions (family on states 1..n) to a chain
+    without catastrophes; the diagonal is recomputed so columns still sum
+    to zero."""
+    if not isinstance(base, ChainSpec) or base.catastrophes is not None:
+        raise TypeError("catastrophes must be added to a structural chain "
+                        "without catastrophes")
+    return _built(replace(
+        base, kind="catastrophe", declared_bound=declared_bound,
+        catastrophes=_family_arg(catastrophes, base.n, "catastrophes")))
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +682,7 @@ def catastrophe_floor_at(spec: ChainSpec, t: float) -> float:
 
 def catastrophe_reduction_at(spec: ChainSpec, t: float) -> CatastropheReduction:
     """Subtract the floor from row 0 and move it into a forcing term."""
-    if spec.kind != "catastrophe":
+    if not isinstance(spec, ChainSpec) or spec.catastrophes is None:
         raise ValueError("catastrophe reduction requires a catastrophe chain")
     a = generator_at(spec, t).matrix.copy()
     floor = float(a[0, 1:].min())

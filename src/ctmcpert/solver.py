@@ -28,6 +28,9 @@ from .rates import RateFunction
 SUM_TOL = 1e-8
 #: tolerated nonnegativity undershoot at recorded samples
 NEG_TOL = -1e-10
+#: largest chain whose ergodicity coefficient is measured (one integration
+#: per state)
+ERGODICITY_CAP = 512
 
 
 class SolverError(RuntimeError):
@@ -131,7 +134,7 @@ def _as_columns(p0, size: int) -> np.ndarray:
 
 
 def integrate(chain: Chain, p0, t0: float, t1: float, step: float | None = None,
-              stride: float | None = None, check: bool = True) -> Trajectory:
+              stride: float | None = None) -> Trajectory:
     """Integrate from one or several initial probability vectors.
 
     ``stride`` is the output sampling interval (defaults to ~512 samples);
@@ -163,8 +166,7 @@ def integrate(chain: Chain, p0, t0: float, t1: float, step: float | None = None,
         y, bands = _advance(chain, y, t, h, steps_per_sample, bands)
         times[i + 1] = t + sample_dt
         states[i + 1] = y
-        if check:
-            _check_columns(y, times[i + 1])
+        _check_columns(y, times[i + 1])
     if single:
         states = states[:, :, 0]
     return Trajectory(times=times, states=states, step=h)
@@ -203,12 +205,11 @@ class RegimeReport:
 
 
 def limiting_regime(chain: Chain, tolerance: float, max_horizon: float,
-                    step: float | None = None, period: float | None = None,
-                    limit_samples: int = 200) -> RegimeReport:
+                    step: float | None = None) -> RegimeReport:
     """Detect the limiting regime by comparing the extreme-initial-state
-    trajectories at period boundaries."""
-    if period is None:
-        period = chain.period if chain.period is not None else 1.0
+    trajectories at period boundaries; the limit period is sampled 200
+    times."""
+    period = chain.period if chain.period is not None else 1.0
     h = _checked_step(chain, step)
     steps = math.ceil(period / h)
     h = period / steps
@@ -235,7 +236,7 @@ def limiting_regime(chain: Chain, tolerance: float, max_horizon: float,
             f"horizon {max_horizon} exhausted: distance still {dists[-1]} "
             f"(tolerance {tolerance})")
     limit = integrate(chain, y, horizon, horizon + period, step=h,
-                      stride=period / limit_samples)
+                      stride=period / 200)
     phi = limit.states[:, :, 0] @ np.arange(chain.size)
     return RegimeReport(
         transient_horizon=horizon,
@@ -251,12 +252,13 @@ def limiting_regime(chain: Chain, tolerance: float, max_horizon: float,
 # empirical measurements
 
 def ergodicity_coefficient(chain: Chain, s: float, t: float,
-                           step: float | None = None, cap: int = 512) -> float:
+                           step: float | None = None) -> float:
     """Half the largest l1 distance between rows of the transition matrix
     over [s, t], measured by integrating every basis vector."""
-    if chain.size > cap:
-        raise SolverError(f"dimension {chain.size} above the configured "
-                          f"cap {cap} ({chain.size} integrations needed)")
+    if chain.size > ERGODICITY_CAP:
+        raise SolverError(f"dimension {chain.size} above the cap "
+                          f"{ERGODICITY_CAP} ({chain.size} integrations "
+                          f"needed)")
     if t < s:
         raise ValueError("need t >= s")
     if t == s:
@@ -301,10 +303,9 @@ def perturbation_distance(chain: Chain, perturbed: Chain, p0,
 
 
 def stationary_distribution(chain: Chain, tol: float = 1e-12,
-                            max_time: float = 500.0,
                             step: float | None = None) -> np.ndarray:
     """Stationary vector of a time-homogeneous chain by integrating to
-    tolerance; the residual is ||A p||_inf."""
+    tolerance, for at most t = 500; the residual is ||A p||_inf."""
     if not chain.time_invariant:
         raise SolverError("stationary integration requires time-invariant "
                           "rates")
@@ -315,7 +316,7 @@ def stationary_distribution(chain: Chain, tol: float = 1e-12,
     y = delta_state(chain.size, 0)[:, None]
     t = 0.0
     bands = chain.bands_at(0.0)
-    while t < max_time:
+    while t < 500.0:
         y, _ = _advance(chain, y, 0.0, h, steps, bands)
         t += chunk
         residual = float(np.abs(bands.matvec(y)).max())
@@ -323,7 +324,7 @@ def stationary_distribution(chain: Chain, tol: float = 1e-12,
             _check_columns(y, t)
             return y[:, 0]
     raise SolverError(f"no stationary vector to residual {tol} within "
-                      f"t = {max_time}")
+                      f"t = 500")
 
 
 @dataclass(frozen=True)

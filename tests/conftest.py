@@ -106,8 +106,9 @@ def family_at(fam, t):
 
 
 def dense_generator(chain, t):
-    """Dense A(t) from the transition rates of each kind, with the
-    diagonal left at zero: A[i, j] is the rate of the jump j -> i."""
+    """Dense A(t) from the transition rates of every family a chain sets,
+    with the diagonal left at zero: A[i, j] is the rate of the jump
+    j -> i."""
     n = chain.n
     m = np.zeros((n + 1, n + 1))
     if isinstance(chain, MassArrivalChain):
@@ -115,10 +116,6 @@ def dense_generator(chain, t):
         ks = np.arange(1, n)
         m[1:n, 0] += chain.eps / (ks * (ks + 1.0))
         m[n, 0] += chain.eps / n
-        return m
-    if chain.kind == "catastrophe":
-        m = dense_generator(chain.base, t)
-        m[0, 1:] += family_at(chain.catastrophes, t)
         return m
     js = np.arange(n)
     if chain.births is not None:
@@ -133,6 +130,8 @@ def dense_generator(chain, t):
     for k, fam in chain.service_batches.items():
         src = np.arange(k, n + 1)
         m[src - k, src] = family_at(fam, t)[0]
+    if chain.catastrophes is not None:
+        m[0, 1:] += family_at(chain.catastrophes, t)
     return m
 
 

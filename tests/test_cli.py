@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from ctmcpert import (batch_arrival_chain, batch_chain, batch_service_chain,
+                      birth_death_chain, catastrophe_chain, generator_at,
+                      parse_rate, rate_family)
 from ctmcpert.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE,
                           EXIT_VIOLATION, Scenario,
                           ScenarioError, build_chain, build_weights,
@@ -146,7 +149,69 @@ catastrophe = "0.3"
 """
     spec = build_chain(parse_scenario_text(text))
     assert spec.kind == "catastrophe"
-    assert spec.base.kind == "birth-death"
+    assert spec.births is not None and spec.deaths is not None
+    assert spec.services is None
+    assert not spec.arrival_batches and not spec.service_batches
+    assert np.array_equal(spec.catastrophes.multipliers, np.ones(7))
+
+
+def _fam(expr, mults):
+    return rate_family(shared=parse_rate(expr, period=1.0), multipliers=mults)
+
+
+def _rate(expr):
+    return parse_rate(expr, period=1.0)
+
+
+#: base kind -> (scenario rate lines, the same chain from a builder, n = 7)
+CATASTROPHE_BASES = {
+    "birth-death": (
+        'birth = "1+0.5*sin(2*pi*t)"\ndeath = "2"\ndeath_mult = min(k, 3)\n',
+        lambda: birth_death_chain(
+            _fam("1+0.5*sin(2*pi*t)", np.ones(7)),
+            _fam("2", np.minimum(np.arange(1, 8), 3.0)), 8)),
+    "batch-arrival": (
+        'arrival_1 = "1+0.5*sin(2*pi*t)"\narrival_3 = "0.3"\n'
+        'service = "2"\nservice_mult = k\n',
+        lambda: batch_arrival_chain(
+            {1: _rate("1+0.5*sin(2*pi*t)"), 3: _rate("0.3")},
+            _fam("2", np.arange(1.0, 8.0)), 8)),
+    "batch-service": (
+        'birth = "1+0.5*sin(2*pi*t)"\nservice_1 = "2"\n'
+        'service_2 = "0.5*(1+cos(2*pi*t))"\n',
+        lambda: batch_service_chain(
+            _fam("1+0.5*sin(2*pi*t)", np.ones(7)),
+            {1: _rate("2"), 2: _rate("0.5*(1+cos(2*pi*t))")}, 8)),
+    "batch": (
+        'arrival_1 = "1+0.5*sin(2*pi*t)"\narrival_2 = "0.3"\n'
+        'service_1 = "2"\nservice_3 = "1"\n',
+        lambda: batch_chain({1: _rate("1+0.5*sin(2*pi*t)"), 2: _rate("0.3")},
+                            {1: _rate("2"), 3: _rate("1")}, 8)),
+}
+
+
+@pytest.mark.parametrize("base_kind", list(CATASTROPHE_BASES))
+def test_build_catastrophe_chain_matches_builders(base_kind):
+    lines, build = CATASTROPHE_BASES[base_kind]
+    text = (f"[chain]\nkind = catastrophe\nbase_kind = {base_kind}\n"
+            f"states = 8\nperiod = 1\n{lines}"
+            'catastrophe = "0.3*(1+sin(2*pi*t))"\ncatastrophe_mult = min(k, 3)\n')
+    got = build_chain(parse_scenario_text(text))
+    want = catastrophe_chain(build(), _fam("0.3*(1+sin(2*pi*t))",
+                                           np.minimum(np.arange(1, 8), 3.0)))
+    assert got.kind == want.kind == "catastrophe"
+    assert got.period == want.period == 1.0
+    assert got.l_bound == want.l_bound
+    for t in (0.0, 0.13, 0.5, 0.77):
+        assert np.array_equal(generator_at(got, t).matrix,
+                              generator_at(want, t).matrix)
+
+
+def test_multiplier_count_is_reported():
+    text = ("[chain]\nkind = birth-death\nstates = 5\nbirth = \"1\"\n"
+            "death = \"2\"\nbirth_mult = 1, 2\n")
+    with pytest.raises(ScenarioError, match="2 multipliers for 4"):
+        build_chain(parse_scenario_text(text))
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +366,19 @@ def test_main_exit_codes(small_scn, tmp_path, capsys):
         assert main(["--out", out, "--grid", "256", "bounds",
                      str(path)]) == EXIT_PARSE
         assert where in capsys.readouterr().err
+    # a negative seed, in the scenario or as an option, and a grid that is
+    # not a positive even integer are bad input
+    seed = tmp_path / "seed.scn"
+    seed.write_text(chain + "[perturbation]\nmode = rate-offsets\n"
+                    "epsilon = 0.01\nseed = -3\n")
+    assert main(["--out", out, "--grid", "256", "bounds",
+                 str(seed)]) == EXIT_PARSE
+    assert "[perturbation] key 'seed'" in capsys.readouterr().err
+    for option in (["--seed", "-1"], ["--grid", "0"], ["--grid", "3"],
+                   ["--grid", "-4"]):
+        assert main(["--out", out] + option + ["bounds",
+                                               str(small_scn)]) == EXIT_PARSE
+        assert option[0] in capsys.readouterr().err
 
 
 def test_catastrophe_perturbation_bounds(tmp_path, capsys):

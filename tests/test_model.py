@@ -151,6 +151,25 @@ def test_catastrophe_reduction():
         catastrophe_reduction_at(small_bdp(), 0.0)
 
 
+@pytest.mark.parametrize("kind", ["birth-death", "batch-arrival",
+                                  "batch-service", "batch"])
+def test_catastrophe_slots_follow_base_slots(kind):
+    # offset draws walk the slots in this order, so it fixes their stream
+    base = random_chain(np.random.default_rng(5), kind, 7)
+    cat = catastrophe_chain(base, RateFunction.constant(0.3))
+    assert [name for name, _ in cat.rate_slots()] == \
+        [name for name, _ in base.rate_slots()] + ["catastrophe"]
+
+
+def test_catastrophes_are_not_stacked():
+    cat = catastrophe_chain(small_bdp(size=6), RateFunction.constant(0.3))
+    with pytest.raises(TypeError):
+        catastrophe_chain(cat, RateFunction.constant(0.1))
+    mass = perturb(small_bdp(size=6), Perturbation("mass-arrival", eps=0.1))
+    with pytest.raises(TypeError):
+        catastrophe_chain(mass, RateFunction.constant(0.1))
+
+
 # ---------------------------------------------------------------------------
 # generator invariants
 

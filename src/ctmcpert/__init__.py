@@ -29,9 +29,9 @@ from .model import (ChainSpec, ChainValidationError, GeneratorSlice,
 from .rates import (RateEvalError, RateFunction, RateSyntaxError, eval_rate,
                     parse_rate, periodic_mean)
 from .solver import (DistanceCurve, ProbeResult, RegimeReport, SolverError,
-                     Trajectory, delta_state, ergodicity_coefficient,
-                     integrate, limiting_regime, mass_arrival_probe,
-                     mean_state, perturbation_distance,
+                     Trajectory, delta_state, distance_curve,
+                     ergodicity_coefficient, integrate, limiting_regime,
+                     mass_arrival_probe, mean_state, perturbation_distance,
                      stationary_distribution, write_mean_csv,
                      write_states_csv)
 

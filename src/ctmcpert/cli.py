@@ -20,7 +20,9 @@ Subcommands:
   frequencies), ``2`` (pair-arrival queue), ``counterexample``
   (mass-arrival truncation probe).
 
-Exit codes: 0 success, 2 scenario parse error or bad option, 3 validation
+Exit codes: 0 success, 2 scenario parse error or bad option (``--grid``
+not a positive even integer, ``--seed`` negative, ``--step`` not a
+positive finite number, or a [solve] value that is not one), 3 validation
 error, 4 no feasible bound, 5 empirical violation of a reported bound.
 
 Reports are printed as human-readable text and written as a flat
@@ -232,6 +234,15 @@ def _decode_int(scn: Scenario, section: str, key: str, default: int) -> int:
         raise ScenarioError(
             f"expected an integer, got {scn.get(section, key)!r}", section, key)
     return int(value)
+
+
+def _decode_positive(scn: Scenario, section: str, key: str) -> float | None:
+    """A positive finite number, or None when the key is absent."""
+    value = _decode_float(scn, section, key)
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise ScenarioError(f"expected a positive finite number, got "
+                            f"{scn.get(section, key)!r}", section, key)
+    return value
 
 
 def _decode_bool(raw: str | None, default: bool = False) -> bool:
@@ -479,6 +490,8 @@ def run_pipeline(scn: Scenario, out_dir: Path, stage: str,
                  seed: int | None = None) -> PipelineResult:
     """Execute the pipeline implied by the scenario sections up to
     ``stage`` in {"analyze", "bounds", "run", "compare"}."""
+    solve = {key: _decode_positive(scn, "solve", key)
+             for key in ("t_end", "step", "stride", "tolerance", "horizon")}
     rep = Report()
     rep.put("scenario.name", scn.name)
     spec = build_chain(scn)
@@ -533,27 +546,32 @@ def run_pipeline(scn: Scenario, out_dir: Path, stage: str,
 
     if stage == "run" and scn.has("solve"):
         _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
-                     result, out_dir, step)
+                     result, out_dir, step, solve)
     return result
 
 
 def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
-                 result, out_dir, step_override):
+                 result, out_dir, step_override, solve):
+    """Integrate the extreme states and every perturbed draw in one run,
+    then search the limiting regime; ``solve`` holds the decoded [solve]
+    keys, None where absent."""
     period = spec.period if spec.period is not None else 1.0
-    t_end = _decode_float(scn, "solve", "t_end", 10 * period)
-    step = step_override if step_override is not None \
-        else _decode_float(scn, "solve", "step")
-    stride = _decode_float(scn, "solve", "stride", period / 100)
-    tol = _decode_float(scn, "solve", "tolerance", 1e-6)
-    horizon = _decode_float(scn, "solve", "horizon", t_end)
+    t_end = solve["t_end"] or 10 * period
+    step = step_override if step_override is not None else solve["step"]
+    stride = solve["stride"] or period / 100
+    tol = solve["tolerance"] or 1e-6
+    horizon = solve["horizon"] or t_end
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = scn.name
     outputs = scn.sections.get("outputs", {})
 
+    # draws are compared only against a bound
+    draws = perturbed if bound_report is not None else []
     extremes = np.stack([solver.delta_state(spec.size, 0),
                          solver.delta_state(spec.size, spec.n)], axis=1)
     traj = solver.integrate(spec, extremes, 0.0, t_end, step=step,
-                            stride=stride)
+                            stride=stride,
+                            draws=[chain for _, chain in draws])
     dists = np.abs(traj.states[:, :, 0] - traj.states[:, :, 1]).sum(axis=1)
     boundary = np.isclose(traj.times % period, 0.0, atol=1e-9) \
         | np.isclose(traj.times % period, period, atol=1e-9)
@@ -590,14 +608,11 @@ def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
         rep.put("regime.error", str(exc))
 
     sound = decay_ok
-    if perturbed and bound_report is not None:
+    if draws:
         best = bound_report.best_tv_bound
         worst_sup = 0.0
-        p0 = solver.delta_state(spec.size, 0)
-        for i, (label, chain) in enumerate(perturbed):
-            curve = solver.perturbation_distance(
-                spec, chain, p0, horizon=t_end, period=period, step=step,
-                stride=stride)
+        for i, (label, _) in enumerate(draws):
+            curve = solver.distance_curve(traj, 2 + i, t_end, period)
             worst_sup = max(worst_sup, curve.final_sup)
             if _decode_bool(outputs.get("distance")):
                 path = out_dir / f"{stem}_distance_{label}.csv"
@@ -606,7 +621,7 @@ def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
                     for t, v in zip(curve.times, curve.dists):
                         fh.write(f"{t:.17g},{v:.17g}\n")
                 result.artifacts.append(path)
-        rep.put("empirical.draws", len(perturbed))
+        rep.put("empirical.draws", len(draws))
         rep.put("empirical.final_period_sup", worst_sup)
         rep.put("empirical.bound", best)
         if not math.isnan(best):
@@ -727,6 +742,11 @@ def main(argv=None) -> int:
     if args.seed is not None and args.seed < 0:
         sys.stderr.write(f"option error: --seed must be a non-negative "
                          f"integer, got {args.seed}\n")
+        return EXIT_PARSE
+    if args.step is not None and not (math.isfinite(args.step)
+                                      and args.step > 0):
+        sys.stderr.write(f"option error: --step must be a positive finite "
+                         f"number, got {args.step}\n")
         return EXIT_PARSE
     try:
         if args.command == "reproduce":

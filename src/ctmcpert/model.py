@@ -22,7 +22,9 @@ jump of size k) or A[i, i+k] (a downward jump) lives on the band with
 offset +k or -k.  Catastrophes add a dense row 0 on top of the bands and
 the mass-arrival perturbation adds a dense column 0.  Slices are built for
 a block of times at once (``bands_block``), with a leading time axis on
-every array; ``bands_at`` is the block of one time.
+every array; ``bands_at`` is the block of one time.  ``stack_blocks``
+puts the blocks of several chains side by side on a trailing generator
+axis, so that the stepper advances them together.
 """
 
 from __future__ import annotations
@@ -167,7 +169,8 @@ class GeneratorBands:
     ``bands[k]`` holds the entries with row - column = k (length
     n+1-|k|); ``row0``/``col0`` are optional dense overlays for the top
     row and the first column (index 0 entries unused); ``diag`` restores
-    zero column sums.
+    zero column sums.  A slice of several generators (``stack_blocks``)
+    carries a trailing axis on every array, one entry per state column.
     """
 
     n: int
@@ -177,8 +180,10 @@ class GeneratorBands:
     col0: np.ndarray | None = None
 
     def matvec(self, p: np.ndarray) -> np.ndarray:
+        """A @ p; each column of ``p`` only meets its own entries, so a
+        column's result does not depend on the other columns."""
         def col(v):
-            return v if p.ndim == 1 else v[:, None]
+            return v if v.ndim == p.ndim else v[:, None]
 
         out = col(self.diag) * p
         for k, vals in self.bands.items():
@@ -187,7 +192,10 @@ class GeneratorBands:
             else:
                 out[:k] += col(vals) * p[-k:]
         if self.row0 is not None:
-            out[0] += self.row0[1:] @ p[1:]
+            # a running sum adds in row order whatever the column count,
+            # which a BLAS product does not
+            out[0] += np.add.accumulate(col(self.row0)[1:] * p[1:],
+                                        axis=0)[-1]
         if self.col0 is not None:
             out += col(self.col0) * p[0]
         return out
@@ -278,6 +286,36 @@ def band_difference(b1: Mapping[int, np.ndarray],
         v2 = b2.get(k)
         out[k] = -v2 if v1 is None else v1 if v2 is None else v1 - v2
     return out
+
+
+def stack_blocks(blocks: Sequence[GeneratorBlock],
+                 widths: Sequence[int]) -> GeneratorBlock:
+    """Blocks of chains on the same states and times, stacked along a
+    trailing generator axis with ``widths[i]`` entries for ``blocks[i]``:
+    one per state column that chain advances.  A band or overlay a chain
+    lacks is zero in its entries.  A lone block gets a broadcast axis of
+    length 1 instead, whatever its width."""
+    first = blocks[0]
+    times, size = first.diag.shape
+
+    def stack(arrays, shape):
+        if all(a is None for a in arrays):
+            return None
+        if len(blocks) == 1:
+            return arrays[0][..., None]
+        return np.concatenate(
+            [np.broadcast_to((np.zeros(shape) if a is None else a)[..., None],
+                             shape + (w,)) for a, w in zip(arrays, widths)],
+            axis=-1)
+
+    # bands keep the first chain's order, which fixes each column's sums
+    keys = dict.fromkeys(k for b in blocks for k in b.bands)
+    bands = {k: stack([b.bands.get(k) for b in blocks],
+                      (times, size - abs(k))) for k in keys}
+    return GeneratorBlock(first.n, stack([b.diag for b in blocks],
+                                         (times, size)), bands,
+                          stack([b.row0 for b in blocks], (times, size)),
+                          stack([b.col0 for b in blocks], (size,)))
 
 
 def _finish_block(n: int, times: int, bands: dict[int, np.ndarray],

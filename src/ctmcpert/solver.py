@@ -7,9 +7,15 @@ Probability mass is conserved by construction (columns of A sum to zero),
 so conservation is asserted, never enforced; a violation indicates a
 generator bug and raises.
 
-Several initial conditions integrate together as columns of one matrix,
-which shares the generator evaluations; that is how extreme-initial-state
-sweeps and the ergodicity-coefficient measurements are run.
+Several initial conditions and several generators integrate together as
+columns of one matrix.  Initial conditions of one chain share its
+generator slices: that is how extreme-initial-state sweeps and the
+ergodicity-coefficient measurements are run.  Perturbed chains
+(``integrate(..., draws=[...])``) add one column each, with their own
+slices stacked on a trailing generator axis and built on the same time
+nodes, so the base chain and every draw advance in one march and the
+base chain is integrated once.  Columns never mix, so with the same step
+each is bit for bit what a run of its chain alone gives.
 """
 
 from __future__ import annotations
@@ -20,8 +26,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .model import (NODE_BLOCK, Chain, MassArrivalChain, Perturbation,
-                    TimeBlock, birth_death_chain, perturb)
+from .model import (NODE_BLOCK, Chain, GeneratorBands, GeneratorBlock,
+                    MassArrivalChain, Perturbation, TimeBlock,
+                    birth_death_chain, perturb, stack_blocks)
 from .rates import RateFunction
 
 #: conservation tolerance asserted at every recorded sample
@@ -55,28 +62,46 @@ def _checked_step(chain: Chain, step: float | None) -> float:
     return step
 
 
-def _step_slices(chain: Chain, t0: float, h: float, n_steps: int):
+class _Generators:
+    """Chains that step together, ``chains[i]`` on ``widths[i]`` state
+    columns, with the generator interface ``_advance`` uses: their slices
+    share one ``TimeBlock`` and are stacked by ``model.stack_blocks``."""
+
+    def __init__(self, chains, widths=(1,)):
+        self.chains = tuple(chains)
+        self.widths = tuple(widths)
+        self.time_invariant = all(c.time_invariant for c in self.chains)
+
+    def bands_block(self, tb: TimeBlock) -> GeneratorBlock:
+        return stack_blocks([c.bands_block(tb) for c in self.chains],
+                            self.widths)
+
+    def bands_at(self, t: float) -> GeneratorBands:
+        return self.bands_block(TimeBlock(t)).at(0)
+
+
+def _step_slices(gens: _Generators, t0: float, h: float, n_steps: int):
     """The (mid, end) slices of every step, built for a block of steps at
     a time."""
     per_block = NODE_BLOCK // 2
     for first in range(0, n_steps, per_block):
         t = t0 + np.arange(first, min(first + per_block, n_steps)) * h
-        block = chain.bands_block(TimeBlock(np.concatenate((t + 0.5 * h,
-                                                            t + h))))
+        block = gens.bands_block(TimeBlock(np.concatenate((t + 0.5 * h,
+                                                           t + h))))
         for j in range(len(t)):
             yield block.at(j), block.at(len(t) + j)
 
 
-def _advance(chain: Chain, y: np.ndarray, t0: float, h: float,
+def _advance(gens: _Generators, y: np.ndarray, t0: float, h: float,
              n_steps: int, bands_start=None):
     """March n_steps of size h from t0; returns (state, bands at the end).
 
     A time-invariant chain reuses the start slice for every stage."""
-    a_t = chain.bands_at(t0) if bands_start is None else bands_start
-    if chain.time_invariant:
+    a_t = gens.bands_at(t0) if bands_start is None else bands_start
+    if gens.time_invariant:
         slices = repeat((a_t, a_t), n_steps)
     else:
-        slices = _step_slices(chain, t0, h, n_steps)
+        slices = _step_slices(gens, t0, h, n_steps)
     for a_mid, a_end in slices:
         k1 = a_t.matvec(y)
         k2 = a_mid.matvec(y + (0.5 * h) * k1)
@@ -134,18 +159,27 @@ def _as_columns(p0, size: int) -> np.ndarray:
 
 
 def integrate(chain: Chain, p0, t0: float, t1: float, step: float | None = None,
-              stride: float | None = None) -> Trajectory:
+              stride: float | None = None, draws=()) -> Trajectory:
     """Integrate from one or several initial probability vectors.
 
-    ``stride`` is the output sampling interval (defaults to ~512 samples);
-    samples always include both endpoints.  The step is shrunk so that an
-    integer number of steps lands exactly on every sample time.
+    Each chain of ``draws`` (perturbed chains on the same states) adds one
+    column after those of ``p0``, started from the first initial vector
+    and advanced by its own generator in the same march; the step is the
+    smallest that every chain's guard allows.  ``stride`` is the output
+    sampling interval (defaults to ~512 samples); samples always include
+    both endpoints.  The step is shrunk so that an integer number of steps
+    lands exactly on every sample time.
     """
     if t1 <= t0:
         raise ValueError("need t1 > t0")
-    h = _checked_step(chain, step)
-    single = np.ndim(p0) == 1
+    draws = tuple(draws)
+    if any(d.size != chain.size for d in draws):
+        raise ValueError("chains must share the state space")
+    h = min(_checked_step(c, step) for c in (chain,) + draws)
+    single = np.ndim(p0) == 1 and not draws
     y = _as_columns(p0, chain.size)
+    gens = _Generators((chain,) + draws, (y.shape[1],) + (1,) * len(draws))
+    y = np.concatenate([y] + [y[:, :1]] * len(draws), axis=1)
 
     span = t1 - t0
     if stride is None:
@@ -163,7 +197,7 @@ def integrate(chain: Chain, p0, t0: float, t1: float, step: float | None = None,
     bands = None
     for i in range(n_samples):
         t = t0 + i * sample_dt
-        y, bands = _advance(chain, y, t, h, steps_per_sample, bands)
+        y, bands = _advance(gens, y, t, h, steps_per_sample, bands)
         times[i + 1] = t + sample_dt
         states[i + 1] = y
         _check_columns(y, times[i + 1])
@@ -218,10 +252,11 @@ def limiting_regime(chain: Chain, tolerance: float, max_horizon: float,
     times = [0.0]
     dists = [float(np.abs(y[:, 0] - y[:, 1]).sum())]
     horizon = None
+    gens = _Generators((chain,))
     bands = None
     k = 0
     while (k + 1) * period <= max_horizon * (1 + 1e-12):
-        y, bands = _advance(chain, y, k * period, h, steps, bands)
+        y, bands = _advance(gens, y, k * period, h, steps, bands)
         k += 1
         t = k * period
         _check_columns(y, t)
@@ -266,7 +301,7 @@ def ergodicity_coefficient(chain: Chain, s: float, t: float,
     y = np.eye(chain.size)
     h = _checked_step(chain, step)
     steps = math.ceil((t - s) / h)
-    y, _ = _advance(chain, y, s, (t - s) / steps, steps)
+    y, _ = _advance(_Generators((chain,)), y, s, (t - s) / steps, steps)
     worst = 0.0
     for i in range(chain.size - 1):
         diffs = np.abs(y[:, i + 1:] - y[:, i:i + 1]).sum(axis=0)
@@ -281,25 +316,32 @@ class DistanceCurve:
     final_sup: float
 
 
+def distance_curve(traj: Trajectory, column: int, horizon: float,
+                   period: float) -> DistanceCurve:
+    """l1 distance between column 0 of a run over [0, horizon] and
+    ``column`` (a draw's), and its supremum over the final period."""
+    # the difference is a fresh contiguous array, so each row is summed in
+    # the order of a single-column run
+    diff = traj.states[:, :, 0] - traj.states[:, :, column]
+    dists = np.abs(diff).sum(axis=1)
+    tail = traj.times >= horizon - period - 1e-12
+    return DistanceCurve(times=traj.times, dists=dists,
+                         final_sup=float(dists[tail].max()))
+
+
 def perturbation_distance(chain: Chain, perturbed: Chain, p0,
                           horizon: float, period: float | None = None,
                           step: float | None = None,
                           stride: float | None = None) -> DistanceCurve:
     """l1 distance of the two state-probability trajectories started from
     the same initial vector, and its supremum over the final period."""
-    if perturbed.size != chain.size:
-        raise ValueError("chains must share the state space")
     if period is None:
         period = chain.period if chain.period is not None else 1.0
     if stride is None:
         stride = period / 256
-    h = min(_checked_step(chain, step), _checked_step(perturbed, step))
-    a = integrate(chain, p0, 0.0, horizon, step=h, stride=stride)
-    b = integrate(perturbed, p0, 0.0, horizon, step=h, stride=stride)
-    dists = np.abs(a.states - b.states).sum(axis=1)
-    tail = a.times >= horizon - period - 1e-12
-    return DistanceCurve(times=a.times, dists=dists,
-                         final_sup=float(dists[tail].max()))
+    traj = integrate(chain, p0, 0.0, horizon, step=step, stride=stride,
+                     draws=[perturbed])
+    return distance_curve(traj, traj.states.shape[2] - 1, horizon, period)
 
 
 def stationary_distribution(chain: Chain, tol: float = 1e-12,
@@ -315,9 +357,10 @@ def stationary_distribution(chain: Chain, tol: float = 1e-12,
     h = chunk / steps
     y = delta_state(chain.size, 0)[:, None]
     t = 0.0
-    bands = chain.bands_at(0.0)
+    gens = _Generators((chain,))
+    bands = gens.bands_at(0.0)
     while t < 500.0:
-        y, _ = _advance(chain, y, 0.0, h, steps, bands)
+        y, _ = _advance(gens, y, 0.0, h, steps, bands)
         t += chunk
         residual = float(np.abs(bands.matvec(y)).max())
         if residual < tol:

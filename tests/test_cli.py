@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from ctmcpert import (batch_arrival_chain, batch_chain, batch_service_chain,
-                      birth_death_chain, catastrophe_chain, generator_at,
-                      parse_rate, rate_family)
+                      birth_death_chain, catastrophe_chain, delta_state,
+                      generator_at, parse_rate, rate_family, solver)
 from ctmcpert.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE,
                           EXIT_VIOLATION, Scenario,
                           ScenarioError, build_chain, build_weights,
                           bundled_scenario, load_scenario, main,
-                          parse_scenario_text, run_pipeline)
+                          parse_scenario_text, run_pipeline,
+                          scenario_perturbations)
 
 SMALL = """
 # periodic birth-death chain, small enough for fast full runs
@@ -375,10 +376,62 @@ def test_main_exit_codes(small_scn, tmp_path, capsys):
                  str(seed)]) == EXIT_PARSE
     assert "[perturbation] key 'seed'" in capsys.readouterr().err
     for option in (["--seed", "-1"], ["--grid", "0"], ["--grid", "3"],
-                   ["--grid", "-4"]):
+                   ["--grid", "-4"], ["--step=-1"], ["--step", "0"],
+                   ["--step", "nan"], ["--step", "inf"]):
         assert main(["--out", out] + option + ["bounds",
                                                str(small_scn)]) == EXIT_PARSE
-        assert option[0] in capsys.readouterr().err
+        assert option[0].split("=")[0] in capsys.readouterr().err
+    # [solve] values are checked before any certificate is computed
+    for key, value in (("stride", "0"), ("stride", "-0.1"), ("step", "0"),
+                       ("step", "-1"), ("t_end", "nan"), ("tolerance", "-1"),
+                       ("horizon", "inf")):
+        path = tmp_path / f"solve_{key}.scn"
+        path.write_text(chain + f"[solve]\n{key} = {value}\n")
+        assert main(["--out", out, "run", str(path)]) == EXIT_PARSE
+        assert f"[solve] key '{key}'" in capsys.readouterr().err
+
+
+def test_run_solves_once(tmp_path, monkeypatch):
+    # the extreme states and every draw advance in one integration; the
+    # regime search is the only other march
+    text = SMALL.replace("draws = 2", "draws = 3").replace(
+        "t_end = 8", "t_end = 2").replace("horizon = 8", "horizon = 2")
+    scn = parse_scenario_text(text, name="once")
+    calls = []
+    in_regime = []
+    integrate, regime = solver.integrate, solver.limiting_regime
+
+    def counted(*args, **kwargs):
+        if not in_regime:
+            calls.append(len(kwargs.get("draws", ())))
+        return integrate(*args, **kwargs)
+
+    def regime_marked(*args, **kwargs):
+        in_regime.append(True)
+        try:
+            return regime(*args, **kwargs)
+        finally:
+            in_regime.pop()
+
+    monkeypatch.setattr(solver, "integrate", counted)
+    monkeypatch.setattr(solver, "limiting_regime", regime_marked)
+    result = run_pipeline(scn, tmp_path, "run", grid=256)
+    monkeypatch.undo()
+    assert calls == [3]
+    assert result.report.entries["empirical.draws"] == 3
+    spec = build_chain(scn)
+    draws = scenario_perturbations(scn, spec, grid=256)
+    worst = 0.0
+    for label, chain in draws:
+        curve = solver.perturbation_distance(
+            spec, chain, delta_state(spec.size, 0), horizon=2.0, period=1.0,
+            stride=0.125)
+        rows = np.loadtxt(tmp_path / f"once_distance_{label}.csv",
+                          delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 0], curve.times)
+        assert np.array_equal(rows[:, 1], curve.dists)
+        worst = max(worst, curve.final_sup)
+    assert result.report.entries["empirical.final_period_sup"] == worst
 
 
 def test_catastrophe_perturbation_bounds(tmp_path, capsys):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ctmcpert import (Perturbation, RateFunction, SolverError,
-                      birth_death_chain, delta_state, ergodicity_coefficient,
-                      integrate, limiting_regime, mass_arrival_probe,
-                      mean_state, parse_rate, perturb, perturbation_distance,
+from conftest import dense_generator, dense_rk4
+from ctmcpert import (Perturbation, RateFunction, SolverError, batch_chain,
+                      birth_death_chain, catastrophe_chain, delta_state,
+                      ergodicity_coefficient, integrate, limiting_regime,
+                      mass_arrival_probe, mean_state, parse_rate, perturb,
+                      perturbation_distance, rate_family,
                       stationary_distribution, write_mean_csv,
                       write_states_csv)
 from ctmcpert.solver import default_step
@@ -210,4 +212,70 @@ def test_ensemble_integration_matches_separate_runs(pair_queue):
     cols = np.stack([delta_state(300, 0), delta_state(300, 299)], axis=1)
     both = integrate(pair_queue, cols, 0.0, 1.0, stride=0.25)
     one = integrate(pair_queue, delta_state(300, 0), 0.0, 1.0, stride=0.25)
-    assert np.allclose(both.states[:, :, 0], one.states, atol=1e-15)
+    assert np.array_equal(both.states[:, :, 0], one.states)
+
+
+def _draw_cases():
+    """(base, draws) pairs covering every generator layout a draw can
+    have: plain bands, batch bands, a col0 and a row0 overlay."""
+    periodic = parse_rate("1+0.8*sin(2*pi*t)", period=1.0)
+    deaths = rate_family(shared=RateFunction.constant(2.0),
+                         multipliers=np.minimum(np.arange(1, 12), 3))
+    bd = birth_death_chain(periodic, deaths, size=12, validation_grid=64)
+    batch = batch_chain({1: periodic, 3: parse_rate("0.5+0.4*cos(2*pi*t)",
+                                                    period=1.0)},
+                        {1: RateFunction.constant(2.5),
+                         2: RateFunction.constant(1.0)},
+                        size=12, validation_grid=64)
+    cat = catastrophe_chain(bd, parse_rate("0.3*(1+sin(2*pi*t))", period=1.0))
+
+    def offsets(chain, seed):
+        return perturb(chain, Perturbation("rate-offsets", eps=0.2, seed=seed))
+
+    return [
+        (bd, [offsets(bd, 1), perturb(bd, Perturbation("multiplicative",
+                                                       eps=0.3)),
+              perturb(bd, Perturbation("mass-arrival", eps=0.5))]),
+        (batch, [offsets(batch, 2)]),
+        (cat, [offsets(cat, 3)]),
+    ]
+
+
+def _dense_matrix(chain):
+    def at(t):
+        m = dense_generator(chain, t)
+        return m - np.diag(m.sum(axis=0))
+    return at
+
+
+def test_draw_columns_match_separate_runs():
+    # columns never mix: each fused column is bit for bit a run of its
+    # chain alone, and both agree with the dense oracle
+    cols = np.stack([delta_state(12, 0), delta_state(12, 11)], axis=1)
+    for base, draws in _draw_cases():
+        step = 0.25 / max(c.l_bound for c in [base] + draws)
+        fused = integrate(base, cols, 0.0, 1.5, step=step, stride=0.25,
+                          draws=draws)
+        assert fused.states.shape == (7, 12, 2 + len(draws))
+        alone = integrate(base, cols, 0.0, 1.5, step=step, stride=0.25)
+        assert np.array_equal(fused.times, alone.times)
+        assert np.array_equal(fused.states[:, :, :2], alone.states)
+        steps = round(1.5 / fused.step)
+        want = dense_rk4(_dense_matrix(base), cols, 0.0, 1.5, steps)
+        assert np.abs(fused.states[-1, :, :2] - want).max() <= 1e-12
+        for j, draw in enumerate(draws):
+            run = integrate(draw, cols[:, 0], 0.0, 1.5, step=step,
+                            stride=0.25)
+            assert run.step == fused.step
+            assert np.array_equal(fused.states[:, :, 2 + j], run.states)
+            want = dense_rk4(_dense_matrix(draw), cols[:, 0], 0.0, 1.5, steps)
+            assert np.abs(fused.states[-1, :, 2 + j] - want).max() <= 1e-12
+    # the shared step must respect every draw's stability guard
+    base, (_, scaled, _) = _draw_cases()[0]  # scaled: every rate 1.3 times
+    step = 1.1 * 0.5 / scaled.l_bound
+    assert step <= 0.5 / base.l_bound
+    integrate(base, cols, 0.0, 0.5, step=step)
+    with pytest.raises(SolverError, match="stability guard"):
+        integrate(base, cols, 0.0, 0.5, step=step, draws=[scaled])
+    with pytest.raises(ValueError, match="state space"):
+        integrate(base, cols, 0.0, 0.5, draws=[two_state()])

@@ -145,7 +145,7 @@ def reduced_bands_block(g: GeneratorBlock, w: WeightSequence
     q = max((-k for k in g.bands if k < 0), default=0)
     # low[o][:, c] = sum_{k >= o} A[c+k, c]
     # up[e][:, c] = sum_{m > e} A[c-m, c]
-    zero = np.zeros(g.diag.shape)
+    zero = np.zeros((g.times, n + 1))
     low = {p + 1: zero}
     for o in range(p, 0, -1):
         low[o] = low[o + 1].copy()

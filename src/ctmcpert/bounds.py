@@ -163,8 +163,9 @@ def _generator_norm_gaps(g1: GeneratorBlock, g2: GeneratorBlock) -> np.ndarray:
     diff = band_difference(g1.bands, g2.bands)
     row0 = _overlay_difference(g1.row0, g2.row0)
     col0 = _overlay_difference(g1.col0, g2.col0)
-    pos = column_sums(diff, g1.diag.shape, row0=row0, col0=col0)
-    absdiff = column_sums(diff, g1.diag.shape, True, row0, col0)
+    shape = (g1.times, g1.n + 1)
+    pos = column_sums(diff, shape, row0=row0, col0=col0)
+    absdiff = column_sums(diff, shape, True, row0, col0)
     # the diagonal difference restores zero column sums of the difference
     return (absdiff + np.abs(pos)).max(axis=1)
 

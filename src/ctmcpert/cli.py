@@ -296,8 +296,9 @@ def build_chain(scn: Scenario, section: str = "chain",
                             "states")
     if size < 2:
         raise ScenarioError("need at least two states", section, "states")
-    period = _decode_float(scn, section, "period",
-                           _decode_float(scn, "chain", "period"))
+    period = _decode_positive(scn, section, "period")
+    if period is None:
+        period = _decode_positive(scn, "chain", "period")
     truncated = _decode_bool(cfg.get("truncated", scn.get("chain", "truncated")))
     declared = _decode_float(scn, section, "bound",
                              _decode_float(scn, "chain", "bound"))
@@ -552,8 +553,8 @@ def run_pipeline(scn: Scenario, out_dir: Path, stage: str,
 
 def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
                  result, out_dir, step_override, solve):
-    """Integrate the extreme states and every perturbed draw in one run,
-    then search the limiting regime; ``solve`` holds the decoded [solve]
+    """Integrate the extreme states and every perturbed draw, and search
+    the limiting regime, in one march; ``solve`` holds the decoded [solve]
     keys, None where absent."""
     period = spec.period if spec.period is not None else 1.0
     t_end = solve["t_end"] or 10 * period
@@ -569,9 +570,12 @@ def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
     draws = perturbed if bound_report is not None else []
     extremes = np.stack([solver.delta_state(spec.size, 0),
                          solver.delta_state(spec.size, spec.n)], axis=1)
-    traj = solver.integrate(spec, extremes, 0.0, t_end, step=step,
-                            stride=stride,
-                            draws=[chain for _, chain in draws])
+    run = solver.RunLane(spec, extremes, 0.0, t_end, step=step,
+                         stride=stride, draws=[chain for _, chain in draws])
+    search = solver.RegimeLane(spec, tolerance=tol, max_horizon=horizon,
+                               step=step)
+    solver.march(run, search)
+    traj = run.trajectory()
     dists = np.abs(traj.states[:, :, 0] - traj.states[:, :, 1]).sum(axis=1)
     boundary = np.isclose(traj.times % period, 0.0, atol=1e-9) \
         | np.isclose(traj.times % period, period, atol=1e-9)
@@ -591,8 +595,7 @@ def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
             result.artifacts.append(path)
 
     try:
-        regime = solver.limiting_regime(spec, tolerance=tol,
-                                        max_horizon=horizon, step=step)
+        regime = search.report()
         rep.put("regime.transient_horizon", regime.transient_horizon)
         rep.put("regime.phi_min", float(regime.phi_values.min()))
         rep.put("regime.phi_max", float(regime.phi_values.max()))

@@ -29,6 +29,7 @@ axis, so that the stepper advances them together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -79,13 +80,6 @@ class RateFamily:
         return np.stack([tb.rate(m) for m in self.members],
                         axis=1) * self.multipliers
 
-    def value_grid(self, ts: np.ndarray) -> np.ndarray:
-        """(len(ts), count) matrix of family values."""
-        if self.shared is not None:
-            return np.outer(self.shared.values(ts), self.multipliers)
-        cols = np.stack([m.values(ts) for m in self.members], axis=1)
-        return cols * self.multipliers
-
     def scaled(self, factor: float) -> "RateFamily":
         return replace(self, multipliers=self.multipliers * factor)
 
@@ -132,10 +126,11 @@ NODE_BLOCK = 64
 class TimeBlock:
     """A block of time nodes with the rate values evaluated on them.
 
-    Each rate function is evaluated once per block, through its scalar
-    ``__call__`` so that a value is the same as at a single time, and the
-    values are shared by every chain built from that function (a base
-    chain and its perturbed draws differ only in multipliers).
+    Each rate function is evaluated once per block, by its array
+    evaluator ``values`` (whose value at a node does not depend on the
+    other nodes), and the values are shared by every chain built from that
+    function (a base chain and its perturbed draws differ only in
+    multipliers).
     """
 
     def __init__(self, ts):
@@ -148,7 +143,7 @@ class TimeBlock:
     def rate(self, fn: RateFunction) -> np.ndarray:
         hit = self._values.get(id(fn))
         if hit is None:  # the function is kept so that its id stays unique
-            hit = (fn, np.array([fn(t) for t in self.ts.tolist()], dtype=float))
+            hit = (fn, fn.values(self.ts))
             self._values[id(fn)] = hit
         return hit[1]
 
@@ -218,15 +213,22 @@ class GeneratorBands:
 
 @dataclass
 class GeneratorBlock:
-    """The slices of A(t) at a block of T times, in the layout of
+    """The slices of A(t) at a block of ``times`` times, in the layout of
     ``GeneratorBands`` with a leading time axis on ``diag``, every band and
     ``row0``; ``col0`` is time-invariant."""
 
     n: int
-    diag: np.ndarray
+    times: int
     bands: dict[int, np.ndarray]
     row0: np.ndarray | None = None
     col0: np.ndarray | None = None
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        """Minus the off-diagonal column sums, computed on first use: the
+        certificate and gap grids never read it."""
+        return -column_sums(self.bands, (self.times, self.n + 1),
+                            row0=self.row0, col0=self.col0)
 
     def at(self, i: int) -> GeneratorBands:
         return GeneratorBands(self.n, self.diag[i],
@@ -236,7 +238,7 @@ class GeneratorBlock:
 
     def forcing(self) -> np.ndarray:
         """Column 0 without its diagonal entry, (A[1,0], ..., A[n,0]) per time."""
-        f = np.zeros((len(self.diag), self.n))
+        f = np.zeros((self.times, self.n))
         for k, vals in self.bands.items():
             if k > 0:
                 f[:, k - 1] += vals[:, 0]
@@ -247,7 +249,7 @@ class GeneratorBlock:
     def direct_to_zero(self) -> np.ndarray:
         """Row 0 without its diagonal entry: the intensities A[0, k] of
         jumping straight to the empty state, k = 1..n, per time."""
-        out = np.zeros((len(self.diag), self.n))
+        out = np.zeros((self.times, self.n))
         for k, vals in self.bands.items():
             if k < 0:
                 out[:, -k - 1] += vals[:, 0]
@@ -296,7 +298,7 @@ def stack_blocks(blocks: Sequence[GeneratorBlock],
     lacks is zero in its entries.  A lone block gets a broadcast axis of
     length 1 instead, whatever its width."""
     first = blocks[0]
-    times, size = first.diag.shape
+    times, size = first.times, first.n + 1
 
     def stack(arrays, shape):
         if all(a is None for a in arrays):
@@ -312,17 +314,14 @@ def stack_blocks(blocks: Sequence[GeneratorBlock],
     keys = dict.fromkeys(k for b in blocks for k in b.bands)
     bands = {k: stack([b.bands.get(k) for b in blocks],
                       (times, size - abs(k))) for k in keys}
-    return GeneratorBlock(first.n, stack([b.diag for b in blocks],
-                                         (times, size)), bands,
-                          stack([b.row0 for b in blocks], (times, size)),
-                          stack([b.col0 for b in blocks], (size,)))
-
-
-def _finish_block(n: int, times: int, bands: dict[int, np.ndarray],
-                  row0: np.ndarray | None,
-                  col0: np.ndarray | None) -> GeneratorBlock:
-    diag = -column_sums(bands, (times, n + 1), row0=row0, col0=col0)
-    return GeneratorBlock(n, diag, bands, row0, col0)
+    out = GeneratorBlock(first.n, times, bands,
+                         stack([b.row0 for b in blocks], (times, size)),
+                         stack([b.col0 for b in blocks], (size,)))
+    # each chain's own diagonal is stacked: recomputed from the stacked
+    # arrays it would be wrong, since column_sums adds col0[1:].sum() over
+    # the whole stacked col0, every column's entries at once
+    out.diag = stack([b.diag for b in blocks], (times, size))
+    return out
 
 
 def _batch_band(fam: RateFamily, tb: TimeBlock, length: int) -> np.ndarray:
@@ -389,7 +388,7 @@ class ChainSpec:
         return bands, row0
 
     def bands_block(self, tb: TimeBlock) -> GeneratorBlock:
-        return _finish_block(self.n, len(tb), *self._offdiag(tb), None)
+        return GeneratorBlock(self.n, len(tb), *self._offdiag(tb))
 
     def bands_at(self, t: float) -> GeneratorBands:
         return self.bands_block(TimeBlock(t)).at(0)
@@ -482,8 +481,8 @@ class MassArrivalChain:
         return self.base.time_invariant
 
     def bands_block(self, tb: TimeBlock) -> GeneratorBlock:
-        return _finish_block(self.n, len(tb), *self.base._offdiag(tb),
-                             self._col0)
+        return GeneratorBlock(self.n, len(tb), *self.base._offdiag(tb),
+                              self._col0)
 
     def bands_at(self, t: float) -> GeneratorBands:
         return self.bands_block(TimeBlock(t)).at(0)
@@ -507,7 +506,7 @@ def _validation_times(spec: ChainSpec) -> np.ndarray:
 def _validate_family(name: str, fam: RateFamily, ts: np.ndarray):
     if np.any(fam.multipliers < 0):
         raise ChainValidationError(f"{name}: negative multiplier")
-    grid = fam.value_grid(ts)
+    grid = fam.block(TimeBlock(ts))
     if not np.all(np.isfinite(grid)):
         raise ChainValidationError(f"{name}: non-finite rate value on the grid")
     if np.any(grid < 0):
@@ -535,6 +534,10 @@ def _resolve_period(spec: ChainSpec) -> float | None:
     for _, fam in spec.rate_slots():
         fns.extend(fam.rate_functions)
     declared = {f.period for f in fns if f.period is not None}
+    for period in declared:
+        if not (math.isfinite(period) and period > 0):
+            raise ChainValidationError(
+                f"period must be positive and finite, got {period}")
     if len(declared) > 1:
         raise ChainValidationError(f"conflicting declared periods {sorted(declared)}")
     if not declared:
@@ -759,7 +762,7 @@ class Perturbation:
 
 def _family_sup(fam: RateFamily, ts: np.ndarray) -> np.ndarray:
     """Per-member grid suprema, used to shape offset draws."""
-    return fam.value_grid(ts).max(axis=0)
+    return fam.block(TimeBlock(ts)).max(axis=0)
 
 
 def _offset_family(fam: RateFamily, eps: float, coeffs: np.ndarray,

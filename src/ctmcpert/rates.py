@@ -8,20 +8,19 @@ The expression grammar (whitespace-insensitive)::
             | func "(" expr ("," expr)? ")" | "(" expr ")"
     func   := "sin" | "cos" | "exp" | "min" | "max"
 
-Rates are immutable once built and can be evaluated at scalar times or
-whole numpy grids.  A rate may declare a period; periodicity of an
-expression is never verified analytically, but every period-dependent
-computation (periodic means, certificate constants) trusts the declared
-value.  Step tables with a declared period wrap their argument modulo the
+Rates are immutable once built and are evaluated on numpy arrays of
+times; a single time is a one-element array, so a rate's value at a time
+does not depend on the grid it is computed with.  A rate may declare a
+period; periodicity of an expression is never verified analytically, but
+every period-dependent computation (periodic means, certificate
+constants) trusts the declared value.  Step tables with a declared period wrap their argument modulo the
 period, otherwise the last value extends to infinity.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,8 +45,6 @@ class RateEvalError(ValueError):
 
 _UNARY_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _BINARY_FUNCS = {"min": np.minimum, "max": np.maximum}
-_UNARY_SCALAR = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
-_BINARY_SCALAR = {"min": min, "max": max}
 
 
 @dataclass(frozen=True)
@@ -81,18 +78,18 @@ class _Call:
 Node = _Num | _Time | _Neg | _BinOp | _Call
 
 
-def _compile_node(node: Node, scalar: bool = False) -> Callable:
+def _compile_node(node: Node) -> Callable:
     if isinstance(node, _Num):
         v = node.value
         return lambda t: v
     if isinstance(node, _Time):
         return lambda t: t
     if isinstance(node, _Neg):
-        f = _compile_node(node.arg, scalar)
+        f = _compile_node(node.arg)
         return lambda t: -f(t)
     if isinstance(node, _BinOp):
-        lf = _compile_node(node.left, scalar)
-        rf = _compile_node(node.right, scalar)
+        lf = _compile_node(node.left)
+        rf = _compile_node(node.right)
         op = node.op
         if op == "+":
             return lambda t: lf(t) + rf(t)
@@ -101,12 +98,12 @@ def _compile_node(node: Node, scalar: bool = False) -> Callable:
         if op == "*":
             return lambda t: lf(t) * rf(t)
         return lambda t: lf(t) / rf(t)
-    fns = [_compile_node(a, scalar) for a in node.args]
+    fns = [_compile_node(a) for a in node.args]
     if len(fns) == 1:
-        g = (_UNARY_SCALAR if scalar else _UNARY_FUNCS)[node.name]
+        g = _UNARY_FUNCS[node.name]
         f0 = fns[0]
         return lambda t: g(f0(t))
-    g = (_BINARY_SCALAR if scalar else _BINARY_FUNCS)[node.name]
+    g = _BINARY_FUNCS[node.name]
     f0, f1 = fns
     return lambda t: g(f0(t), f1(t))
 
@@ -276,14 +273,12 @@ class RateFunction:
     period: float | None = None
     source: str | None = None
     _fn: Callable = field(default=None, repr=False, compare=False)
-    _fn_scalar: Callable = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def from_expression(source: str, period: float | None = None) -> "RateFunction":
         node = _parse_source(source)
         return RateFunction(expr=node, period=period, source=source,
-                            _fn=_compile_node(node),
-                            _fn_scalar=_compile_node(node, scalar=True))
+                            _fn=_compile_node(node))
 
     @staticmethod
     def from_table(pairs: Sequence[tuple[float, float]],
@@ -312,8 +307,7 @@ class RateFunction:
         if self.table is not None:
             return RateFunction.from_table(self.table, period)
         return RateFunction(expr=self.expr, const=self.const, period=period,
-                            source=self.source, _fn=self._fn,
-                            _fn_scalar=self._fn_scalar)
+                            source=self.source, _fn=self._fn)
 
     @property
     def time_invariant(self) -> bool:
@@ -340,17 +334,9 @@ class RateFunction:
         return out
 
     def __call__(self, t: float) -> float:
-        if self.const is not None:
-            return self.const
-        if self.table is not None:
-            tt = t % self.period if self.period is not None else t
-            i = bisect.bisect_right(self._breaks, tt) - 1
-            return self.table[max(i, 0)][1]
-        return float(self._fn_scalar(t))
-
-    @cached_property
-    def _breaks(self) -> tuple[float, ...]:
-        return tuple(a for a, _ in self.table)
+        """The rate at one time, by the array evaluation of ``values``, so
+        that it is the same number as at that node of any grid."""
+        return float(self.values(np.array([t], dtype=float))[0])
 
     def canonical(self) -> str:
         """Canonical printed form; re-parsing it reproduces the evaluation."""

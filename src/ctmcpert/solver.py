@@ -7,28 +7,35 @@ Probability mass is conserved by construction (columns of A sum to zero),
 so conservation is asserted, never enforced; a violation indicates a
 generator bug and raises.
 
-Several initial conditions and several generators integrate together as
-columns of one matrix.  Initial conditions of one chain share its
-generator slices: that is how extreme-initial-state sweeps and the
-ergodicity-coefficient measurements are run.  Perturbed chains
-(``integrate(..., draws=[...])``) add one column each, with their own
-slices stacked on a trailing generator axis and built on the same time
-nodes, so the base chain and every draw advance in one march and the
-base chain is integrated once.  Columns never mix, so with the same step
-each is bit for bit what a run of its chain alone gives.
+One engine, ``march``, does all the stepping.  Its columns come in
+lanes: a ``Lane`` is a set of chains, each on some state columns, with
+its own clock (start, step, steps per segment and segment length) and a
+callback at each segment end that records what the lane needs and says
+whether it goes on.  Every lane advances one step per step of the loop,
+on its own clock, so lanes with different steps share the loop without
+sharing a step rule.  ``integrate`` (``RunLane``: samples at every
+stride; perturbed chains add one column each), the limiting-regime search
+(``RegimeLane``: the extreme states on the period clock, stopped at the
+first period boundary where they meet), ``ergodicity_coefficient`` and
+``stationary_distribution`` are single-lane uses of it; a run of the
+command-line tool marches its run lane and its regime lane together.
+Per block of steps each lane's chains are built on that lane's time
+nodes and all are stacked on a trailing generator axis, one entry per
+column; the step is a row over the columns.  Columns never mix, so each
+is bit for bit what a run of its chain alone on its lane's clock gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
-from .model import (NODE_BLOCK, Chain, GeneratorBands, GeneratorBlock,
-                    MassArrivalChain, Perturbation, TimeBlock,
-                    birth_death_chain, perturb, stack_blocks)
+from .model import (NODE_BLOCK, Chain, GeneratorBands, MassArrivalChain,
+                    Perturbation, TimeBlock, birth_death_chain, perturb,
+                    stack_blocks)
 from .rates import RateFunction
 
 #: conservation tolerance asserted at every recorded sample
@@ -62,56 +69,6 @@ def _checked_step(chain: Chain, step: float | None) -> float:
     return step
 
 
-class _Generators:
-    """Chains that step together, ``chains[i]`` on ``widths[i]`` state
-    columns, with the generator interface ``_advance`` uses: their slices
-    share one ``TimeBlock`` and are stacked by ``model.stack_blocks``."""
-
-    def __init__(self, chains, widths=(1,)):
-        self.chains = tuple(chains)
-        self.widths = tuple(widths)
-        self.time_invariant = all(c.time_invariant for c in self.chains)
-
-    def bands_block(self, tb: TimeBlock) -> GeneratorBlock:
-        return stack_blocks([c.bands_block(tb) for c in self.chains],
-                            self.widths)
-
-    def bands_at(self, t: float) -> GeneratorBands:
-        return self.bands_block(TimeBlock(t)).at(0)
-
-
-def _step_slices(gens: _Generators, t0: float, h: float, n_steps: int):
-    """The (mid, end) slices of every step, built for a block of steps at
-    a time."""
-    per_block = NODE_BLOCK // 2
-    for first in range(0, n_steps, per_block):
-        t = t0 + np.arange(first, min(first + per_block, n_steps)) * h
-        block = gens.bands_block(TimeBlock(np.concatenate((t + 0.5 * h,
-                                                           t + h))))
-        for j in range(len(t)):
-            yield block.at(j), block.at(len(t) + j)
-
-
-def _advance(gens: _Generators, y: np.ndarray, t0: float, h: float,
-             n_steps: int, bands_start=None):
-    """March n_steps of size h from t0; returns (state, bands at the end).
-
-    A time-invariant chain reuses the start slice for every stage."""
-    a_t = gens.bands_at(t0) if bands_start is None else bands_start
-    if gens.time_invariant:
-        slices = repeat((a_t, a_t), n_steps)
-    else:
-        slices = _step_slices(gens, t0, h, n_steps)
-    for a_mid, a_end in slices:
-        k1 = a_t.matvec(y)
-        k2 = a_mid.matvec(y + (0.5 * h) * k1)
-        k3 = a_mid.matvec(y + (0.5 * h) * k2)
-        k4 = a_end.matvec(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        a_t = a_end
-    return y, a_t
-
-
 def _check_columns(y: np.ndarray, t: float):
     cols = y if y.ndim == 2 else y[:, None]
     sums = cols.sum(axis=0)
@@ -123,6 +80,135 @@ def _check_columns(y: np.ndarray, t: float):
         raise SolverError(
             f"negative probability {low} at t={t}")
 
+
+# ---------------------------------------------------------------------------
+# the stepping engine
+
+class Lane:
+    """State columns on one clock.
+
+    ``chains[i]`` advances ``widths[i]`` of the columns of ``y`` (states
+    by columns).  The clock starts at ``t0`` and runs in segments of
+    length ``seg_dt``, each of ``steps`` steps of size ``h``; segment i
+    starts at ``t0 + i*seg_dt`` and its nodes are that start plus
+    multiples of ``h``.  ``segments`` bounds the number of segments (None:
+    the callback alone stops the lane).  After each segment ``march``
+    writes the lane's columns back to ``y`` and calls
+    ``segment_end(i)``; a false return stops the lane.
+    """
+
+    def __init__(self, chains, widths, y: np.ndarray, t0: float, h: float,
+                 steps: int, seg_dt: float, segments: int | None = None):
+        self.chains = tuple(chains)
+        self.widths = tuple(widths)
+        self.y = y
+        self.t0, self.h, self.steps, self.seg_dt = t0, h, steps, seg_dt
+        self.segments = segments
+        self.done = 0  # segments completed
+
+    def segment_end(self, i: int) -> bool:
+        return True
+
+    def stage_times(self, first: int, count: int) -> np.ndarray:
+        """The mid times, then the end times, of the lane's steps first,
+        ..., first+count-1."""
+        i, j = np.divmod(np.arange(first, first + count), self.steps)
+        t = (self.t0 + i * self.seg_dt) + j * self.h
+        return np.concatenate((t + 0.5 * self.h, t + self.h))
+
+
+def _stacked(lanes, times):
+    """Each lane's chains at that lane's ``times``, all stacked in one
+    call (a stacked block cannot be stacked again)."""
+    blocks, widths = [], []
+    for lane, ts in zip(lanes, times):
+        tb = TimeBlock(ts)
+        blocks += [chain.bands_block(tb) for chain in lane.chains]
+        widths += lane.widths
+    return stack_blocks(blocks, widths)
+
+
+def _step_slices(lanes, first: int, last):
+    """The (mid, end) slices of steps first, first+1, ... (up to ``last``),
+    built for a block of steps at a time."""
+    per_block = NODE_BLOCK // 2
+    while first < last:
+        count = min(per_block, last - first)
+        block = _stacked(lanes, [lane.stage_times(first, count)
+                                 for lane in lanes])
+        for j in range(count):
+            yield block.at(j), block.at(count + j)
+        first += count
+
+
+def _columns(g: GeneratorBands, idx: np.ndarray) -> GeneratorBands:
+    """The slice restricted to the state columns ``idx``."""
+    def take(v):
+        return None if v is None else v[..., idx]
+    return GeneratorBands(g.n, take(g.diag),
+                          {k: take(v) for k, v in g.bands.items()},
+                          take(g.row0), take(g.col0))
+
+
+def march(*lanes: Lane):
+    """Advance every lane's columns together, one RK4 step of each lane's
+    own size per step of the loop, until every lane has stopped.
+
+    The first k1 of a segment reuses the previous step's end slice.  When
+    some lanes stop, the others go on with their columns of the current
+    slice and slices rebuilt from the next step.  A time-invariant set of
+    chains reuses its start slice for every stage.
+    """
+    lanes = [lane for lane in lanes if lane.segments != 0]
+    if not lanes:
+        return
+    y = np.concatenate([lane.y for lane in lanes], axis=1)
+    a_t = _stacked(lanes, [[lane.t0] for lane in lanes]).at(0)
+    s = 0  # steps taken
+    while lanes:
+        # the step as a row over the columns; a lone lane keeps a scalar,
+        # which is the same arithmetic without the cost of broadcasting
+        h = lanes[0].h if len(lanes) == 1 else np.concatenate(
+            [np.full(lane.y.shape[1], lane.h) for lane in lanes])
+        half, sixth = 0.5 * h, h / 6.0
+        if all(c.time_invariant for lane in lanes for c in lane.chains):
+            slices = repeat((a_t, a_t))
+        else:
+            last = min((lane.segments * lane.steps for lane in lanes
+                        if lane.segments is not None), default=math.inf)
+            slices = _step_slices(lanes, s, last)
+        stopped = []
+        while not stopped:
+            event = min((lane.done + 1) * lane.steps for lane in lanes)
+            for a_mid, a_end in islice(slices, event - s):
+                k1 = a_t.matvec(y)
+                k2 = a_mid.matvec(y + half * k1)
+                k3 = a_mid.matvec(y + half * k2)
+                k4 = a_end.matvec(y + h * k3)
+                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                a_t = a_end
+            s = event
+            col = 0
+            for lane in lanes:
+                width = lane.y.shape[1]
+                if (lane.done + 1) * lane.steps == s:
+                    lane.y = y[:, col:col + width]
+                    lane.done += 1
+                    if not lane.segment_end(lane.done - 1) \
+                            or lane.done == lane.segments:
+                        stopped.append(lane)
+                col += width
+        keep = np.concatenate([np.full(lane.y.shape[1], lane not in stopped)
+                               for lane in lanes])
+        lanes = [lane for lane in lanes if lane not in stopped]
+        if lanes:
+            idx = np.flatnonzero(keep)
+            y = y[:, idx]
+            a_t = _columns(a_t, idx)
+
+
+# ---------------------------------------------------------------------------
+# sampled runs
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -158,6 +244,52 @@ def _as_columns(p0, size: int) -> np.ndarray:
     return y
 
 
+class RunLane(Lane):
+    """The lane of ``integrate``: one segment per output sample, the step
+    shrunk so that an integer number of steps lands on every sample time;
+    ``trajectory()`` is the result once marched."""
+
+    def __init__(self, chain: Chain, p0, t0: float, t1: float,
+                 step: float | None = None, stride: float | None = None,
+                 draws=()):
+        if t1 <= t0:
+            raise ValueError("need t1 > t0")
+        draws = tuple(draws)
+        if any(d.size != chain.size for d in draws):
+            raise ValueError("chains must share the state space")
+        h = min(_checked_step(c, step) for c in (chain,) + draws)
+        self.single = np.ndim(p0) == 1 and not draws
+        y = _as_columns(p0, chain.size)
+        widths = (y.shape[1],) + (1,) * len(draws)
+        y = np.concatenate([y] + [y[:, :1]] * len(draws), axis=1)
+
+        span = t1 - t0
+        if stride is None:
+            stride = span / min(512, max(1, round(span / h)))
+        stride = min(stride, span)
+        n_samples = max(1, round(span / stride))
+        sample_dt = span / n_samples
+        steps_per_sample = max(1, math.ceil(sample_dt / h))
+        super().__init__((chain,) + draws, widths, y, t0,
+                         sample_dt / steps_per_sample, steps_per_sample,
+                         sample_dt, n_samples)
+        self.times = np.empty(n_samples + 1)
+        self.states = np.empty((n_samples + 1,) + y.shape)
+        self.times[0] = t0
+        self.states[0] = y
+
+    def segment_end(self, i):
+        t = (self.t0 + i * self.seg_dt) + self.seg_dt
+        self.times[i + 1] = t
+        self.states[i + 1] = self.y
+        _check_columns(self.y, t)
+        return True
+
+    def trajectory(self) -> Trajectory:
+        states = self.states[:, :, 0] if self.single else self.states
+        return Trajectory(times=self.times, states=states, step=self.h)
+
+
 def integrate(chain: Chain, p0, t0: float, t1: float, step: float | None = None,
               stride: float | None = None, draws=()) -> Trajectory:
     """Integrate from one or several initial probability vectors.
@@ -170,40 +302,9 @@ def integrate(chain: Chain, p0, t0: float, t1: float, step: float | None = None,
     both endpoints.  The step is shrunk so that an integer number of steps
     lands exactly on every sample time.
     """
-    if t1 <= t0:
-        raise ValueError("need t1 > t0")
-    draws = tuple(draws)
-    if any(d.size != chain.size for d in draws):
-        raise ValueError("chains must share the state space")
-    h = min(_checked_step(c, step) for c in (chain,) + draws)
-    single = np.ndim(p0) == 1 and not draws
-    y = _as_columns(p0, chain.size)
-    gens = _Generators((chain,) + draws, (y.shape[1],) + (1,) * len(draws))
-    y = np.concatenate([y] + [y[:, :1]] * len(draws), axis=1)
-
-    span = t1 - t0
-    if stride is None:
-        stride = span / min(512, max(1, round(span / h)))
-    stride = min(stride, span)
-    n_samples = max(1, round(span / stride))
-    sample_dt = span / n_samples
-    steps_per_sample = max(1, math.ceil(sample_dt / h))
-    h = sample_dt / steps_per_sample
-
-    times = np.empty(n_samples + 1)
-    states = np.empty((n_samples + 1,) + y.shape)
-    times[0] = t0
-    states[0] = y
-    bands = None
-    for i in range(n_samples):
-        t = t0 + i * sample_dt
-        y, bands = _advance(gens, y, t, h, steps_per_sample, bands)
-        times[i + 1] = t + sample_dt
-        states[i + 1] = y
-        _check_columns(y, times[i + 1])
-    if single:
-        states = states[:, :, 0]
-    return Trajectory(times=times, states=states, step=h)
+    lane = RunLane(chain, p0, t0, t1, step, stride, draws)
+    march(lane)
+    return lane.trajectory()
 
 
 def delta_state(size: int, k: int) -> np.ndarray:
@@ -238,49 +339,68 @@ class RegimeReport:
     phi_values: np.ndarray
 
 
+class RegimeLane(Lane):
+    """The lane of the limiting-regime search: the two extreme states on
+    the period clock, one segment per period, stopped at the first period
+    boundary where their l1 distance is below ``tolerance`` or when the
+    next boundary lies beyond ``max_horizon``; ``report()`` is the result
+    once marched."""
+
+    def __init__(self, chain: Chain, tolerance: float, max_horizon: float,
+                 step: float | None = None):
+        period = chain.period if chain.period is not None else 1.0
+        h = _checked_step(chain, step)
+        steps = math.ceil(period / h)
+        y = np.stack([delta_state(chain.size, 0),
+                      delta_state(chain.size, chain.n)], axis=1)
+        self.limit_t = max_horizon * (1 + 1e-12)
+        super().__init__((chain,), (2,), y, 0.0, period / steps, steps,
+                         period, None if period <= self.limit_t else 0)
+        self.tolerance, self.max_horizon = tolerance, max_horizon
+        self.times = [0.0]
+        self.dists = [float(np.abs(y[:, 0] - y[:, 1]).sum())]
+        self.horizon = None
+
+    def segment_end(self, i):
+        t = (i + 1) * self.seg_dt
+        _check_columns(self.y, t)
+        dist = float(np.abs(self.y[:, 0] - self.y[:, 1]).sum())
+        self.times.append(t)
+        self.dists.append(dist)
+        if dist < self.tolerance:
+            self.horizon = t
+            return False
+        return (i + 2) * self.seg_dt <= self.limit_t
+
+    def report(self) -> RegimeReport:
+        """The regime found, its limit period sampled 200 times by a
+        second march; raises SolverError if none was found."""
+        if self.horizon is None:
+            raise SolverError(
+                f"horizon {self.max_horizon} exhausted: distance still "
+                f"{self.dists[-1]} (tolerance {self.tolerance})")
+        chain, period = self.chains[0], self.seg_dt
+        limit = integrate(chain, self.y, self.horizon, self.horizon + period,
+                          step=self.h, stride=period / 200)
+        phi = limit.states[:, :, 0] @ np.arange(chain.size)
+        return RegimeReport(
+            transient_horizon=self.horizon,
+            boundary_times=np.array(self.times),
+            boundary_dists=np.array(self.dists),
+            limit=limit,
+            phi_times=limit.times,
+            phi_values=phi,
+        )
+
+
 def limiting_regime(chain: Chain, tolerance: float, max_horizon: float,
                     step: float | None = None) -> RegimeReport:
     """Detect the limiting regime by comparing the extreme-initial-state
     trajectories at period boundaries; the limit period is sampled 200
     times."""
-    period = chain.period if chain.period is not None else 1.0
-    h = _checked_step(chain, step)
-    steps = math.ceil(period / h)
-    h = period / steps
-    y = np.stack([delta_state(chain.size, 0),
-                  delta_state(chain.size, chain.n)], axis=1)
-    times = [0.0]
-    dists = [float(np.abs(y[:, 0] - y[:, 1]).sum())]
-    horizon = None
-    gens = _Generators((chain,))
-    bands = None
-    k = 0
-    while (k + 1) * period <= max_horizon * (1 + 1e-12):
-        y, bands = _advance(gens, y, k * period, h, steps, bands)
-        k += 1
-        t = k * period
-        _check_columns(y, t)
-        dist = float(np.abs(y[:, 0] - y[:, 1]).sum())
-        times.append(t)
-        dists.append(dist)
-        if dist < tolerance:
-            horizon = t
-            break
-    if horizon is None:
-        raise SolverError(
-            f"horizon {max_horizon} exhausted: distance still {dists[-1]} "
-            f"(tolerance {tolerance})")
-    limit = integrate(chain, y, horizon, horizon + period, step=h,
-                      stride=period / 200)
-    phi = limit.states[:, :, 0] @ np.arange(chain.size)
-    return RegimeReport(
-        transient_horizon=horizon,
-        boundary_times=np.array(times),
-        boundary_dists=np.array(dists),
-        limit=limit,
-        phi_times=limit.times,
-        phi_values=phi,
-    )
+    lane = RegimeLane(chain, tolerance, max_horizon, step)
+    march(lane)
+    return lane.report()
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +418,12 @@ def ergodicity_coefficient(chain: Chain, s: float, t: float,
         raise ValueError("need t >= s")
     if t == s:
         return 1.0 if chain.size > 1 else 0.0
-    y = np.eye(chain.size)
     h = _checked_step(chain, step)
     steps = math.ceil((t - s) / h)
-    y, _ = _advance(_Generators((chain,)), y, s, (t - s) / steps, steps)
+    lane = Lane((chain,), (chain.size,), np.eye(chain.size), s,
+                (t - s) / steps, steps, t - s, segments=1)
+    march(lane)
+    y = lane.y
     worst = 0.0
     for i in range(chain.size - 1):
         diffs = np.abs(y[:, i + 1:] - y[:, i:i + 1]).sum(axis=0)
@@ -344,6 +466,28 @@ def perturbation_distance(chain: Chain, perturbed: Chain, p0,
     return distance_curve(traj, traj.states.shape[2] - 1, horizon, period)
 
 
+class _StationaryLane(Lane):
+    """Chunks of at least unit length from state 0, until the residual
+    ||A p||_inf falls below ``tol`` or t reaches 500."""
+
+    def __init__(self, chain: Chain, tol: float, step: float | None):
+        h = _checked_step(chain, step)
+        chunk = max(1.0, 20.0 * h)
+        steps = math.ceil(chunk / h)
+        super().__init__((chain,), (1,), delta_state(chain.size, 0)[:, None],
+                         0.0, chunk / steps, steps, chunk)
+        self.bands = chain.bands_block(TimeBlock(0.0)).at(0)
+        self.tol = tol
+        self.t = 0.0
+        self.converged = False
+
+    def segment_end(self, i):
+        self.t += self.seg_dt
+        residual = float(np.abs(self.bands.matvec(self.y)).max())
+        self.converged = residual < self.tol
+        return not self.converged and self.t < 500.0
+
+
 def stationary_distribution(chain: Chain, tol: float = 1e-12,
                             step: float | None = None) -> np.ndarray:
     """Stationary vector of a time-homogeneous chain by integrating to
@@ -351,23 +495,13 @@ def stationary_distribution(chain: Chain, tol: float = 1e-12,
     if not chain.time_invariant:
         raise SolverError("stationary integration requires time-invariant "
                           "rates")
-    h = _checked_step(chain, step)
-    chunk = max(1.0, 20.0 * h)
-    steps = math.ceil(chunk / h)
-    h = chunk / steps
-    y = delta_state(chain.size, 0)[:, None]
-    t = 0.0
-    gens = _Generators((chain,))
-    bands = gens.bands_at(0.0)
-    while t < 500.0:
-        y, _ = _advance(gens, y, 0.0, h, steps, bands)
-        t += chunk
-        residual = float(np.abs(bands.matvec(y)).max())
-        if residual < tol:
-            _check_columns(y, t)
-            return y[:, 0]
-    raise SolverError(f"no stationary vector to residual {tol} within "
-                      f"t = 500")
+    lane = _StationaryLane(chain, tol, step)
+    march(lane)
+    if not lane.converged:
+        raise SolverError(f"no stationary vector to residual {tol} within "
+                          f"t = 500")
+    _check_columns(lane.y, lane.t)
+    return lane.y[:, 0]
 
 
 @dataclass(frozen=True)

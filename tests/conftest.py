@@ -48,8 +48,8 @@ def random_rate(rng, allow_zero=True):
 
 
 def rich_rate(rng):
-    """Like ``random_rate``, plus exp expressions and periodic step tables,
-    whose scalar and vectorised evaluations need not agree bit for bit."""
+    """Like ``random_rate``, plus exp expressions and periodic step
+    tables."""
     kind = rng.integers(0, 3)
     if kind == 0:
         base = float(rng.uniform(0.1, 2.0))

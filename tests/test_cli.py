@@ -389,37 +389,55 @@ def test_main_exit_codes(small_scn, tmp_path, capsys):
         path.write_text(chain + f"[solve]\n{key} = {value}\n")
         assert main(["--out", out, "run", str(path)]) == EXIT_PARSE
         assert f"[solve] key '{key}'" in capsys.readouterr().err
+    # a period must be positive and finite, in [chain] and in the
+    # explicit perturbation's chain definition: 0 used to crash run, -1 to
+    # loop run forever and pass bounds, nan to blame a rate value
+    explicit = "[perturbation]\nmode = explicit\nepsilon = 0.01\n"
+    for value in ("0", "-1", "nan", "inf"):
+        for section, text in (
+                ("chain", chain.replace("period = 1", f"period = {value}")),
+                ("perturbation", chain + explicit + f"period = {value}\n")):
+            path = tmp_path / f"period_{section}.scn"
+            path.write_text(text + "[solve]\nt_end = 2\n")
+            for command in ("bounds", "run"):
+                assert main(["--out", out, "--grid", "256", command,
+                             str(path)]) == EXIT_PARSE
+                assert f"[{section}] key 'period'" in capsys.readouterr().err
 
 
 def test_run_solves_once(tmp_path, monkeypatch):
-    # the extreme states and every draw advance in one integration; the
-    # regime search is the only other march
-    text = SMALL.replace("draws = 2", "draws = 3").replace(
-        "t_end = 8", "t_end = 2").replace("horizon = 8", "horizon = 2")
-    scn = parse_scenario_text(text, name="once")
-    calls = []
-    in_regime = []
-    integrate, regime = solver.integrate, solver.limiting_regime
+    # the extreme states, every draw and the regime search advance in one
+    # march, each lane on its own clock; the limit period is a second march
+    # only when a horizon is found
+    spans = []
+    march = solver.march
 
-    def counted(*args, **kwargs):
-        if not in_regime:
-            calls.append(len(kwargs.get("draws", ())))
-        return integrate(*args, **kwargs)
+    def counted(*lanes):
+        spans.append([(type(lane).__name__, len(lane.chains), lane.t0)
+                      for lane in lanes])
+        return march(*lanes)
 
-    def regime_marked(*args, **kwargs):
-        in_regime.append(True)
-        try:
-            return regime(*args, **kwargs)
-        finally:
-            in_regime.pop()
-
-    monkeypatch.setattr(solver, "integrate", counted)
-    monkeypatch.setattr(solver, "limiting_regime", regime_marked)
-    result = run_pipeline(scn, tmp_path, "run", grid=256)
-    monkeypatch.undo()
-    assert calls == [3]
-    assert result.report.entries["empirical.draws"] == 3
+    for horizon, found in ((2, None), (8, 7.0)):
+        text = SMALL.replace("draws = 2", "draws = 3").replace(
+            "t_end = 8", "t_end = 2").replace("horizon = 8",
+                                              f"horizon = {horizon}")
+        scn = parse_scenario_text(text, name="once")
+        spans.clear()
+        monkeypatch.setattr(solver, "march", counted)
+        result = run_pipeline(scn, tmp_path, "run", grid=256)
+        monkeypatch.undo()
+        entries = result.report.entries
+        assert spans[0] == [("RunLane", 4, 0.0), ("RegimeLane", 1, 0.0)]
+        if found is None:
+            assert "exhausted" in entries["regime.error"]
+            assert len(spans) == 1
+        else:
+            assert entries["regime.transient_horizon"] == found
+            assert spans[1:] == [[("RunLane", 1, found)]]
+        assert entries["empirical.draws"] == 3
     spec = build_chain(scn)
+    regime = solver.limiting_regime(spec, tolerance=1e-6, max_horizon=8.0)
+    assert entries["regime.phi_max"] == float(regime.phi_values.max())
     draws = scenario_perturbations(scn, spec, grid=256)
     worst = 0.0
     for label, chain in draws:

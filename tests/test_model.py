@@ -191,7 +191,7 @@ def test_generator_invariants(kind):
 
 def test_block_bands_equal_scalar_rates():
     # every band entry of a block is multiplier * RateFunction.__call__(t),
-    # bit for bit, for rates whose vectorised evaluation may differ
+    # bit for bit, exp expressions and step tables included
     rng = np.random.default_rng(31)
     chains = []
     for kind in ("birth-death", "batch-arrival", "batch-service", "batch"):
@@ -349,3 +349,7 @@ def test_validation_errors():
         birth_death_chain(parse_rate("1+sin(2*pi*t)", period=1.0),
                           parse_rate("2+cos(pi*t)", period=2.0), size=3,
                           validation_grid=16)
+    for period in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ChainValidationError, match="positive and finite"):
+            birth_death_chain(ONE.with_period(period), FOUR, size=3,
+                              validation_grid=16)

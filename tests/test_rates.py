@@ -37,6 +37,26 @@ def test_table_semantics():
     assert np.allclose(tab.values(ts), [1, 1, 4, 1, 4])
 
 
+@pytest.mark.parametrize("rate", [
+    parse_rate("1.3*(1+0.9*sin(2*pi*t))", period=1.0),
+    parse_rate("2+cos(2*pi*t/3)", period=3.0),
+    parse_rate("0.7*exp(1.4*sin(2*pi*t))", period=1.0),
+    parse_rate("max(0.2, min(t, 1.5) - 0.3*cos(2*pi*t))"),
+    RateFunction.from_table([(0, 1), (0.25, 3.5), (0.7, 0.4)], period=1.0),
+])
+def test_value_does_not_depend_on_the_grid(rate):
+    # one array evaluator serves single times and grids alike: a node's
+    # value is the same alone, inside a block of 64 and inside 20,000 nodes
+    rng = np.random.default_rng(3)
+    ts = np.concatenate(([0.0, 0.25, 1.0], rng.uniform(0.0, 50.0, 19997)))
+    big = rate.values(ts)
+    for i in range(0, len(ts), 499):
+        block = ts[i - i % 64:i - i % 64 + 64]
+        assert rate.values(block)[i % 64] == big[i]
+        assert rate.values(ts[i:i + 1])[0] == big[i]
+        assert rate(float(ts[i])) == big[i]
+
+
 @pytest.mark.parametrize("pairs,period,message", [
     ([], None, "empty"),
     ([(0.5, 1)], None, "start at t = 0"),

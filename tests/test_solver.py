@@ -11,7 +11,7 @@ from ctmcpert import (Perturbation, RateFunction, SolverError, batch_chain,
                       perturbation_distance, rate_family,
                       stationary_distribution, write_mean_csv,
                       write_states_csv)
-from ctmcpert.solver import default_step
+from ctmcpert.solver import RegimeLane, RunLane, default_step, march
 
 ONE = RateFunction.constant(1.0)
 FOUR = RateFunction.constant(4.0)
@@ -279,3 +279,71 @@ def test_draw_columns_match_separate_runs():
         integrate(base, cols, 0.0, 0.5, step=step, draws=[scaled])
     with pytest.raises(ValueError, match="state space"):
         integrate(base, cols, 0.0, 0.5, draws=[two_state()])
+
+
+def _regime_settings(chain, step):
+    """(t_end, horizon, tolerance) triples: the regime found before t_end,
+    found after t_end, and the horizon exhausted before t_end; tolerances
+    sit between neighbouring boundary distances of a solo search."""
+    probe = RegimeLane(chain, 0.0, 6.0, step=step)
+    march(probe)
+    d = probe.dists
+
+    def between(k):
+        return 0.5 * (d[k - 1] + d[k])
+
+    return [(3.5, 6.0, between(2)), (1.5, 6.0, between(4)),
+            (3.5, 2.5, between(4))]
+
+
+def test_lanes_match_solo_runs():
+    # a run lane and a regime lane marched together give bit for bit the
+    # numbers of a solo integrate and a solo limiting_regime, each on its
+    # own clock, whichever lane stops first; the regime columns agree with
+    # the dense oracle
+    cols = np.stack([delta_state(12, 0), delta_state(12, 11)], axis=1)
+    seen = set()
+    for base, draws in _draw_cases():
+        step = 0.25 / max(c.l_bound for c in [base] + draws)
+        for t_end, horizon, tol in _regime_settings(base, step):
+            run = RunLane(base, cols, 0.0, t_end, step=step, stride=0.3,
+                          draws=draws)
+            search = RegimeLane(base, tol, horizon, step=step)
+            assert run.h != search.h  # two clocks
+            march(run, search)
+            fused = run.trajectory()
+            solo = integrate(base, cols, 0.0, t_end, step=step, stride=0.3,
+                             draws=draws)
+            assert np.array_equal(fused.times, solo.times)
+            assert np.array_equal(fused.states, solo.states)
+            try:
+                want = limiting_regime(base, tol, horizon, step=step)
+            except SolverError as exc:
+                with pytest.raises(SolverError) as got:
+                    search.report()
+                assert str(got.value) == str(exc)
+                seen.add("exhausted")
+            else:
+                got = search.report()
+                assert got.transient_horizon == want.transient_horizon
+                seen.add("before t_end" if got.transient_horizon < t_end
+                         else "after t_end")
+                for name in ("boundary_times", "boundary_dists", "phi_times",
+                             "phi_values"):
+                    assert np.array_equal(getattr(got, name),
+                                          getattr(want, name)), name
+                assert np.array_equal(got.limit.states, want.limit.states)
+            end = search.times[-1]
+            steps = round(end / search.seg_dt) * search.steps
+            dense = dense_rk4(_dense_matrix(base), cols, 0.0, end, steps)
+            assert np.abs(search.y - dense).max() <= 1e-12
+    assert seen == {"before t_end", "after t_end", "exhausted"}
+
+
+def test_regime_lane_shorter_than_a_period():
+    # a horizon below one period leaves the lane no segment to march
+    lane = RegimeLane(two_state(), 1e-6, 0.5)  # period 1 (undeclared)
+    march(lane)
+    assert lane.done == 0 and lane.dists == [2.0]
+    with pytest.raises(SolverError, match="horizon 0.5 exhausted"):
+        lane.report()

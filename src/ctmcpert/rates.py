@@ -13,8 +13,9 @@ times; a single time is a one-element array, so a rate's value at a time
 does not depend on the grid it is computed with.  A rate may declare a
 period; periodicity of an expression is never verified analytically, but
 every period-dependent computation (periodic means, certificate
-constants) trusts the declared value.  Step tables with a declared period wrap their argument modulo the
-period, otherwise the last value extends to infinity.
+constants) trusts the declared value.  Step tables with a declared period
+wrap their argument modulo the period, otherwise the last value extends
+to infinity.
 """
 
 from __future__ import annotations

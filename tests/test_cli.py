@@ -390,8 +390,7 @@ def test_main_exit_codes(small_scn, tmp_path, capsys):
         assert main(["--out", out, "run", str(path)]) == EXIT_PARSE
         assert f"[solve] key '{key}'" in capsys.readouterr().err
     # a period must be positive and finite, in [chain] and in the
-    # explicit perturbation's chain definition: 0 used to crash run, -1 to
-    # loop run forever and pass bounds, nan to blame a rate value
+    # explicit perturbation's chain definition, whichever command reads it
     explicit = "[perturbation]\nmode = explicit\nepsilon = 0.01\n"
     for value in ("0", "-1", "nan", "inf"):
         for section, text in (

@@ -23,7 +23,7 @@ queue = batch_arrival_chain(
     {1: lam, 2: pairs},
     rate_family(shared=RateFunction.constant(3.0),
                 multipliers=np.minimum(np.arange(1, SIZE), 2)),
-    size=SIZE, truncated=True)
+    size=SIZE)
 
 print("weight-ratio sweep (certified rate = periodic mean of the "
       "contraction rate):")

@@ -56,8 +56,8 @@ class WeightSequence:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or len(vals) == 0:
             raise ValueError("weights must be a nonempty vector")
-        if np.any(vals <= 0):
-            raise ValueError("weights must be positive")
+        if not np.all(np.isfinite(vals) & (vals > 0)):
+            raise ValueError("weights must be positive and finite")
         if np.any(np.diff(vals) < 0):
             raise ValueError("weights must be nondecreasing")
 
@@ -67,8 +67,9 @@ class WeightSequence:
 
     @staticmethod
     def geometric(delta: float, n: int) -> "WeightSequence":
-        if delta < 1.0:
-            raise ValueError("geometric weights need delta >= 1")
+        if not (np.isfinite(delta) and delta >= 1.0):
+            raise ValueError(f"geometric weights need a finite delta >= 1, "
+                             f"got {delta}")
         return WeightSequence(delta ** np.arange(n))
 
     @staticmethod
@@ -234,15 +235,24 @@ def decay_rate_at(spec: ChainSpec, w: WeightSequence, t: float) -> float:
     return float(decay_rates_at(spec, w, t).min())
 
 
-def decay_rate_fn(spec: ChainSpec, w: WeightSequence) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized t -> overall decay rate, for quadrature."""
+def _block_profile(spec: ChainSpec,
+                   per_block: Callable[[GeneratorBlock], np.ndarray]
+                   ) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized t -> ``per_block`` of the generator slices at t, one
+    value per time, evaluated block by block: a certificate's rate profile."""
 
     def fn(ts: np.ndarray) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.concatenate([_reduced_stats(spec, w, tb)[0].min(axis=1)
+        return np.concatenate([per_block(spec.bands_block(tb))
                                for tb in time_blocks(ts)])
 
     return fn
+
+
+def decay_rate_fn(spec: ChainSpec, w: WeightSequence) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized t -> overall decay rate, for quadrature."""
+    return _block_profile(spec, lambda g: column_stats(
+        *reduced_bands_block(g, w))[0].min(axis=1))
 
 
 def reduced_norm_at(spec: ChainSpec, w: WeightSequence, t: float) -> float:
@@ -308,44 +318,49 @@ def _require_period(spec: ChainSpec) -> float:
     return spec.period
 
 
+def _certificate(approach: str, scale: float,
+                 profile: Callable[[np.ndarray], np.ndarray],
+                 values: np.ndarray, period: float, grid: int,
+                 **extra) -> ErgodicityCertificate:
+    """Certificate from a rate profile with ``values`` on the doubled
+    grid: the periodic mean is the rate (Simpson on the grid, or adaptive
+    Simpson where the grid does not resolve the profile) and
+    scale * exp(peak running deviation from the mean) the amplitude.  A
+    nonpositive mean yields an uncertified result."""
+    total = simpson_on_grid(values, period)
+    if total is None:
+        total = adaptive_simpson(profile, 0.0, period)
+    mean = float(total / period)
+    peak = float(peak_running_integral(profile, period, mean, grid,
+                                       values=values))
+    return ErgodicityCertificate(
+        approach=approach, certified=mean > 0.0,
+        amplitude=float(scale * np.exp(peak)), rate=mean, period_mean=mean,
+        peak_dev=peak, period=period, grid=grid, **extra)
+
+
 def weighted_certificate(spec: ChainSpec, w: WeightSequence,
                          grid: int = ANALYSIS_GRID) -> ErgodicityCertificate:
     """Certificate from the periodic mean of the overall decay rate.
 
     The mean decay rate over one period is the certified rate; the
     amplitude is exp of the peak running deviation of the decay rate from
-    its mean.  A nonpositive mean yields an uncertified result.  The
-    reduced-matrix and forcing norms are grid suprema over one period
-    (grid plus one refinement), not analytic bounds.
+    its mean.  The reduced-matrix and forcing norms are grid suprema over
+    one period (the doubled grid), not analytic bounds.
     """
     period = _require_period(spec)
     if not isinstance(spec, ChainSpec) or spec.catastrophes is not None:
         raise CertificateError(f"no weighted certificate for kind {spec.kind!r}")
-    alphas = []
-    b_sup = 0.0
-    f_sup = 0.0
+    alphas, b_sup, f_sup = [], 0.0, 0.0
     for tb in time_blocks(doubled_grid(period, grid)):
         g = spec.bands_block(tb)
         rates, colsums = column_stats(*reduced_bands_block(g, w))
         alphas.append(rates.min(axis=1))
         b_sup = max(b_sup, float(colsums.max()))
         f_sup = max(f_sup, float(w.weighted_norm(g.forcing()).max()))
-    alphas = np.concatenate(alphas)
-    alpha = decay_rate_fn(spec, w)
-    total = simpson_on_grid(alphas, period)
-    if total is None:
-        total = adaptive_simpson(alpha, 0.0, period)
-    mean = float(total / period)
-    peak = float(peak_running_integral(alpha, period, mean, grid, values=alphas))
-    return ErgodicityCertificate(
-        approach="weighted",
-        certified=mean > 0.0,
-        amplitude=float(np.exp(peak)),
-        rate=mean,
-        period_mean=mean,
-        peak_dev=peak,
-        period=period,
-        grid=grid,
+    return _certificate(
+        "weighted", 1.0, decay_rate_fn(spec, w), np.concatenate(alphas),
+        period, grid,
         min_weight=w.min_weight,
         weight_state_ratio=w.state_ratio_min,
         weight_column_norm=w.column_norm,
@@ -375,26 +390,6 @@ def catastrophe_uniform_certificate(spec: ChainSpec,
         raise CertificateError("uniform catastrophe certificate needs a "
                                "catastrophe chain")
     period = _require_period(spec)
-
-    def floor_vec(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.concatenate([spec.bands_block(tb).direct_to_zero().min(axis=1)
-                               for tb in time_blocks(ts)])
-
-    floors = floor_vec(doubled_grid(period, grid))
-    total = simpson_on_grid(floors, period)
-    if total is None:
-        total = adaptive_simpson(floor_vec, 0.0, period)
-    mean = float(total / period)
-    peak = float(peak_running_integral(floor_vec, period, mean, grid,
-                                       values=floors))
-    return ErgodicityCertificate(
-        approach="uniform",
-        certified=mean > 0.0,
-        amplitude=float(2.0 * np.exp(peak)),
-        rate=mean,
-        period_mean=mean,
-        peak_dev=peak,
-        period=period,
-        grid=grid,
-    )
+    floor = _block_profile(spec, lambda g: g.direct_to_zero().min(axis=1))
+    return _certificate("uniform", 2.0, floor,
+                        floor(doubled_grid(period, grid)), period, grid)

@@ -22,7 +22,7 @@ Subcommands:
 
 Exit codes: 0 success, 2 scenario parse error or bad option (``--grid``
 not a positive even integer, ``--seed`` negative, ``--step`` not a
-positive finite number, or a [solve] value that is not one), 3 validation
+positive finite number, or a scenario number out of range), 3 validation
 error, 4 no feasible bound, 5 empirical violation of a reported bound.
 
 Reports are printed as human-readable text and written as a flat
@@ -227,28 +227,40 @@ def _decode_float(scn: Scenario, section: str, key: str,
         raise ScenarioError(f"expected a number, got {raw!r}", section, key)
 
 
-def _decode_int(scn: Scenario, section: str, key: str, default: int) -> int:
-    """An integer value; an integral number such as ``5.0`` is accepted."""
+def _decode_finite(scn: Scenario, section: str, key: str,
+                   allowed=lambda v: True, what: str = "a finite number",
+                   default: float | None = None) -> float | None:
+    """A finite number passing ``allowed``; ``default`` when it is absent."""
     value = _decode_float(scn, section, key, default)
-    if not math.isfinite(value) or value != int(value):
-        raise ScenarioError(
-            f"expected an integer, got {scn.get(section, key)!r}", section, key)
-    return int(value)
+    if value is not None and not (math.isfinite(value) and allowed(value)):
+        raise ScenarioError(f"expected {what}, got {scn.get(section, key)!r}",
+                            section, key)
+    return value
+
+
+def _decode_int(scn: Scenario, section: str, key: str, default: int,
+                allowed=lambda v: True, what: str = "an integer") -> int:
+    """An integer passing ``allowed``; an integral number such as ``5.0``
+    is accepted."""
+    return int(_decode_finite(scn, section, key,
+                              lambda v: v == int(v) and allowed(v), what,
+                              default))
 
 
 def _decode_positive(scn: Scenario, section: str, key: str) -> float | None:
     """A positive finite number, or None when the key is absent."""
-    value = _decode_float(scn, section, key)
-    if value is not None and not (math.isfinite(value) and value > 0):
-        raise ScenarioError(f"expected a positive finite number, got "
-                            f"{scn.get(section, key)!r}", section, key)
-    return value
+    return _decode_finite(scn, section, key, lambda v: v > 0,
+                          "a positive finite number")
 
 
-def _decode_bool(raw: str | None, default: bool = False) -> bool:
-    if raw is None:
-        return default
-    return raw.strip().lower() in ("1", "true", "yes", "on")
+def _decode_epsilon(scn: Scenario) -> float:
+    """The perturbation magnitude: finite and nonnegative, 0 when absent."""
+    return _decode_finite(scn, "perturbation", "epsilon", lambda v: v >= 0,
+                          "a finite nonnegative number", 0.0)
+
+
+def _decode_bool(raw: str | None) -> bool:
+    return raw is not None and raw.strip().lower() in ("1", "true", "yes", "on")
 
 
 # chain construction ---------------------------------------------------------
@@ -273,10 +285,11 @@ def _batches(cfg: dict[str, str], prefix: str, period: float | None,
     return out
 
 
-def build_chain(scn: Scenario, section: str = "chain",
-                grid: int | None = None) -> model.ChainSpec:
+def build_chain(scn: Scenario, section: str = "chain") -> model.ChainSpec:
     """Build the chain described by a scenario section (the perturbation
-    section reuses this for explicit replacement rates)."""
+    section reuses this for explicit replacement rates); ``period`` and
+    ``bound`` default to the [chain] values, and ``truncated`` is accepted
+    and ignored."""
     cfg = dict(scn.sections[section])
     if section == "perturbation":
         # explicit mode: the chain definition with replaced rates
@@ -296,16 +309,15 @@ def build_chain(scn: Scenario, section: str = "chain",
                             "states")
     if size < 2:
         raise ScenarioError("need at least two states", section, "states")
-    period = _decode_positive(scn, section, "period")
-    if period is None:
-        period = _decode_positive(scn, "chain", "period")
-    truncated = _decode_bool(cfg.get("truncated", scn.get("chain", "truncated")))
-    declared = _decode_float(scn, section, "bound",
-                             _decode_float(scn, "chain", "bound"))
+
+    def inherited(decode, key: str) -> float | None:
+        value = decode(scn, section, key)
+        return decode(scn, "chain", key) if value is None else value
+
+    period = inherited(_decode_positive, "period")
+    declared = inherited(_decode_finite, "bound")
+    kw = dict(declared_bound=declared)
     n = size - 1
-    kw = dict(truncated=truncated, declared_bound=declared)
-    if grid is not None:
-        kw["validation_grid"] = grid
 
     def fam(key: str, first: int) -> model.RateFamily:
         """The family of ``key`` on the n states first, first+1, ..."""
@@ -372,8 +384,7 @@ def build_weights(scn: Scenario, n: int) -> analysis.WeightSequence:
 
 
 def scenario_perturbations(scn: Scenario, spec: model.ChainSpec,
-                           seed: int | None = None,
-                           grid: int | None = None) -> list[tuple[str, model.Chain]]:
+                           seed: int | None = None) -> list[tuple[str, model.Chain]]:
     """The perturbed chains a scenario asks for (several for seeded
     draws, one otherwise)."""
     if not scn.has("perturbation"):
@@ -381,23 +392,19 @@ def scenario_perturbations(scn: Scenario, spec: model.ChainSpec,
     mode = scn.get("perturbation", "mode", "none")
     if mode == "none":
         return []
-    eps = _decode_float(scn, "perturbation", "epsilon", 0.0)
+    eps = _decode_epsilon(scn)
     if mode == "explicit":
-        return [("explicit", build_chain(scn, "perturbation", grid))]
+        return [("explicit", build_chain(scn, "perturbation"))]
     if mode in ("mass-arrival", "multiplicative"):
         return [(mode, model.perturb(spec, model.Perturbation(mode, eps=eps)))]
     if mode != "rate-offsets":
         raise ScenarioError(f"unknown perturbation mode {mode!r}",
                             "perturbation", "mode")
-    draws = _decode_int(scn, "perturbation", "draws", 1)
-    if draws < 1:
-        raise ScenarioError(f"expected a positive integer, got {draws}",
-                            "perturbation", "draws")
+    draws = _decode_int(scn, "perturbation", "draws", 1, lambda v: v >= 1,
+                        "a positive integer")
     if seed is None:
-        seed = _decode_int(scn, "perturbation", "seed", 0)
-        if seed < 0:
-            raise ScenarioError(f"expected a non-negative integer, got {seed}",
-                                "perturbation", "seed")
+        seed = _decode_int(scn, "perturbation", "seed", 0, lambda v: v >= 0,
+                           "a non-negative integer")
     out = []
     for i in range(draws):
         pert = model.Perturbation("rate-offsets", eps=eps, seed=seed + i)
@@ -510,13 +517,12 @@ def run_pipeline(scn: Scenario, out_dir: Path, stage: str,
         rep.put("cert.none", "no certificate route for this chain")
 
     result = PipelineResult(report=rep)
-    eps = _decode_float(scn, "perturbation", "epsilon", 0.0) \
-        if scn.has("perturbation") else 0.0
+    eps = _decode_epsilon(scn)
     perturbed: list[tuple[str, model.Chain]] = []
     bound_report = None
     if stage in ("bounds", "run", "compare") and scn.has("perturbation"):
         try:
-            perturbed = scenario_perturbations(scn, spec, seed=seed, grid=grid)
+            perturbed = scenario_perturbations(scn, spec, seed=seed)
         except ChainValidationError as exc:
             raise ScenarioError(str(exc), "perturbation")
         if perturbed:
@@ -645,14 +651,13 @@ def bundled_scenario(name: str) -> Scenario:
     return parse_scenario_text(text, name=name)
 
 
-def _emit(result: PipelineResult, out_dir: Path, quiet: bool = False) -> int:
+def _emit(result: PipelineResult, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     name = result.report.entries.get("scenario.name", "report")
     kv_path = out_dir / f"{name}.report.kv"
     kv_path.write_text(result.report.machine_text())
-    if not quiet:
-        sys.stdout.write(result.report.human_text())
-        sys.stdout.write(f"report written to {kv_path}\n")
+    sys.stdout.write(result.report.human_text())
+    sys.stdout.write(f"report written to {kv_path}\n")
     return result.exit_code
 
 

@@ -80,11 +80,9 @@ class RateFamily:
         return np.stack([tb.rate(m) for m in self.members],
                         axis=1) * self.multipliers
 
-    def scaled(self, factor: float) -> "RateFamily":
+    def scaled(self, factor) -> "RateFamily":
+        """Multipliers times ``factor``, a number or one per member."""
         return replace(self, multipliers=self.multipliers * factor)
-
-    def rescaled_members(self, factors: np.ndarray) -> "RateFamily":
-        return replace(self, multipliers=self.multipliers * factors)
 
     @property
     def rate_functions(self) -> tuple[RateFunction, ...]:
@@ -350,7 +348,6 @@ class ChainSpec:
 
     kind: str
     n: int
-    truncated: bool = False
     period: float | None = None
     births: RateFamily | None = None          # birth-death, batch-service
     deaths: RateFamily | None = None          # birth-death
@@ -415,12 +412,10 @@ class ChainSpec:
         return [(slot, fam) for _, _, slot, fam in self._slots()]
 
     def _replace_slots(self, new: Mapping[str, RateFamily]) -> "ChainSpec":
-        """The chain with the named families replaced; a name the chain
-        has no family for is ignored, since it would add a band."""
+        """The chain with every family replaced by ``new[slot]``; batch
+        sizes keep their order, which fixes the order of band sums."""
         kw = {}
         for name, k, slot, _ in self._slots():
-            if slot not in new:
-                continue
             if k is None:
                 kw[name] = new[slot]
             else:
@@ -448,8 +443,9 @@ class MassArrivalChain:
     eps: float
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError("mass-arrival magnitude must be nonnegative")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError("mass-arrival magnitude must be finite and "
+                             f"nonnegative, got {self.eps}")
 
     @property
     def n(self) -> int:
@@ -585,10 +581,9 @@ def _batch_arg(batches: Mapping[int, RateFunction], n: int,
 # ---------------------------------------------------------------------------
 # builders
 
-def _structural_chain(kind: str, size: int, truncated: bool,
-                      declared_bound: float | None, validation_grid: int,
-                      **families) -> ChainSpec:
-    return _built(ChainSpec(kind=kind, n=size - 1, truncated=truncated,
+def _structural_chain(kind: str, size: int, declared_bound: float | None,
+                      validation_grid: int, **families) -> ChainSpec:
+    return _built(ChainSpec(kind=kind, n=size - 1,
                             declared_bound=declared_bound,
                             validation_grid=validation_grid, **families))
 
@@ -597,48 +592,46 @@ def birth_death_chain(births, deaths, size: int, truncated: bool = False,
                       declared_bound: float | None = None,
                       validation_grid: int = ANALYSIS_GRID) -> ChainSpec:
     """Chain with single births (rate family on states 0..n-1) and single
-    deaths (family on states 1..n)."""
+    deaths (family on states 1..n).  ``truncated`` is accepted for older
+    callers and has no effect: every chain is finite."""
     n = size - 1
-    return _structural_chain("birth-death", size, truncated, declared_bound,
+    return _structural_chain("birth-death", size, declared_bound,
                              validation_grid,
                              births=_family_arg(births, n, "births"),
                              deaths=_family_arg(deaths, n, "deaths"))
 
 
 def batch_arrival_chain(arrival_batches: Mapping[int, RateFunction], services,
-                        size: int, truncated: bool = False,
-                        declared_bound: float | None = None,
+                        size: int, declared_bound: float | None = None,
                         validation_grid: int = ANALYSIS_GRID) -> ChainSpec:
     """Group arrivals (size k at rate a_k(t)) with one-by-one service at
     state-dependent rates (family on states 1..n)."""
     n = size - 1
     return _structural_chain(
-        "batch-arrival", size, truncated, declared_bound, validation_grid,
+        "batch-arrival", size, declared_bound, validation_grid,
         arrival_batches=_batch_arg(arrival_batches, n, "arrivals"),
         services=_family_arg(services, n, "services"))
 
 
 def batch_service_chain(births, service_batches: Mapping[int, RateFunction],
-                        size: int, truncated: bool = False,
-                        declared_bound: float | None = None,
+                        size: int, declared_bound: float | None = None,
                         validation_grid: int = ANALYSIS_GRID) -> ChainSpec:
     """Single arrivals with group service of exact size k at rate b_k(t)."""
     n = size - 1
     return _structural_chain(
-        "batch-service", size, truncated, declared_bound, validation_grid,
+        "batch-service", size, declared_bound, validation_grid,
         births=_family_arg(births, n, "births"),
         service_batches=_batch_arg(service_batches, n, "services"))
 
 
 def batch_chain(arrival_batches: Mapping[int, RateFunction],
                 service_batches: Mapping[int, RateFunction],
-                size: int, truncated: bool = False,
-                declared_bound: float | None = None,
+                size: int, declared_bound: float | None = None,
                 validation_grid: int = ANALYSIS_GRID) -> ChainSpec:
     """Group arrivals and group services combined."""
     n = size - 1
     return _structural_chain(
-        "batch", size, truncated, declared_bound, validation_grid,
+        "batch", size, declared_bound, validation_grid,
         arrival_batches=_batch_arg(arrival_batches, n, "arrivals"),
         service_batches=_batch_arg(service_batches, n, "services"))
 
@@ -710,15 +703,9 @@ def reduced_system_at(chain: Chain, t: float) -> ReducedSystem:
     return ReducedSystem(t=t, matrix=a[1:, 1:] - a[1:, :1], forcing=a[1:, 0].copy())
 
 
-def direct_to_zero_rates(spec: ChainSpec, t: float) -> np.ndarray:
-    """The intensities A[0, k] of jumping straight to the empty state,
-    indexed by k = 1..n."""
-    return spec.bands_block(TimeBlock(t)).direct_to_zero()[0]
-
-
 def catastrophe_floor_at(spec: ChainSpec, t: float) -> float:
     """Smallest direct-to-zero intensity over states 1..n."""
-    return float(direct_to_zero_rates(spec, t).min())
+    return float(spec.bands_block(TimeBlock(t)).direct_to_zero()[0].min())
 
 
 def catastrophe_reduction_at(spec: ChainSpec, t: float) -> CatastropheReduction:
@@ -741,23 +728,23 @@ class Perturbation:
     """Recipe for a perturbed chain.
 
     Modes: ``rate-offsets`` (seeded per-rate offsets of magnitude <= eps,
-    shaped like the rate itself so nonnegativity survives), ``explicit``
-    (replacement rate families), ``mass-arrival`` (jumps from the empty
-    state) and ``multiplicative`` (all rates scaled by 1 + eps).
+    shaped like the rate itself so nonnegativity survives), ``mass-arrival``
+    (jumps from the empty state) and ``multiplicative`` (all rates scaled
+    by 1 + eps).  A chain with replaced rates is built directly instead.
     """
 
     mode: str
     eps: float = 0.0
     seed: int | None = None
-    replacements: Mapping[str, RateFamily] | None = None
 
-    MODES = ("rate-offsets", "explicit", "mass-arrival", "multiplicative")
+    MODES = ("rate-offsets", "mass-arrival", "multiplicative")
 
     def __post_init__(self):
         if self.mode not in self.MODES:
             raise ValueError(f"unknown perturbation mode {self.mode!r}")
-        if self.eps < 0:
-            raise ValueError("perturbation magnitude must be nonnegative")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError("perturbation magnitude must be finite and "
+                             f"nonnegative, got {self.eps}")
 
 
 def _family_sup(fam: RateFamily, ts: np.ndarray) -> np.ndarray:
@@ -772,7 +759,7 @@ def _offset_family(fam: RateFamily, eps: float, coeffs: np.ndarray,
     factors[ok] = 1.0 + coeffs[ok] * eps / sups[ok]
     # a downward offset may not push a small rate negative
     factors = np.maximum(factors, 0.0)
-    return fam.rescaled_members(factors)
+    return fam.scaled(factors)
 
 
 def perturb(spec: ChainSpec, pert: Perturbation) -> Chain:
@@ -783,8 +770,6 @@ def perturb(spec: ChainSpec, pert: Perturbation) -> Chain:
     if pert.mode == "multiplicative":
         new = {name: fam.scaled(1.0 + pert.eps) for name, fam in spec.rate_slots()}
         return _built(spec._replace_slots(new))
-    if pert.mode == "explicit":
-        return _built(spec._replace_slots(dict(pert.replacements or {})))
     rng = np.random.default_rng(0 if pert.seed is None else pert.seed)
     ts = _validation_times(spec)
     new = {}

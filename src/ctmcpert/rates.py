@@ -272,14 +272,12 @@ class RateFunction:
     table: tuple[tuple[float, float], ...] | None = None
     const: float | None = None
     period: float | None = None
-    source: str | None = None
     _fn: Callable = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def from_expression(source: str, period: float | None = None) -> "RateFunction":
         node = _parse_source(source)
-        return RateFunction(expr=node, period=period, source=source,
-                            _fn=_compile_node(node))
+        return RateFunction(expr=node, period=period, _fn=_compile_node(node))
 
     @staticmethod
     def from_table(pairs: Sequence[tuple[float, float]],
@@ -308,7 +306,7 @@ class RateFunction:
         if self.table is not None:
             return RateFunction.from_table(self.table, period)
         return RateFunction(expr=self.expr, const=self.const, period=period,
-                            source=self.source, _fn=self._fn)
+                            _fn=self._fn)
 
     @property
     def time_invariant(self) -> bool:

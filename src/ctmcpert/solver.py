@@ -226,11 +226,6 @@ class Trajectory:
     def final(self) -> np.ndarray:
         return self.states[-1]
 
-    def mean_curve(self, column: int | None = None) -> np.ndarray:
-        states = self.states if self.states.ndim == 2 \
-            else self.states[:, :, column if column is not None else 0]
-        return states @ np.arange(states.shape[1])
-
 
 def _as_columns(p0, size: int) -> np.ndarray:
     y = np.array(p0, dtype=float)
@@ -527,7 +522,7 @@ def mass_arrival_probe(eps: float, levels, birth: float = 1.0,
     for n in levels:
         base = birth_death_chain(RateFunction.constant(birth),
                                  RateFunction.constant(death), size=n + 1,
-                                 truncated=True, validation_grid=16)
+                                 validation_grid=16)
         chain: MassArrivalChain = perturb(base, Perturbation("mass-arrival",
                                                              eps=eps))
         # stationary vectors are exact fixed points of the stepper, so the

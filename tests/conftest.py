@@ -164,5 +164,4 @@ def pair_queue():
     mu = RateFunction.constant(3.0)
     services = rate_family(shared=mu,
                            multipliers=np.minimum(np.arange(1, 300), 2))
-    return batch_arrival_chain({1: lam, 2: pairs}, services, size=300,
-                               truncated=True)
+    return batch_arrival_chain({1: lam, 2: pairs}, services, size=300)

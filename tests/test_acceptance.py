@@ -45,7 +45,7 @@ def _pair_queue():
     return batch_arrival_chain(
         {1: lam, 2: pairs},
         rate_family(shared=mu, multipliers=np.minimum(np.arange(1, 300), 2)),
-        size=300, truncated=True)
+        size=300)
 
 
 def test_criterion_1_loss_queue_certificate():

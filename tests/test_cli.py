@@ -7,7 +7,7 @@ from ctmcpert import (batch_arrival_chain, batch_chain, batch_service_chain,
                       birth_death_chain, catastrophe_chain, delta_state,
                       generator_at, parse_rate, rate_family, solver)
 from ctmcpert.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE,
-                          EXIT_VIOLATION, Scenario,
+                          EXIT_VALIDATION, EXIT_VIOLATION, Scenario,
                           ScenarioError, build_chain, build_weights,
                           bundled_scenario, load_scenario, main,
                           parse_scenario_text, run_pipeline,
@@ -402,6 +402,53 @@ def test_main_exit_codes(small_scn, tmp_path, capsys):
                 assert main(["--out", out, "--grid", "256", command,
                              str(path)]) == EXIT_PARSE
                 assert f"[{section}] key 'period'" in capsys.readouterr().err
+    # so must a declared intensity bound be finite
+    for value in ("nan", "inf"):
+        for section, text in (
+                ("chain", chain + f"bound = {value}\n"),
+                ("perturbation", chain + explicit + f"bound = {value}\n")):
+            path = tmp_path / f"bound_{section}.scn"
+            path.write_text(text)
+            assert main(["--out", out, "--grid", "256", "bounds",
+                         str(path)]) == EXIT_PARSE
+            assert f"[{section}] key 'bound'" in capsys.readouterr().err
+    # epsilon must be finite and nonnegative in every mode
+    for mode in ("mass-arrival", "multiplicative", "rate-offsets", "explicit"):
+        for value in ("inf", "nan", "-1"):
+            path = tmp_path / "epsilon.scn"
+            path.write_text(chain + f"[perturbation]\nmode = {mode}\n"
+                            f"epsilon = {value}\n")
+            assert main(["--out", out, "--grid", "256", "bounds",
+                         str(path)]) == EXIT_PARSE
+            assert "[perturbation] key 'epsilon'" in capsys.readouterr().err
+    # non-finite weights fail validation like decreasing ones
+    for weights in ("kind = geometric\ndelta = nan",
+                    "kind = geometric\ndelta = inf",
+                    "kind = geometric\ndelta = 0.5",
+                    "kind = explicit\nvalues = 1, nan, 2",
+                    "kind = explicit\nvalues = 1, 2, inf",
+                    "kind = explicit\nvalues = 3, 2, 1"):
+        path = tmp_path / "weights.scn"
+        path.write_text(chain + f"[weights]\n{weights}\n")
+        assert main(["--out", out, "--grid", "256", "analyze",
+                     str(path)]) == EXIT_VALIDATION
+        assert "weights" in capsys.readouterr().err
+
+
+def test_truncated_key_has_no_effect(small_scn, tmp_path, capsys):
+    # bundled scenarios set ``truncated``; every chain is finite anyway
+    flagged = tmp_path / "flagged" / "small.scn"
+    flagged.parent.mkdir()
+    flagged.write_text(SMALL.replace("states = 25\n",
+                                     "states = 25\ntruncated = true\n"))
+    assert load_scenario(flagged).get("chain", "truncated") == "true"
+    reports = []
+    for path in (small_scn, flagged):
+        out = path.parent / "out"
+        assert main(["--out", str(out), "--grid", "256", "bounds",
+                     str(path)]) == EXIT_OK
+        reports.append((out / "small.report.kv").read_text())
+    assert reports[0] == reports[1]
 
 
 def test_run_solves_once(tmp_path, monkeypatch):
@@ -437,7 +484,7 @@ def test_run_solves_once(tmp_path, monkeypatch):
     spec = build_chain(scn)
     regime = solver.limiting_regime(spec, tolerance=1e-6, max_horizon=8.0)
     assert entries["regime.phi_max"] == float(regime.phi_values.max())
-    draws = scenario_perturbations(scn, spec, grid=256)
+    draws = scenario_perturbations(scn, spec)
     worst = 0.0
     for label, chain in draws:
         curve = solver.perturbation_distance(

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from ctmcpert import (ChainValidationError, Perturbation, RateFunction,
-                      batch_arrival_chain, batch_chain, batch_service_chain,
-                      birth_death_chain, catastrophe_chain,
-                      catastrophe_floor_at, catastrophe_reduction_at,
-                      generator_at, parse_rate, perturb, rate_family,
-                      reduced_system_at)
+from ctmcpert import (ChainValidationError, MassArrivalChain, Perturbation,
+                      RateFunction, batch_arrival_chain, batch_chain,
+                      batch_service_chain, birth_death_chain,
+                      catastrophe_chain, catastrophe_floor_at,
+                      catastrophe_reduction_at, generator_at, parse_rate,
+                      perturb, rate_family, reduced_system_at)
 from ctmcpert.model import TimeBlock
 from conftest import dense_generator, random_chain, rich_rate
 
@@ -330,6 +330,14 @@ def test_perturbation_validation():
         Perturbation("wobble", eps=0.1)
     with pytest.raises(ValueError, match="nonnegative"):
         Perturbation("multiplicative", eps=-0.1)
+    for eps in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            Perturbation("mass-arrival", eps=eps)
+        with pytest.raises(ValueError, match="finite"):
+            MassArrivalChain(birth_death_chain(ONE, FOUR, size=3,
+                                               validation_grid=16), eps)
+    with pytest.raises(ValueError, match="mode"):
+        Perturbation("explicit", eps=0.1)
 
 
 def test_validation_errors():

@@ -86,7 +86,7 @@ def test_conservation_and_nonnegativity(pair_queue):
 
 def test_limiting_regime_geometric_law():
     spec = birth_death_chain(ONE.with_period(1.0), FOUR.with_period(1.0),
-                             size=101, truncated=True, validation_grid=16)
+                             size=101, validation_grid=16)
     rep = limiting_regime(spec, tolerance=1e-6, max_horizon=60.0)
     geo = 0.25 ** np.arange(101)
     geo /= geo.sum()

@@ -31,8 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .model import (Chain, ChainSpec, GeneratorBlock, TimeBlock, column_sums,
-                    reduced_system_at, time_blocks)
+from .model import (Chain, ChainSpec, GeneratorBands, GeneratorBlock,
+                    TimeBlock, reduced_system_at, time_blocks)
 from .quadrature import (ANALYSIS_GRID, adaptive_simpson, doubled_grid,
                          peak_running_integral, simpson_on_grid)
 from .rates import RateFunction, periodic_mean
@@ -114,87 +114,79 @@ class WeightSequence:
 
 
 # ---------------------------------------------------------------------------
-# the transformed reduced matrix, band by band
+# the transformed reduced matrix
 
-def reduced_bands_block(g: GeneratorBlock, w: WeightSequence
-                        ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Diagonal and off-diagonal bands of the weighted reduced matrix
-    D B D^{-1} for the generator slices of a block, each with a leading
-    time axis.
+def reduced_bands_block(g: GeneratorBlock,
+                        w: WeightSequence) -> GeneratorBlock:
+    """The weighted reduced matrix D B D^{-1} for the generator slices of
+    a block, as a table of ``GeneratorBlock`` on states 0..n-1 (reduced
+    states 1..n) with its diagonal fixed.
 
-    Band key is row - column; positive keys sit below the diagonal.  With
-    T(i, j) = sum_{r >= i} A[r, j], entry (i, j), i, j = 1..n, is
+    With T(i, j) = sum_{r >= i} A[r, j], entry (i, j), i, j = 1..n, is
     d_i / d_j * (T(i, j) - T(i, j-1)).  Because every column of A sums to
     zero, T needs no diagonal entry: for i > j it is a tail sum of the
-    lower bands, and for i <= j it is minus the sum of the upper bands'
-    entries above row i.  Both are running sums over the bands, and the
-    result keeps the generator's own band range.  Off the diagonal the
-    difference is taken as A[i, j] (or A[i-1, j-1] above the diagonal)
-    plus the change of one tail sum between neighbouring columns, which
-    is exactly zero wherever truncation does not cut a band.  A block
-    with a catastrophe row or mass-arrival column overlay is refused.
+    lower rows of the table, and for i <= j it is minus the sum of the
+    upper rows' entries above row i.  Both are running sums over the table
+    rows, and the result keeps the generator's own offset range, upper
+    offsets -1, -2, ... first.  Off the diagonal the difference is taken
+    as A[i, j] (or A[i-1, j-1] above the diagonal) plus the change of one
+    tail sum between neighbouring columns, which is exactly zero wherever
+    truncation does not cut a band.  A block with a catastrophe row or
+    mass-arrival column overlay is refused.
     """
     if g.row0 is not None or g.col0 is not None:
         raise CertificateError(
             "weighted reduction is not defined for a generator with a "
             "catastrophe row or a mass-arrival column")
-    n = g.n
-    d = w.values
+    n, d = g.n, w.values
     if len(d) != n:
         raise CertificateError(f"need {n} weights, got {len(d)}")
-    p = max((k for k in g.bands if k > 0), default=0)
-    q = max((-k for k in g.bands if k < 0), default=0)
-    # low[o][:, c] = sum_{k >= o} A[c+k, c]
-    # up[e][:, c] = sum_{m > e} A[c-m, c]
+    p = max((k for k in g.offsets if k > 0), default=0)
+    q = max((-k for k in g.offsets if k < 0), default=0)
     zero = np.zeros((g.times, n + 1))
-    low = {p + 1: zero}
-    for o in range(p, 0, -1):
-        low[o] = low[o + 1].copy()
-        if o in g.bands:
-            low[o][:, :n + 1 - o] += g.bands[o]
-    up = {q: zero}
-    for e in range(q, 0, -1):
-        up[e - 1] = up[e].copy()
-        if -e in g.bands:
-            up[e - 1][:, e:] += g.bands[-e]
 
-    diag = -(low[1][:, :n] + up[0][:, 1:])
-    bands: dict[int, np.ndarray] = {}
-    # the outermost band on each side has no tail beyond it
-    for e in range(1, min(q + 1, n)):
-        v = g.bands[-e][:, :n - e] if -e in g.bands else 0.0
-        if e < q:
-            v = v + (up[e][:, e:n] - up[e][:, e + 1:])
-        bands[-e] = (d[:n - e] / d[e:]) * v
-    for k in range(1, min(p + 1, n)):
-        v = g.bands[k][:, 1:n + 1 - k] if k in g.bands else 0.0
-        if k < p:
-            v = v + (low[k + 1][:, 1:n + 1 - k] - low[k + 1][:, :n - k])
-        bands[k] = (d[k:] / d[:n - k]) * v
-    return diag, bands
+    def row(k):
+        return g.data[:, g.offsets.index(k)] if k in g.offsets else zero
+
+    # running sums over the table rows, from the outermost offsets in:
+    # low[p+1-o][:, c] = sum_{k >= o} A[c+k, c] and
+    # up[q-e][:, c] = sum_{m > e} A[c-m, c]
+    low, up = [zero], [zero]
+    for o in range(p, 0, -1):
+        low.append(low[-1] + row(o))
+    for e in range(q, 0, -1):
+        up.append(up[-1] + row(-e))
+    diag = -(low[p][:, :n] + up[q][:, 1:])
+    offsets = (tuple(range(-1, -min(q + 1, n), -1))
+               + tuple(range(1, min(p + 1, n))))
+    data = np.zeros((g.times, len(offsets), n))
+    # the outermost offset on each side has no tail beyond it
+    for i, k in enumerate(offsets):
+        if k < 0:
+            e = -k
+            v = row(k)[:, e:n]
+            if e < q:
+                v = v + (up[q - e][:, e:n] - up[q - e][:, e + 1:])
+            data[:, i, e:] = (d[:n - e] / d[e:]) * v
+        else:
+            v = row(k)[:, 1:n + 1 - k]
+            if k < p:
+                v = v + (low[p - k][:, 1:n + 1 - k] - low[p - k][:, :n - k])
+            data[:, i, :n - k] = (d[k:] / d[:n - k]) * v
+    return GeneratorBlock(n - 1, offsets, data, fixed_diag=diag)
 
 
 def weighted_reduced_bands(chain: Chain, w: WeightSequence,
-                           t: float) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+                           t: float) -> GeneratorBands:
     """``reduced_bands_block`` at the single time t."""
-    diag, bands = reduced_bands_block(chain.bands_block(TimeBlock(t)), w)
-    return diag[0], {k: v[0] for k, v in bands.items()}
+    return reduced_bands_block(chain.bands_block(TimeBlock(t)), w).at(0)
 
 
 def weighted_reduced_matrix(spec: ChainSpec, w: WeightSequence,
                             t: float) -> np.ndarray:
-    """Dense weighted reduced matrix assembled from the tail-sum bands of
+    """Dense weighted reduced matrix assembled from the tail-sum table of
     ``reduced_bands_block``."""
-    diag, bands = weighted_reduced_bands(spec, w, t)
-    n = spec.n
-    m = np.diag(diag)
-    for k, vals in bands.items():
-        idx = np.arange(len(vals))
-        if k > 0:
-            m[idx + k, idx] = vals
-        else:
-            m[idx, idx - k] = vals
-    return m
+    return weighted_reduced_bands(spec, w, t).dense()
 
 
 def similarity_reduced_matrix(spec: ChainSpec, w: WeightSequence,
@@ -205,16 +197,14 @@ def similarity_reduced_matrix(spec: ChainSpec, w: WeightSequence,
     return w.matrix() @ red.matrix @ w.inverse_matrix()
 
 
-def column_stats(diag: np.ndarray,
-                 bands: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(decay rates, l1 column sums) per time from reduced bands with a
-    leading time axis."""
-    offabs = column_sums(bands, diag.shape, absolute=True)
-    return -(diag + offabs), np.abs(diag) + offabs
+def column_stats(table: GeneratorBlock) -> tuple[np.ndarray, np.ndarray]:
+    """(decay rates, l1 column sums) per time of a table."""
+    offabs = table.column_sums(absolute=True)
+    return -(table.diag + offabs), np.abs(table.diag) + offabs
 
 
 def _reduced_stats(spec: ChainSpec, w: WeightSequence, tb: TimeBlock):
-    return column_stats(*reduced_bands_block(spec.bands_block(tb), w))
+    return column_stats(reduced_bands_block(spec.bands_block(tb), w))
 
 
 def log_norm(m: np.ndarray) -> float:
@@ -252,7 +242,7 @@ def _block_profile(spec: ChainSpec,
 def decay_rate_fn(spec: ChainSpec, w: WeightSequence) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized t -> overall decay rate, for quadrature."""
     return _block_profile(spec, lambda g: column_stats(
-        *reduced_bands_block(g, w))[0].min(axis=1))
+        reduced_bands_block(g, w))[0].min(axis=1))
 
 
 def reduced_norm_at(spec: ChainSpec, w: WeightSequence, t: float) -> float:
@@ -296,13 +286,11 @@ class ErgodicityCertificate:
     certified: bool
     amplitude: float
     rate: float
-    period_mean: float
     peak_dev: float
     period: float
     grid: int
     min_weight: float | None = None
     weight_state_ratio: float | None = None
-    weight_column_norm: float | None = None
     reduced_norm_sup: float | None = None
     forcing_norm_sup: float | None = None
 
@@ -335,7 +323,7 @@ def _certificate(approach: str, scale: float,
                                        values=values))
     return ErgodicityCertificate(
         approach=approach, certified=mean > 0.0,
-        amplitude=float(scale * np.exp(peak)), rate=mean, period_mean=mean,
+        amplitude=float(scale * np.exp(peak)), rate=mean,
         peak_dev=peak, period=period, grid=grid, **extra)
 
 
@@ -354,7 +342,7 @@ def weighted_certificate(spec: ChainSpec, w: WeightSequence,
     alphas, b_sup, f_sup = [], 0.0, 0.0
     for tb in time_blocks(doubled_grid(period, grid)):
         g = spec.bands_block(tb)
-        rates, colsums = column_stats(*reduced_bands_block(g, w))
+        rates, colsums = column_stats(reduced_bands_block(g, w))
         alphas.append(rates.min(axis=1))
         b_sup = max(b_sup, float(colsums.max()))
         f_sup = max(f_sup, float(w.weighted_norm(g.forcing()).max()))
@@ -363,7 +351,6 @@ def weighted_certificate(spec: ChainSpec, w: WeightSequence,
         period, grid,
         min_weight=w.min_weight,
         weight_state_ratio=w.state_ratio_min,
-        weight_column_norm=w.column_norm,
         reduced_norm_sup=b_sup,
         forcing_norm_sup=f_sup,
     )

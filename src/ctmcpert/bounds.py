@@ -26,8 +26,7 @@ import numpy as np
 
 from .analysis import (ErgodicityCertificate, WeightSequence, column_stats,
                        reduced_bands_block)
-from .model import (Chain, ChainSpec, GeneratorBlock, band_difference,
-                    column_sums, time_blocks)
+from .model import Chain, ChainSpec, time_blocks
 from .quadrature import ANALYSIS_GRID, doubled_grid
 
 
@@ -152,24 +151,6 @@ class PerturbationGaps:
     grid: int
 
 
-def _overlay_difference(r1: np.ndarray | None, r2: np.ndarray | None):
-    if r1 is None and r2 is None:
-        return None
-    return (r1 if r1 is not None else 0.0) - (r2 if r2 is not None else 0.0)
-
-
-def _generator_norm_gaps(g1: GeneratorBlock, g2: GeneratorBlock) -> np.ndarray:
-    """l1 distance of two generators per time, via their band difference."""
-    diff = band_difference(g1.bands, g2.bands)
-    row0 = _overlay_difference(g1.row0, g2.row0)
-    col0 = _overlay_difference(g1.col0, g2.col0)
-    shape = (g1.times, g1.n + 1)
-    pos = column_sums(diff, shape, row0=row0, col0=col0)
-    absdiff = column_sums(diff, shape, True, row0, col0)
-    # the diagonal difference restores zero column sums of the difference
-    return (absdiff + np.abs(pos)).max(axis=1)
-
-
 def perturbation_gaps(spec: ChainSpec, draws: Sequence[Chain],
                       w: WeightSequence,
                       grid: int = ANALYSIS_GRID) -> PerturbationGaps:
@@ -188,26 +169,24 @@ def perturbation_gaps(spec: ChainSpec, draws: Sequence[Chain],
     structural = all(isinstance(chain, ChainSpec) and chain.kind == spec.kind
                      and chain.catastrophes is None
                      for chain in (spec, *draws))
-    red = 0.0
-    forc = 0.0
-    gen = 0.0
+    red = forc = gen = 0.0
     for tb in time_blocks(doubled_grid(period, grid)):
         g1 = spec.bands_block(tb)
         if structural:
-            d1, bands1 = reduced_bands_block(g1, w)
-            f1 = g1.forcing()
+            r1 = reduced_bands_block(g1, w)
         for chain in draws:
             g2 = chain.bands_block(tb)
-            gen = max(gen, float(_generator_norm_gaps(g1, g2).max()))
+            diff = g1 - g2
+            # l1 distance of the generators: the difference's diagonal is
+            # minus its column sums
+            gen = max(gen, float(column_stats(diff)[1].max()))
             if not structural:
                 continue
-            d2, bands2 = reduced_bands_block(g2, w)
-            _, colsums = column_stats(d1 - d2, band_difference(bands1, bands2))
+            _, colsums = column_stats(r1 - reduced_bands_block(g2, w))
             red = max(red, float(colsums.max()))
-            forc = max(forc, float(w.weighted_norm(f1 - g2.forcing()).max()))
+            forc = max(forc, float(w.weighted_norm(diff.forcing()).max()))
     if not structural:
-        red = math.nan
-        forc = math.nan
+        red = forc = math.nan
     return PerturbationGaps(reduced=red, forcing=forc, generator=gen, grid=grid)
 
 

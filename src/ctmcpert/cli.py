@@ -22,8 +22,10 @@ Subcommands:
 
 Exit codes: 0 success, 2 scenario parse error or bad option (``--grid``
 not a positive even integer, ``--seed`` negative, ``--step`` not a
-positive finite number, or a scenario number out of range), 3 validation
-error, 4 no feasible bound, 5 empirical violation of a reported bound.
+positive finite number, a scenario number out of range, or an
+``[outputs]`` value other than true/false, yes/no, on/off or 1/0), 3
+validation error, 4 no feasible bound, 5 empirical violation of a reported
+bound.
 
 Reports are printed as human-readable text and written as a flat
 machine-readable ``key = value`` document with dot-namespaced keys.
@@ -81,7 +83,7 @@ _CHAIN_KEYS = {
 _CHAIN_PATTERNS = (re.compile(r"arrival_\d+$"), re.compile(r"service_\d+$"))
 _WEIGHT_KEYS = {"kind", "delta", "values"}
 _PERT_KEYS = {"mode", "epsilon", "draws", "seed"} | _CHAIN_KEYS
-_SOLVE_KEYS = {"t_end", "step", "stride", "tolerance", "horizon", "initial"}
+_SOLVE_KEYS = {"t_end", "step", "stride", "tolerance", "horizon"}
 _OUTPUT_KEYS = {"transient_means", "limit_states", "limit_mean", "distance"}
 
 
@@ -259,8 +261,17 @@ def _decode_epsilon(scn: Scenario) -> float:
                           "a finite nonnegative number", 0.0)
 
 
-def _decode_bool(raw: str | None) -> bool:
-    return raw is not None and raw.strip().lower() in ("1", "true", "yes", "on")
+_TRUE, _FALSE = ("true", "yes", "on", "1"), ("false", "no", "off", "0")
+
+
+def _decode_bool(scn: Scenario, section: str, key: str) -> bool:
+    """A yes/no word in any case; false when the key is absent."""
+    raw = scn.get(section, key, "false")
+    word = raw.strip().lower()
+    if word not in _TRUE + _FALSE:
+        raise ScenarioError(f"expected one of {'/'.join(_TRUE + _FALSE)}, "
+                            f"got {raw!r}", section, key)
+    return word in _TRUE
 
 
 # chain construction ---------------------------------------------------------
@@ -458,7 +469,7 @@ def _cert_entries(rep: Report, prefix: str,
     rep.put(f"{prefix}.certified", cert.certified)
     rep.put(f"{prefix}.amplitude", cert.amplitude)
     rep.put(f"{prefix}.rate", cert.rate)
-    rep.put(f"{prefix}.period_mean", cert.period_mean)
+    rep.put(f"{prefix}.period_mean", cert.rate)
     rep.put(f"{prefix}.peak_dev", cert.peak_dev)
     rep.put(f"{prefix}.grid", cert.grid)
     rep.put(f"{prefix}.sup_kind", "grid-certificate")
@@ -500,6 +511,7 @@ def run_pipeline(scn: Scenario, out_dir: Path, stage: str,
     ``stage`` in {"analyze", "bounds", "run", "compare"}."""
     solve = {key: _decode_positive(scn, "solve", key)
              for key in ("t_end", "step", "stride", "tolerance", "horizon")}
+    outputs = {key: _decode_bool(scn, "outputs", key) for key in _OUTPUT_KEYS}
     rep = Report()
     rep.put("scenario.name", scn.name)
     spec = build_chain(scn)
@@ -553,15 +565,15 @@ def run_pipeline(scn: Scenario, out_dir: Path, stage: str,
 
     if stage == "run" and scn.has("solve"):
         _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
-                     result, out_dir, step, solve)
+                     result, out_dir, step, solve, outputs)
     return result
 
 
 def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
-                 result, out_dir, step_override, solve):
+                 result, out_dir, step_override, solve, outputs):
     """Integrate the extreme states and every perturbed draw, and search
     the limiting regime, in one march; ``solve`` holds the decoded [solve]
-    keys, None where absent."""
+    keys, None where absent, and ``outputs`` the [outputs] flags."""
     period = spec.period if spec.period is not None else 1.0
     t_end = solve["t_end"] or 10 * period
     step = step_override if step_override is not None else solve["step"]
@@ -570,7 +582,6 @@ def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
     horizon = solve["horizon"] or t_end
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = scn.name
-    outputs = scn.sections.get("outputs", {})
 
     # draws are compared only against a bound
     draws = perturbed if bound_report is not None else []
@@ -594,7 +605,7 @@ def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
         decay_ok = bool(np.all(dists[boundary]
                                <= envelope * (1 + VERDICT_SLACK)))
         rep.put("empirical.decay_within_envelope", decay_ok)
-    if _decode_bool(outputs.get("transient_means")):
+    if outputs["transient_means"]:
         for col, tag in ((0, "x0"), (1, "xtop")):
             path = out_dir / f"{stem}_mean_{tag}.csv"
             solver.write_mean_csv(traj, path, column=col)
@@ -605,11 +616,11 @@ def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
         rep.put("regime.transient_horizon", regime.transient_horizon)
         rep.put("regime.phi_min", float(regime.phi_values.min()))
         rep.put("regime.phi_max", float(regime.phi_values.max()))
-        if _decode_bool(outputs.get("limit_states")):
+        if outputs["limit_states"]:
             path = out_dir / f"{stem}_limit_x0.csv"
             solver.write_states_csv(regime.limit, path, column=0)
             result.artifacts.append(path)
-        if _decode_bool(outputs.get("limit_mean")):
+        if outputs["limit_mean"]:
             path = out_dir / f"{stem}_limit_mean.csv"
             solver.write_mean_csv(regime.limit, path, column=0)
             result.artifacts.append(path)
@@ -623,7 +634,7 @@ def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
         for i, (label, _) in enumerate(draws):
             curve = solver.distance_curve(traj, 2 + i, t_end, period)
             worst_sup = max(worst_sup, curve.final_sup)
-            if _decode_bool(outputs.get("distance")):
+            if outputs["distance"]:
                 path = out_dir / f"{stem}_distance_{label}.csv"
                 with open(path, "w") as fh:
                     fh.write("t,dist\n")

@@ -17,14 +17,17 @@ would leave the truncated range are dropped and the diagonal recomputed,
 so every slice of the transposed intensity matrix A(t) is a conservative
 generator (columns sum to zero, off-diagonal entries nonnegative).
 
-Generators are stored band-wise: the matrix entry A[j+k, j] (an upward
-jump of size k) or A[i, i+k] (a downward jump) lives on the band with
-offset +k or -k.  Catastrophes add a dense row 0 on top of the bands and
-the mass-arrival perturbation adds a dense column 0.  Slices are built for
-a block of times at once (``bands_block``), with a leading time axis on
-every array; ``bands_at`` is the block of one time.  ``stack_blocks``
-puts the blocks of several chains side by side on a trailing generator
-axis, so that the stepper advances them together.
+Generators are stored as offset tables, the "offsets + data" layout of
+``scipy.sparse.dia_array`` aligned by column: the slices at a block of
+times are one array ``data`` of shape (T, K, n+1) with
+``data[:, i, j] = A[j + offsets[i], j]``, so a jump of size k up or down
+from state j sits in column j of the row with offset +k or -k.
+Catastrophes add a dense row 0 and the mass-arrival perturbation a dense
+column 0.  ``bands_block`` builds the table of a block of times and
+``bands_at`` the slice at one time.  Tables of several chains are put on
+one offset order, a row a chain lacks being zero, to be subtracted or to
+be stacked on a trailing generator axis (``stack_blocks``) so that the
+stepper advances them together.
 """
 
 from __future__ import annotations
@@ -113,11 +116,12 @@ def rate_family(shared: RateFunction | None = None,
 # ---------------------------------------------------------------------------
 # time blocks
 
-#: time nodes per block of the vectorised formulas.  A block holds one
-#: (T, n+1) array per band, so this bounds their memory: at n = 300 the
-#: peak resident set of a certificate sweep rose by 13 % with 128-node
-#: blocks and that of a loss-queue run by 21 % with 256-node blocks, while
-#: 64-node blocks kept both within 0.3 % of per-node slices.
+#: time nodes per block of the vectorised formulas.  A block is one
+#: (T, K, n+1) table for K offsets, so this bounds its memory.  Measured at
+#: n = 300 with one (T, n+1) array per band, the peak resident set of a
+#: certificate sweep rose by 13 % with 128-node blocks and that of a
+#: loss-queue run by 21 % with 256-node blocks, while 64-node blocks kept
+#: both within 0.3 % of per-node slices.
 NODE_BLOCK = 64
 
 
@@ -157,89 +161,112 @@ def time_blocks(ts: np.ndarray):
 
 @dataclass
 class GeneratorBands:
-    """One time slice of A(t) in band form.
-
-    ``bands[k]`` holds the entries with row - column = k (length
-    n+1-|k|); ``row0``/``col0`` are optional dense overlays for the top
-    row and the first column (index 0 entries unused); ``diag`` restores
-    zero column sums.  A slice of several generators (``stack_blocks``)
-    carries a trailing axis on every array, one entry per state column.
-    """
+    """One time slice of A(t), the view ``GeneratorBlock.at(i)``:
+    ``data[i, j] = A[j + offsets[i], j]`` with ``data`` of shape (K, n+1),
+    and ``diag`` and ``row0`` of shape (n+1,).  A slice of several
+    generators (``stack_blocks``) carries a trailing axis on every array,
+    one entry per state column."""
 
     n: int
+    offsets: tuple[int, ...]
+    data: np.ndarray
     diag: np.ndarray
-    bands: dict[int, np.ndarray]
     row0: np.ndarray | None = None
     col0: np.ndarray | None = None
 
     def matvec(self, p: np.ndarray) -> np.ndarray:
         """A @ p; each column of ``p`` only meets its own entries, so a
         column's result does not depend on the other columns."""
-        def col(v):
-            return v if v.ndim == p.ndim else v[:, None]
-
-        out = col(self.diag) * p
-        for k, vals in self.bands.items():
+        # a lone slice meets a block of columns through a broadcast axis
+        lift = (...,) if self.diag.ndim == p.ndim else (..., None)
+        out = self.diag[lift] * p
+        prods = self.data[lift] * p
+        for i, k in enumerate(self.offsets):
+            # data[i, j] * p[j] lands on row j + k
             if k > 0:
-                out[k:] += col(vals) * p[:-k]
+                out[k:] += prods[i, :-k]
             else:
-                out[:k] += col(vals) * p[-k:]
+                out[:k] += prods[i, -k:]
         if self.row0 is not None:
             # a running sum adds in row order whatever the column count,
             # which a BLAS product does not
-            out[0] += np.add.accumulate(col(self.row0)[1:] * p[1:],
+            out[0] += np.add.accumulate(self.row0[lift][1:] * p[1:],
                                         axis=0)[-1]
         if self.col0 is not None:
-            out += col(self.col0) * p[0]
+            out += self.col0[lift] * p[0]
         return out
 
     def dense(self) -> np.ndarray:
         m = np.zeros((self.n + 1, self.n + 1))
-        for k, vals in self.bands.items():
-            idx = np.arange(len(vals))
-            if k > 0:
-                m[idx + k, idx] += vals
-            else:
-                m[idx, idx - k] += vals
+        cols = np.arange(self.n + 1)
+        for k, vals in zip(self.offsets, self.data):
+            on = (cols + k >= 0) & (cols + k <= self.n)
+            m[cols[on] + k, cols[on]] += vals[on]
         if self.row0 is not None:
             m[0, 1:] += self.row0[1:]
         if self.col0 is not None:
             m[1:, 0] += self.col0[1:]
-        m[np.arange(self.n + 1), np.arange(self.n + 1)] = self.diag
+        m[cols, cols] = self.diag
         return m
 
 
 @dataclass
 class GeneratorBlock:
-    """The slices of A(t) at a block of ``times`` times, in the layout of
-    ``GeneratorBands`` with a leading time axis on ``diag``, every band and
-    ``row0``; ``col0`` is time-invariant."""
+    """The slices of A(t) at a block of times as one table.
+
+    ``data`` has shape (T, K, n+1) and is aligned by column:
+    ``data[:, i, j] = A[j + offsets[i], j]``, zero where that row lies
+    outside 0..n.  A chain's offsets come in fill order (see
+    ``ChainSpec._offdiag``).  ``row0`` (T, n+1) and the time-invariant
+    ``col0`` (n+1,) are optional dense overlays for the top row and the
+    first column (index 0 entries unused).  The diagonal is minus the
+    off-diagonal column sums, computed on first read (the certificate and
+    gap grids never read it), unless ``fixed_diag`` gives it: the weighted
+    reduced matrix of ``analysis.reduced_bands_block`` uses this layout on
+    states 0..n-1 with its own diagonal, and a stack of several chains
+    keeps each chain's own diagonal (the column 0 sum of a stacked
+    ``col0`` would run over every chain's entries).
+    """
 
     n: int
-    times: int
-    bands: dict[int, np.ndarray]
+    offsets: tuple[int, ...]
+    data: np.ndarray
     row0: np.ndarray | None = None
     col0: np.ndarray | None = None
+    fixed_diag: np.ndarray | None = None
+
+    @property
+    def times(self) -> int:
+        return len(self.data)
 
     @cached_property
     def diag(self) -> np.ndarray:
-        """Minus the off-diagonal column sums, computed on first use: the
-        certificate and gap grids never read it."""
-        return -column_sums(self.bands, (self.times, self.n + 1),
-                            row0=self.row0, col0=self.col0)
+        if self.fixed_diag is not None:
+            return self.fixed_diag
+        return -self.column_sums()
+
+    def column_sums(self, absolute: bool = False) -> np.ndarray:
+        """Per-column sums of the off-diagonal entries (or of their absolute
+        values) per time.  The sum over the offset axis of a C-ordered
+        table adds its rows in table order."""
+        mag = np.abs if absolute else (lambda v: v)
+        s = mag(self.data).sum(axis=1)
+        if self.row0 is not None:
+            s[:, 1:] += mag(self.row0[:, 1:])
+        if self.col0 is not None:
+            s[:, 0] += mag(self.col0[1:]).sum()
+        return s
 
     def at(self, i: int) -> GeneratorBands:
-        return GeneratorBands(self.n, self.diag[i],
-                              {k: v[i] for k, v in self.bands.items()},
+        return GeneratorBands(self.n, self.offsets, self.data[i], self.diag[i],
                               None if self.row0 is None else self.row0[i],
                               self.col0)
 
     def forcing(self) -> np.ndarray:
         """Column 0 without its diagonal entry, (A[1,0], ..., A[n,0]) per time."""
+        up = [i for i, k in enumerate(self.offsets) if k > 0]
         f = np.zeros((self.times, self.n))
-        for k, vals in self.bands.items():
-            if k > 0:
-                f[:, k - 1] += vals[:, 0]
+        f[:, [self.offsets[i] - 1 for i in up]] = self.data[:, up, 0]
         if self.col0 is not None:
             f += self.col0[1:]
         return f
@@ -247,84 +274,79 @@ class GeneratorBlock:
     def direct_to_zero(self) -> np.ndarray:
         """Row 0 without its diagonal entry: the intensities A[0, k] of
         jumping straight to the empty state, k = 1..n, per time."""
+        down = [i for i, k in enumerate(self.offsets) if k < 0]
+        ks = [-self.offsets[i] for i in down]
         out = np.zeros((self.times, self.n))
-        for k, vals in self.bands.items():
-            if k < 0:
-                out[:, -k - 1] += vals[:, 0]
+        out[:, [k - 1 for k in ks]] = self.data[:, down, ks]
         if self.row0 is not None:
             out += self.row0[:, 1:]
         return out
 
-
-def column_sums(bands: Mapping[int, np.ndarray], shape: tuple[int, int],
-                absolute: bool = False, row0: np.ndarray | None = None,
-                col0: np.ndarray | None = None) -> np.ndarray:
-    """Per-column sums of the off-diagonal entries (or of their absolute
-    values) of banded matrices with a leading time axis, ``shape`` being
-    (times, columns); overlays as in ``GeneratorBlock``.  Bands are added
-    in the mapping's order."""
-    s = np.zeros(shape)
-    mag = np.abs if absolute else (lambda v: v)
-    for k, vals in bands.items():
-        if k > 0:
-            s[:, :vals.shape[1]] += mag(vals)
-        else:
-            s[:, -vals.shape[1]:] += mag(vals)
-    if row0 is not None:
-        s[:, 1:] += mag(row0[:, 1:])
-    if col0 is not None:
-        s[:, 0] += mag(col0[1:]).sum()
-    return s
+    def __sub__(self, other: "GeneratorBlock") -> "GeneratorBlock":
+        """The difference of two tables on the same states and times; its
+        diagonal is the difference of fixed diagonals, or else again minus
+        its column sums."""
+        offsets, (d1, d2), (r1, r2), (c1, c2) = _align([self, other])
+        fixed = None if self.fixed_diag is None \
+            else self.fixed_diag - other.fixed_diag
+        return GeneratorBlock(self.n, offsets, d1 - d2,
+                              None if r1 is None else r1 - r2,
+                              None if c1 is None else c1 - c2, fixed)
 
 
-def band_difference(b1: Mapping[int, np.ndarray],
-                    b2: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """b1 - b2 band by band; a band missing on one side counts as zero."""
-    out = {}
-    for k in set(b1) | set(b2):
-        v1 = b1.get(k)
-        v2 = b2.get(k)
-        out[k] = -v2 if v1 is None else v1 if v2 is None else v1 - v2
-    return out
+def _align(blocks: Sequence[GeneratorBlock]):
+    """(offsets, datas, row0s, col0s): the tables of ``blocks`` on one
+    offset order, the first block's with every other offset inserted
+    before the next offset of its own block, so that each block keeps its
+    own order.  A row a block lacks is zero, and so is an overlay that
+    another block has."""
+    merged = list(blocks[0].offsets)
+    for b in blocks[1:]:
+        at = len(merged)
+        for k in reversed(b.offsets):
+            if k in merged:
+                at = merged.index(k)
+            else:
+                merged.insert(at, k)
+    offsets = tuple(merged)
+    datas = []
+    for b in blocks:
+        data = b.data
+        if b.offsets != offsets:
+            data = np.zeros(data.shape[:1] + (len(offsets),) + data.shape[2:])
+            data[:, [offsets.index(k) for k in b.offsets]] = b.data
+        datas.append(data)
+
+    def filled(arrays):
+        ref = next((a for a in arrays if a is not None), None)
+        return [np.zeros_like(ref) if a is None and ref is not None else a
+                for a in arrays]
+
+    return (offsets, datas, filled([b.row0 for b in blocks]),
+            filled([b.col0 for b in blocks]))
 
 
 def stack_blocks(blocks: Sequence[GeneratorBlock],
                  widths: Sequence[int]) -> GeneratorBlock:
     """Blocks of chains on the same states and times, stacked along a
     trailing generator axis with ``widths[i]`` entries for ``blocks[i]``:
-    one per state column that chain advances.  A band or overlay a chain
-    lacks is zero in its entries.  A lone block gets a broadcast axis of
-    length 1 instead, whatever its width."""
-    first = blocks[0]
-    times, size = first.times, first.n + 1
+    one per state column that chain advances.  A row or overlay a chain
+    lacks is zero in its entries, and each chain keeps its own diagonal.
+    A lone block gets a broadcast axis of length 1 instead, whatever its
+    width."""
+    offsets, datas, row0s, col0s = _align(blocks)
 
-    def stack(arrays, shape):
-        if all(a is None for a in arrays):
+    def stack(arrays):
+        if arrays[0] is None:
             return None
-        if len(blocks) == 1:
+        if len(arrays) == 1:
             return arrays[0][..., None]
         return np.concatenate(
-            [np.broadcast_to((np.zeros(shape) if a is None else a)[..., None],
-                             shape + (w,)) for a, w in zip(arrays, widths)],
-            axis=-1)
+            [np.broadcast_to(a[..., None], a.shape + (w,))
+             for a, w in zip(arrays, widths)], axis=-1)
 
-    # bands keep the first chain's order, which fixes each column's sums
-    keys = dict.fromkeys(k for b in blocks for k in b.bands)
-    bands = {k: stack([b.bands.get(k) for b in blocks],
-                      (times, size - abs(k))) for k in keys}
-    out = GeneratorBlock(first.n, times, bands,
-                         stack([b.row0 for b in blocks], (times, size)),
-                         stack([b.col0 for b in blocks], (size,)))
-    # each chain's own diagonal is stacked: recomputed from the stacked
-    # arrays it would be wrong, since column_sums adds col0[1:].sum() over
-    # the whole stacked col0, every column's entries at once
-    out.diag = stack([b.diag for b in blocks], (times, size))
-    return out
-
-
-def _batch_band(fam: RateFamily, tb: TimeBlock, length: int) -> np.ndarray:
-    """A group rate along its band: it is the same from every state."""
-    return np.broadcast_to(fam.block(tb)[:, :1], (len(tb), length))
+    return GeneratorBlock(blocks[0].n, offsets, stack(datas), stack(row0s),
+                          stack(col0s), stack([b.diag for b in blocks]))
 
 
 # ---------------------------------------------------------------------------
@@ -362,30 +384,33 @@ class ChainSpec:
     def size(self) -> int:
         return self.n + 1
 
-    def _offdiag(self, tb: TimeBlock) -> tuple[dict[int, np.ndarray],
-                                               np.ndarray | None]:
-        """Off-diagonal bands and the catastrophe row overlay at a block
-        of times, from whichever rate families are set: births +1,
-        arrival batches +k, deaths or services -1, service batches -k,
-        then catastrophes on row 0."""
+    def _offdiag(self, tb: TimeBlock):
+        """(offsets, data, row0): the off-diagonal table of ``GeneratorBlock``
+        and the catastrophe row overlay at a block of times, from whichever
+        rate families are set.  Rows come in fill order: births +1,
+        arrival batches +k ascending, deaths or services -1, service
+        batches -k ascending."""
         n = self.n
-        bands, row0 = {}, None
-        if self.births is not None:
-            bands[1] = self.births.block(tb)
-        for k, fam in self.arrival_batches.items():
-            bands[k] = _batch_band(fam, tb, n + 1 - k)
-        for fam in (self.deaths, self.services):
-            if fam is not None:
-                bands[-1] = fam.block(tb)
-        for k, fam in self.service_batches.items():
-            bands[-k] = _batch_band(fam, tb, n + 1 - k)
+        # (offset, family, values taken: one per source state, or the first
+        # for a batch rate, which is the same from every state)
+        rows = [(1, self.births, n)]
+        rows += [(k, self.arrival_batches[k], 1)
+                 for k in sorted(self.arrival_batches)]
+        rows += [(-1, self.deaths, n), (-1, self.services, n)]
+        rows += [(-k, self.service_batches[k], 1)
+                 for k in sorted(self.service_batches)]
+        rows = [row for row in rows if row[1] is not None]
+        data = np.zeros((len(tb), len(rows), n + 1))
+        for i, (k, fam, taken) in enumerate(rows):
+            data[:, i, max(-k, 0):n + 1 - max(k, 0)] = fam.block(tb)[:, :taken]
+        row0 = None
         if self.catastrophes is not None:
             row0 = np.zeros((len(tb), n + 1))
             row0[:, 1:] = self.catastrophes.block(tb)
-        return bands, row0
+        return tuple(k for k, _, _ in rows), data, row0
 
     def bands_block(self, tb: TimeBlock) -> GeneratorBlock:
-        return GeneratorBlock(self.n, len(tb), *self._offdiag(tb))
+        return GeneratorBlock(self.n, *self._offdiag(tb))
 
     def bands_at(self, t: float) -> GeneratorBands:
         return self.bands_block(TimeBlock(t)).at(0)
@@ -412,8 +437,7 @@ class ChainSpec:
         return [(slot, fam) for _, _, slot, fam in self._slots()]
 
     def _replace_slots(self, new: Mapping[str, RateFamily]) -> "ChainSpec":
-        """The chain with every family replaced by ``new[slot]``; batch
-        sizes keep their order, which fixes the order of band sums."""
+        """The chain with every family replaced by ``new[slot]``."""
         kw = {}
         for name, k, slot, _ in self._slots():
             if k is None:
@@ -477,8 +501,7 @@ class MassArrivalChain:
         return self.base.time_invariant
 
     def bands_block(self, tb: TimeBlock) -> GeneratorBlock:
-        return GeneratorBlock(self.n, len(tb), *self.base._offdiag(tb),
-                              self._col0)
+        return GeneratorBlock(self.n, *self.base._offdiag(tb), self._col0)
 
     def bands_at(self, t: float) -> GeneratorBands:
         return self.bands_block(TimeBlock(t)).at(0)

@@ -145,8 +145,7 @@ def _columns(g: GeneratorBands, idx: np.ndarray) -> GeneratorBands:
     """The slice restricted to the state columns ``idx``."""
     def take(v):
         return None if v is None else v[..., idx]
-    return GeneratorBands(g.n, take(g.diag),
-                          {k: take(v) for k, v in g.bands.items()},
+    return GeneratorBands(g.n, g.offsets, take(g.data), take(g.diag),
                           take(g.row0), take(g.col0))
 
 

@@ -101,7 +101,8 @@ def test_transcription_against_similarity():
             oracle = similarity_reduced_matrix(spec, w, t)
             assert np.abs(direct - oracle).max() < 1e-10
     # a block of nodes, one dense transform per node; the tail sums keep
-    # the reduced bands within the generator's own band range [-q, p]
+    # the reduced table within the generator's own offset range [-q, p];
+    # table entry [t, i, j] sits at (j + offsets[i], j)
     for kind in ("birth-death", "batch-arrival", "batch-service", "batch"):
         for _ in range(10):
             n = int(rng.integers(3, 16))
@@ -109,12 +110,13 @@ def test_transcription_against_similarity():
             w = random_weights(rng, n)
             ts = rng.uniform(0, 2, 5)
             g = spec.bands_block(TimeBlock(ts))
-            diag, bands = reduced_bands_block(g, w)
-            assert all(min(g.bands) <= k <= max(g.bands) for k in bands)
+            red = reduced_bands_block(g, w)
+            assert all(min(g.offsets) <= k <= max(g.offsets)
+                       for k in red.offsets)
             for i, t in enumerate(ts):
-                direct = np.diag(diag[i])
-                for k, vals in bands.items():
-                    direct += np.diag(vals[i], -k)
+                direct = np.diag(red.diag[i])
+                for k, vals in zip(red.offsets, red.data[i]):
+                    direct += np.diag(vals[:n - k] if k > 0 else vals[-k:], -k)
                 oracle = similarity_reduced_matrix(spec, w, float(t))
                 assert np.abs(direct - oracle).max() < 1e-10
 
@@ -129,14 +131,17 @@ def test_birth_death_reduction_is_exact():
         w = random_weights(rng, n)
         d = w.values
         ts = rng.uniform(0, 2, 4)
-        diag, bands = reduced_bands_block(spec.bands_block(TimeBlock(ts)), w)
-        assert sorted(bands) == [-1, 1]
+        red = reduced_bands_block(spec.bands_block(TimeBlock(ts)), w)
+        assert sorted(red.offsets) == [-1, 1]
+        lower = red.data[:, red.offsets.index(1)]
+        upper = red.data[:, red.offsets.index(-1)]
         for i, t in enumerate(ts):
             lam = family_at(spec.births, float(t))
             mu = family_at(spec.deaths, float(t))
-            assert np.array_equal(diag[i], -(lam + mu))
-            assert np.array_equal(bands[1][i], (d[1:] / d[:-1]) * lam[1:])
-            assert np.array_equal(bands[-1][i], (d[:-1] / d[1:]) * mu[:-1])
+            assert np.array_equal(red.diag[i], -(lam + mu))
+            assert np.array_equal(lower[i][:-1], (d[1:] / d[:-1]) * lam[1:])
+            assert np.array_equal(upper[i][1:], (d[:-1] / d[1:]) * mu[:-1])
+            assert lower[i][-1] == upper[i][0] == 0.0
 
 
 def test_weight_length_must_match_chain():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ctmcpert import (InfeasibleBoundError, Perturbation, RateFunction,
-                      WeightSequence, birth_death_chain, build_report,
-                      catastrophe_chain, critical_reduced_gap, generator_at,
+                      WeightSequence, batch_chain, birth_death_chain,
+                      build_report, catastrophe_chain, critical_reduced_gap,
+                      generator_at,
                       perturb, perturbation_gaps, similarity_reduced_matrix,
                       to_total_variation,
                       uniform_bound_at, uniform_from_weighted,
@@ -21,10 +22,10 @@ def make_cert(approach, amplitude, rate, forcing_sup=None, min_weight=1.0,
               ratio=1.0):
     return ErgodicityCertificate(
         approach=approach, certified=True, amplitude=amplitude, rate=rate,
-        period_mean=rate, peak_dev=math.log(amplitude) if approach == "weighted"
-        else 0.0, period=1.0, grid=4096, min_weight=min_weight,
-        weight_state_ratio=ratio, weight_column_norm=None,
-        reduced_norm_sup=None, forcing_norm_sup=forcing_sup)
+        peak_dev=math.log(amplitude) if approach == "weighted" else 0.0,
+        period=1.0, grid=4096, min_weight=min_weight,
+        weight_state_ratio=ratio, reduced_norm_sup=None,
+        forcing_norm_sup=forcing_sup)
 
 
 def test_uniform_limsup_values():
@@ -189,6 +190,15 @@ def test_gaps_against_dense_matrices():
                 "rate-offsets", eps=0.05, seed=int(rng.integers(1 << 30))))
                 for _ in range(count)]
             cases.append((spec, draws, random_weights(rng, n), True))
+    # an explicit perturbation may add batch sizes the base lacks: an
+    # arrival size between two of the base's and a larger service size
+    arrivals = {1: rich_rate(rng), 3: rich_rate(rng)}
+    services = {1: rich_rate(rng), 2: rich_rate(rng)}
+    spec = batch_chain(arrivals, services, 12, validation_grid=32)
+    extra = batch_chain({**arrivals, 2: rich_rate(rng)},
+                        {**services, 3: rich_rate(rng)}, 12,
+                        validation_grid=32)
+    cases.append((spec, [extra], random_weights(rng, 11), True))
     cat = catastrophe_chain(random_chain(rng, "birth-death", 8, rate=rich_rate),
                             rich_rate(rng))
     for mode in ("rate-offsets", "multiplicative", "mass-arrival"):

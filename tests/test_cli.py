@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,6 +390,20 @@ def test_main_exit_codes(small_scn, tmp_path, capsys):
         path.write_text(chain + f"[solve]\n{key} = {value}\n")
         assert main(["--out", out, "run", str(path)]) == EXIT_PARSE
         assert f"[solve] key '{key}'" in capsys.readouterr().err
+    # ``initial`` is no [solve] key: a run always starts from the extreme
+    # states
+    path = tmp_path / "initial.scn"
+    path.write_text(chain.replace("states = 4", "states = 6")
+                    + "[solve]\nt_end = 1\ninitial = 5\n")
+    assert main(["--out", out, "run", str(path)]) == EXIT_PARSE
+    assert "unknown key in [solve] key 'initial'" in capsys.readouterr().err
+    # an [outputs] value must be a yes/no word
+    for command in ("analyze", "run"):
+        path = tmp_path / "outputs.scn"
+        path.write_text(chain + "[solve]\nt_end = 1\n"
+                        "[outputs]\ntransient_means = ture\n")
+        assert main(["--out", out, command, str(path)]) == EXIT_PARSE
+        assert "[outputs] key 'transient_means'" in capsys.readouterr().err
     # a period must be positive and finite, in [chain] and in the
     # explicit perturbation's chain definition, whichever command reads it
     explicit = "[perturbation]\nmode = explicit\nepsilon = 0.01\n"
@@ -433,6 +448,25 @@ def test_main_exit_codes(small_scn, tmp_path, capsys):
         assert main(["--out", out, "--grid", "256", "analyze",
                      str(path)]) == EXIT_VALIDATION
         assert "weights" in capsys.readouterr().err
+
+
+def test_outputs_flags(tmp_path, capsys):
+    # every accepted spelling of true and false, in any case; an absent
+    # key is false
+    chain = ("[chain]\nkind = birth-death\nstates = 4\nperiod = 1\n"
+             "birth = \"1\"\ndeath = \"2\"\n[solve]\nt_end = 1\n"
+             "tolerance = 1e-3\nhorizon = 10\n")
+    for on, off in (("true", "false"), ("Yes", "NO"), ("on", "off"),
+                    ("1", "0")):
+        out = tmp_path / on
+        path = tmp_path / "flags.scn"
+        path.write_text(chain + f"[outputs]\ntransient_means = {on}\n"
+                        f"limit_states = {off}\nlimit_mean = {on}\n")
+        assert main(["--out", str(out), "--grid", "256", "run",
+                     str(path)]) == EXIT_OK
+        capsys.readouterr()
+        assert sorted(p.name for p in out.glob("*.csv")) == [
+            "flags_limit_mean.csv", "flags_mean_x0.csv", "flags_mean_xtop.csv"]
 
 
 def test_truncated_key_has_no_effect(small_scn, tmp_path, capsys):
@@ -592,3 +626,43 @@ def test_reproduce_counterexample(tmp_path, capsys):
     p0s = [float(row.split(",")[1]) for row in table[1:]]
     assert levels == [100, 200, 400]
     assert p0s[0] > p0s[1] > p0s[2]
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _report_values(text: str) -> dict:
+    """report.kv as key -> int, float or text."""
+    out = {}
+    for line in text.splitlines():
+        key, raw = line.split(" = ", 1)
+        for decode in (int, float):
+            try:
+                out[key] = decode(raw)
+                break
+            except ValueError:
+                pass
+        else:
+            out[key] = raw
+    return out
+
+
+@pytest.mark.parametrize("name, command", [
+    ("pinned_birth_death", "run"), ("pinned_batch", "bounds"),
+    ("pinned_catastrophe", "bounds")])
+def test_pinned_reports(name, command, tmp_path, capsys):
+    # reports of three small scenarios against the files they wrote when
+    # pinned: text and integers exactly, floats within 1e-12 relative
+    assert main(["--out", str(tmp_path), "--grid", "256", command,
+                 str(DATA / f"{name}.scn")]) == EXIT_OK
+    capsys.readouterr()
+    got = _report_values((tmp_path / f"{name}.report.kv").read_text())
+    want = _report_values((DATA / f"{name}.report.kv").read_text())
+    assert list(got) == list(want)
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert isinstance(got[key], float), key
+            assert (math.isnan(got[key]) and math.isnan(value)) \
+                or abs(got[key] - value) <= 1e-12 * abs(value), key
+        else:
+            assert got[key] == value, key

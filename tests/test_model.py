@@ -206,6 +206,18 @@ def test_block_bands_equal_scalar_rates():
     for chain in chains:
         block = chain.bands_block(TimeBlock(ts))
         assert block.diag.shape == (len(ts), chain.size)
+        # rows in fill order (up jumps, then down jumps, each by size), and
+        # the diagonal adds them in that order, then the overlays
+        assert list(block.offsets) == sorted(block.offsets,
+                                             key=lambda k: (k < 0, abs(k)))
+        sums = np.zeros((len(ts), chain.size))
+        for i in range(len(block.offsets)):
+            sums += block.data[:, i]
+        if block.row0 is not None:
+            sums[:, 1:] += block.row0[:, 1:]
+        if block.col0 is not None:
+            sums[:, 0] += block.col0[1:].sum()
+        assert np.array_equal(block.diag, -sums)
         for i, t in enumerate(ts):
             a = block.at(i).dense()
             off = a - np.diag(np.diag(a))

@@ -217,16 +217,21 @@ def test_ensemble_integration_matches_separate_runs(pair_queue):
 
 def _draw_cases():
     """(base, draws) pairs covering every generator layout a draw can
-    have: plain bands, batch bands, a col0 and a row0 overlay."""
+    have: plain bands, batch bands, batch sizes the base lacks, a col0 and
+    a row0 overlay."""
     periodic = parse_rate("1+0.8*sin(2*pi*t)", period=1.0)
     deaths = rate_family(shared=RateFunction.constant(2.0),
                          multipliers=np.minimum(np.arange(1, 12), 3))
     bd = birth_death_chain(periodic, deaths, size=12, validation_grid=64)
-    batch = batch_chain({1: periodic, 3: parse_rate("0.5+0.4*cos(2*pi*t)",
-                                                    period=1.0)},
-                        {1: RateFunction.constant(2.5),
-                         2: RateFunction.constant(1.0)},
-                        size=12, validation_grid=64)
+    arrivals = {1: periodic, 3: parse_rate("0.5+0.4*cos(2*pi*t)", period=1.0)}
+    services = {1: RateFunction.constant(2.5), 2: RateFunction.constant(1.0)}
+    batch = batch_chain(arrivals, services, size=12, validation_grid=64)
+    # what an explicit perturbation that adds arrival_2 and service_3 builds:
+    # one offset between two of the base's and one after them
+    extra = batch_chain(
+        {**arrivals, 2: parse_rate("0.2*(1+sin(2*pi*t))", period=1.0)},
+        {**services, 3: RateFunction.constant(0.4)}, size=12,
+        validation_grid=64)
     cat = catastrophe_chain(bd, parse_rate("0.3*(1+sin(2*pi*t))", period=1.0))
 
     def offsets(chain, seed):
@@ -236,7 +241,7 @@ def _draw_cases():
         (bd, [offsets(bd, 1), perturb(bd, Perturbation("multiplicative",
                                                        eps=0.3)),
               perturb(bd, Perturbation("mass-arrival", eps=0.5))]),
-        (batch, [offsets(batch, 2)]),
+        (batch, [offsets(batch, 2), extra]),
         (cat, [offsets(cat, 3)]),
     ]
 

@@ -20,10 +20,12 @@ Subcommands:
   frequencies), ``2`` (pair-arrival queue), ``counterexample``
   (mass-arrival truncation probe).
 
-Exit codes: 0 success, 2 scenario parse error or bad option (``--grid``
-not a positive even integer, ``--seed`` negative, ``--step`` not a
-positive finite number, a scenario number out of range, or an
-``[outputs]`` value other than true/false, yes/no, on/off or 1/0), 3
+Exit codes: 0 success, 2 scenario parse error or bad option (a scenario
+file that cannot be read as UTF-8 text, a rate or multiplier key the
+chain kind does not read, ``--grid`` not a positive even integer,
+``--seed`` negative, ``--step`` not a positive finite number, a scenario
+number out of range, or an ``[outputs]`` value other than true/false,
+yes/no, on/off or 1/0), 3
 validation error, 4 no feasible bound, 5 empirical violation of a reported
 bound.
 
@@ -75,10 +77,11 @@ class ScenarioError(ValueError):
 
 _SECTIONS = ("chain", "weights", "perturbation", "solve", "outputs")
 
-_CHAIN_KEYS = {
-    "kind", "states", "period", "truncated", "bound",
+#: the [chain] keys that are not rates or rate multipliers
+_SHAPE_KEYS = {"kind", "states", "period", "truncated", "bound", "base_kind"}
+_CHAIN_KEYS = _SHAPE_KEYS | {
     "birth", "birth_mult", "death", "death_mult",
-    "service", "service_mult", "catastrophe", "catastrophe_mult", "base_kind",
+    "service", "service_mult", "catastrophe", "catastrophe_mult",
 }
 _CHAIN_PATTERNS = (re.compile(r"arrival_\d+$"), re.compile(r"service_\d+$"))
 _WEIGHT_KEYS = {"kind", "delta", "values"}
@@ -164,7 +167,12 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    return parse_scenario_text(path.read_text(), name=path.stem)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario file {str(path)!r}: "
+                            f"{getattr(exc, 'strerror', None) or exc}")
+    return parse_scenario_text(text, name=path.stem)
 
 
 # value decoding -------------------------------------------------------------
@@ -286,27 +294,20 @@ def _family(cfg: dict[str, str], rate_key: str, indices: np.ndarray,
     return model.rate_family(shared=shared, multipliers=mults)
 
 
-def _batches(cfg: dict[str, str], prefix: str, period: float | None,
-             section: str) -> dict[int, RateFunction]:
-    out = {}
-    for key, value in cfg.items():
-        m = re.match(rf"{prefix}_(\d+)$", key)
-        if m:
-            out[int(m.group(1))] = _decode_rate(value, period, section, key)
-    return out
-
-
 def build_chain(scn: Scenario, section: str = "chain") -> model.ChainSpec:
     """Build the chain described by a scenario section (the perturbation
     section reuses this for explicit replacement rates); ``period`` and
     ``bound`` default to the [chain] values, and ``truncated`` is accepted
-    and ignored."""
+    and ignored.  A rate or multiplier key of the section that the kind
+    does not read is an error."""
     cfg = dict(scn.sections[section])
     if section == "perturbation":
         # explicit mode: the chain definition with replaced rates
-        overrides = {k: v for k, v in cfg.items()
-                     if k not in ("mode", "epsilon", "draws", "seed")}
-        cfg = {**scn.sections["chain"], **overrides}
+        cfg = {k: v for k, v in cfg.items()
+               if k not in ("mode", "epsilon", "draws", "seed")}
+    # the keys of this section; [chain] keys are checked in [chain]
+    own = set(cfg)
+    cfg = {**scn.sections["chain"], **cfg}
     kind = cfg.get("kind")
     if kind is None:
         raise ScenarioError("missing chain kind", section, "kind")
@@ -329,13 +330,19 @@ def build_chain(scn: Scenario, section: str = "chain") -> model.ChainSpec:
     declared = inherited(_decode_finite, "bound")
     kw = dict(declared_bound=declared)
     n = size - 1
+    read = set()
 
     def fam(key: str, first: int) -> model.RateFamily:
         """The family of ``key`` on the n states first, first+1, ..."""
+        read.update((key, key + "_mult"))
         return _family(cfg, key, np.arange(first, first + n), period, section)
 
     def batches(prefix: str) -> dict[int, RateFunction]:
-        return _batches(cfg, prefix, period, section)
+        keys = [key for key in cfg if re.match(rf"{prefix}_\d+$", key)]
+        read.update(keys)
+        return {int(key[len(prefix) + 1:]): _decode_rate(cfg[key], period,
+                                                         section, key)
+                for key in keys}
 
     # model attributes are looked up at call time, so wrappers see the calls
     builders = {
@@ -364,6 +371,10 @@ def build_chain(scn: Scenario, section: str = "chain") -> model.ChainSpec:
             chain = model.catastrophe_chain(chain, cat, declared_bound=declared)
     except ChainValidationError as exc:
         raise ScenarioError(str(exc), section)
+    unread = sorted(own - _SHAPE_KEYS - read)
+    if unread:
+        raise ScenarioError(f"a {kind} chain does not read this rate key",
+                            section, unread[0])
     return chain
 
 
@@ -782,9 +793,6 @@ def main(argv=None) -> int:
             solver.SolverError, ValueError) as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"scenario error: {exc}\n")
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -8,6 +8,11 @@ The expression grammar (whitespace-insensitive)::
             | func "(" expr ("," expr)? ")" | "(" expr ")"
     func   := "sin" | "cos" | "exp" | "min" | "max"
 
+Python's parser reads an expression (``ast.parse``; nothing is ever
+``eval``-ed), and one walker, ``_compile``, both holds the tree to this
+grammar, with numbers as decimal literals, and turns it into an evaluator
+in numpy arithmetic at every node: ``1/0`` is inf, like ``1/(t-t)``.
+
 Rates are immutable once built and are evaluated on numpy arrays of
 times; a single time is a one-element array, so a rate's value at a time
 does not depend on the grid it is computed with.  A rate may declare a
@@ -20,7 +25,11 @@ to infinity.
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
+import re
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -30,7 +39,8 @@ from .quadrature import adaptive_simpson
 
 
 class RateSyntaxError(ValueError):
-    """Raised on malformed rate expressions; carries the byte offset."""
+    """Raised on malformed rate expressions; ``offset`` indexes the
+    expression string."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
@@ -42,218 +52,86 @@ class RateEvalError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# expression AST
+# expression trees
 
-_UNARY_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-_BINARY_FUNCS = {"min": np.minimum, "max": np.maximum}
-
-
-@dataclass(frozen=True)
-class _Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class _Time:
-    pass
+#: the functions of the grammar; a ufunc's ``nin`` is its arity
+_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
+          "min": np.minimum, "max": np.maximum}
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
+_PI = np.float64(np.pi)
+_NUMBER = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+#: ``#`` opens a Python comment, ``\`` continues a line, and characters
+#: outside printable ASCII would make node offsets count bytes
+_FORBIDDEN = re.compile(r"[^ -~]|[#\\]")
 
 
-@dataclass(frozen=True)
-class _Neg:
-    arg: "Node"
+def _parse(source: str) -> ast.expr:
+    """Python's tree of ``source``, its node offsets indexing ``source``."""
+    text = "".join(" " if ch.isspace() else ch for ch in source)
+    body = text.lstrip()
+    if not body:
+        raise RateSyntaxError("empty rate expression", 0)
+    bad = _FORBIDDEN.search(text)
+    if bad:
+        raise RateSyntaxError(f"unexpected character {bad.group()!r}",
+                              bad.start())
+    shift = len(text) - len(body)
+    try:
+        with warnings.catch_warnings():
+            # "1if t else 2" warns of a bad literal: make it the error
+            warnings.simplefilter("error", SyntaxWarning)
+            tree = ast.parse(body, mode="eval").body
+    except SyntaxError as exc:
+        col = (exc.offset or 0) - 1
+        at = shift + col if 0 <= col < len(body) else len(source)
+        raise RateSyntaxError(exc.msg, at) from None
+    if shift:
+        for node in ast.walk(tree):
+            if hasattr(node, "col_offset"):
+                node.col_offset += shift
+                node.end_col_offset += shift
+    return tree
 
 
-@dataclass(frozen=True)
-class _BinOp:
-    op: str
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class _Call:
-    name: str
-    args: tuple
-
-
-Node = _Num | _Time | _Neg | _BinOp | _Call
-
-
-def _compile_node(node: Node) -> Callable:
-    if isinstance(node, _Num):
-        v = node.value
-        return lambda t: v
-    if isinstance(node, _Time):
-        return lambda t: t
-    if isinstance(node, _Neg):
-        f = _compile_node(node.arg)
+def _compile(node: ast.expr, source: str) -> Callable:
+    """The evaluator of a tree from ``_parse(source)``; raises
+    RateSyntaxError at the first node outside the grammar."""
+    at = node.col_offset
+    segment = source[at:node.end_col_offset]
+    if isinstance(node, ast.Constant):
+        if not _NUMBER.fullmatch(segment):  # also 1_000, 0x10, 1j, True
+            raise RateSyntaxError(f"bad numeric literal {segment!r}", at)
+        value = np.float64(segment)
+        return lambda t: value
+    if isinstance(node, ast.Name) and node.id in ("t", "pi"):
+        return (lambda t: t) if node.id == "t" else (lambda t: _PI)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        f = _compile(node.operand, source)
         return lambda t: -f(t)
-    if isinstance(node, _BinOp):
-        lf = _compile_node(node.left)
-        rf = _compile_node(node.right)
-        op = node.op
-        if op == "+":
-            return lambda t: lf(t) + rf(t)
-        if op == "-":
-            return lambda t: lf(t) - rf(t)
-        if op == "*":
-            return lambda t: lf(t) * rf(t)
-        return lambda t: lf(t) / rf(t)
-    fns = [_compile_node(a) for a in node.args]
-    if len(fns) == 1:
-        g = _UNARY_FUNCS[node.name]
-        f0 = fns[0]
-        return lambda t: g(f0(t))
-    g = _BINARY_FUNCS[node.name]
-    f0, f1 = fns
-    return lambda t: g(f0(t), f1(t))
-
-
-def _depends_on_time(node: Node) -> bool:
-    if isinstance(node, _Time):
-        return True
-    if isinstance(node, _Neg):
-        return _depends_on_time(node.arg)
-    if isinstance(node, _BinOp):
-        return _depends_on_time(node.left) or _depends_on_time(node.right)
-    if isinstance(node, _Call):
-        return any(_depends_on_time(a) for a in node.args)
-    return False
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def _print_node(node: Node, parent_prec: int = 0, right_side: bool = False) -> str:
-    if isinstance(node, _Num):
-        return repr(node.value)
-    if isinstance(node, _Time):
-        return "t"
-    if isinstance(node, _Neg):
-        inner = _print_node(node.arg, 3)
-        text = f"-{inner}"
-        return f"({text})" if parent_prec >= 2 else text
-    if isinstance(node, _Call):
-        args = ", ".join(_print_node(a) for a in node.args)
-        return f"{node.name}({args})"
-    prec = _PREC[node.op]
-    left = _print_node(node.left, prec, False)
-    right = _print_node(node.right, prec + (node.op in "-/"), True)
-    text = f"{left} {node.op} {right}"
-    needs = prec < parent_prec or (prec == parent_prec and right_side)
-    return f"({text})" if needs else text
-
-
-# ---------------------------------------------------------------------------
-# tokenizer / recursive-descent parser
-
-_FUNCS = {"sin": 1, "cos": 1, "exp": 1, "min": 2, "max": 2}
-
-
-class _Parser:
-    def __init__(self, source: str):
-        self.src = source
-        self.pos = 0
-
-    def error(self, message: str, offset: int | None = None):
-        raise RateSyntaxError(message, self.pos if offset is None else offset)
-
-    def skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.src[self.pos] if self.pos < len(self.src) else ""
-
-    def take(self, ch: str):
-        if self.peek() != ch:
-            self.error(f"expected '{ch}'")
-        self.pos += 1
-
-    def parse(self) -> Node:
-        node = self.expr()
-        if self.peek():
-            self.error(f"unexpected trailing input {self.src[self.pos]!r}")
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.src[self.pos]
-            self.pos += 1
-            node = _BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.src[self.pos]
-            self.pos += 1
-            node = _BinOp(op, node, self.factor())
-        return node
-
-    def factor(self) -> Node:
-        ch = self.peek()
-        if not ch:
-            self.error("unexpected end of input")
-        if ch == "-":
-            self.pos += 1
-            return _Neg(self.factor())
-        if ch == "(":
-            self.pos += 1
-            node = self.expr()
-            self.take(")")
-            return node
-        if ch.isdigit() or ch == ".":
-            return self.number()
-        if ch.isalpha() or ch == "_":
-            return self.identifier()
-        self.error(f"unexpected character {ch!r}")
-
-    def number(self) -> _Num:
-        start = self.pos
-        src = self.src
-        n = len(src)
-        while self.pos < n and (src[self.pos].isdigit() or src[self.pos] == "."):
-            self.pos += 1
-        if self.pos < n and src[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < n and src[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < n and src[self.pos].isdigit():
-                while self.pos < n and src[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark
-        text = src[start:self.pos]
-        try:
-            return _Num(float(text))
-        except ValueError:
-            self.error(f"bad numeric literal {text!r}", start)
-
-    def identifier(self) -> Node:
-        start = self.pos
-        src = self.src
-        while self.pos < len(src) and (src[self.pos].isalnum() or src[self.pos] == "_"):
-            self.pos += 1
-        name = src[start:self.pos]
-        if name == "t":
-            return _Time()
-        if name == "pi":
-            return _Num(math.pi)
-        if name in _FUNCS:
-            self.take("(")
-            args = [self.expr()]
-            if self.peek() == ",":
-                self.pos += 1
-                args.append(self.expr())
-            self.take(")")
-            if len(args) != _FUNCS[name]:
-                self.error(f"{name} takes {_FUNCS[name]} argument(s)", start)
-            return _Call(name, tuple(args))
-        self.error(f"unknown identifier {name!r}", start)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        g = _BINOPS[type(node.op)]
+        lf, rf = _compile(node.left, source), _compile(node.right, source)
+        return lambda t: g(lf(t), rf(t))
+    # a call names its function first: "(sin)(t)" is no call of the grammar
+    call = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.col_offset == at
+    name = node.func.id if call else getattr(node, "id", None)
+    if name not in (None, "t", "pi") and name not in _FUNCS:
+        raise RateSyntaxError(f"unknown identifier {name!r}", at)
+    if call and name in _FUNCS:
+        g = _FUNCS[name]
+        # Python drops the trailing comma of "sin(t,)"; the grammar has none
+        if node.keywords or len(node.args) != g.nin or "," in source[
+                node.args[-1].end_col_offset:node.end_col_offset]:
+            raise RateSyntaxError(f"{name} takes {g.nin} argument(s)", at)
+        fs = [_compile(arg, source) for arg in node.args]
+        if g.nin == 1:
+            f = fs[0]
+            return lambda t: g(f(t))
+        f0, f1 = fs
+        return lambda t: g(f0(t), f1(t))
+    raise RateSyntaxError(f"unexpected {segment!r}", at)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +146,7 @@ class RateFunction:
     certificate constants and makes tables wrap modulo the period.
     """
 
-    expr: Node | None = None
+    expr: ast.expr | None = None
     table: tuple[tuple[float, float], ...] | None = None
     const: float | None = None
     period: float | None = None
@@ -276,8 +154,9 @@ class RateFunction:
 
     @staticmethod
     def from_expression(source: str, period: float | None = None) -> "RateFunction":
-        node = _parse_source(source)
-        return RateFunction(expr=node, period=period, _fn=_compile_node(node))
+        tree = _parse(source)
+        return RateFunction(expr=tree, period=period,
+                            _fn=_compile(tree, source))
 
     @staticmethod
     def from_table(pairs: Sequence[tuple[float, float]],
@@ -314,7 +193,8 @@ class RateFunction:
             return True
         if self.table is not None:
             return len(self.table) == 1
-        return not _depends_on_time(self.expr)
+        return not any(isinstance(node, ast.Name) and node.id == "t"
+                       for node in ast.walk(self.expr))
 
     def values(self, ts) -> np.ndarray:
         """Unchecked vectorized evaluation; ``ts`` may be scalar or array."""
@@ -344,13 +224,7 @@ class RateFunction:
         if self.table is not None:
             body = ",".join(f"({a!r},{v!r})" for a, v in self.table)
             return f"table: [{body}]"
-        return _print_node(self.expr)
-
-
-def _parse_source(source: str) -> Node:
-    if not source or not source.strip():
-        raise RateSyntaxError("empty rate expression", 0)
-    return _Parser(source).parse()
+        return ast.unparse(self.expr)
 
 
 def parse_rate(source: str, period: float | None = None) -> RateFunction:
@@ -365,7 +239,7 @@ def eval_rate(rate: RateFunction, t: float) -> float:
     with np.errstate(divide="raise", invalid="raise"):
         try:
             value = rate(t)
-        except (FloatingPointError, ZeroDivisionError, OverflowError) as exc:
+        except FloatingPointError as exc:
             raise RateEvalError(f"evaluation failed at t={t}: {exc}") from None
     if not math.isfinite(value):
         raise RateEvalError(f"non-finite rate value {value} at t={t}")

@@ -368,6 +368,39 @@ def test_main_exit_codes(small_scn, tmp_path, capsys):
         assert main(["--out", out, "--grid", "256", "bounds",
                      str(path)]) == EXIT_PARSE
         assert where in capsys.readouterr().err
+    # a rate or multiplier key the chain kind does not read is bad input,
+    # in [chain] and among the explicit perturbation's replacement keys
+    for name, text, where in (
+            ("arrival", chain + "arrival_2 = \"5\"\n",
+             "[chain] key 'arrival_2'"),
+            ("service_mult", chain + "service_mult = k\n",
+             "[chain] key 'service_mult'"),
+            ("catastrophe", chain + "catastrophe = \"3\"\n",
+             "[chain] key 'catastrophe'"),
+            ("birth_mult", "[chain]\nkind = batch-arrival\nstates = 4\n"
+             "period = 1\narrival_1 = \"1\"\nservice = \"2\"\n"
+             "birth_mult = k\n", "[chain] key 'birth_mult'"),
+            ("override", chain + "[perturbation]\nmode = explicit\n"
+             "epsilon = 0.01\narrival_3 = \"7\"\n",
+             "[perturbation] key 'arrival_3'")):
+        path = tmp_path / f"unread_{name}.scn"
+        path.write_text(text)
+        assert main(["--out", out, "--grid", "256", "bounds",
+                     str(path)]) == EXIT_PARSE
+        assert where in capsys.readouterr().err
+    # a constant rate that divides by zero is non-finite, like one that
+    # does so only at some times
+    for rate in ("1/0", "1/(t-t)"):
+        path = tmp_path / "divide.scn"
+        path.write_text(chain.replace('birth = "1"', f'birth = "{rate}"'))
+        assert main(["--out", out, "analyze", str(path)]) == EXIT_PARSE
+        assert "non-finite rate value" in capsys.readouterr().err
+    # a scenario path that is a directory or not UTF-8 text cannot be read
+    latin = tmp_path / "latin.scn"
+    latin.write_bytes(chain.encode() + b"# caf\xe9\n")
+    for path in (tmp_path, latin):
+        assert main(["--out", out, "analyze", str(path)]) == EXIT_PARSE
+        assert "cannot read scenario file" in capsys.readouterr().err
     # a negative seed, in the scenario or as an option, and a grid that is
     # not a positive even integer are bad input
     seed = tmp_path / "seed.scn"

@@ -95,35 +95,46 @@ def test_parse_print_round_trip(source):
 
 def test_parse_print_round_trip_random_trees():
     # canonical printing must preserve precedence and associativity for
-    # arbitrary expression shapes, not just hand-picked ones
+    # arbitrary expression shapes, not just hand-picked ones; the builder
+    # computes each tree's value with numpy as it writes the source, an
+    # oracle independent of the parser
     rng = np.random.default_rng(2024)
+    ts = np.linspace(0.013, 10.0, 251)
+    ops = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+    funcs = {"sin": np.sin, "cos": np.cos, "min": np.minimum,
+             "max": np.maximum}
 
     def build(depth):
         roll = rng.random()
         if depth == 0 or roll < 0.25:
             if rng.random() < 0.4:
-                return "t"
-            return f"{rng.uniform(0.1, 9):.3f}"
+                return "t", ts
+            text = f"{rng.uniform(0.1, 9):.3f}"
+            return text, float(text)
         if roll < 0.75:
-            op = rng.choice(["+", "-", "*", "/"])
-            left = build(depth - 1)
-            right = build(depth - 1)
+            op = rng.choice(list(ops))
+            left, a = build(depth - 1)
+            right, b = build(depth - 1)
             if op == "/":
-                right = f"({right} + 10)"  # keep well away from zero
-            return f"({left} {op} {right})"
+                # keep well away from zero
+                right, b = f"({right} + 10)", np.add(b, 10.0)
+            return f"({left} {op} {right})", ops[op](a, b)
         if roll < 0.85:
-            return f"-({build(depth - 1)})"
-        fn = rng.choice(["sin", "cos", "min", "max"])
+            inner, a = build(depth - 1)
+            return f"-({inner})", np.negative(a)
+        fn = rng.choice(list(funcs))
         if fn in ("sin", "cos"):
-            return f"{fn}({build(depth - 1)})"
-        return f"{fn}({build(depth - 1)}, {build(depth - 1)})"
+            inner, a = build(depth - 1)
+            return f"{fn}({inner})", funcs[fn](a)
+        (left, a), (right, b) = build(depth - 1), build(depth - 1)
+        return f"{fn}({left}, {right})", funcs[fn](a, b)
 
-    ts = np.linspace(0.013, 10.0, 251)
     for _ in range(60):
-        source = build(int(rng.integers(1, 5)))
+        source, expected = build(int(rng.integers(1, 5)))
         first = parse_rate(source)
         second = parse_rate(first.canonical())
         a, b = first.values(ts), second.values(ts)
+        assert np.array_equal(a, np.broadcast_to(expected, ts.shape)), source
         assert np.allclose(a, b, rtol=1e-12, atol=1e-280), \
             (source, first.canonical())
         # canonical form is a fixed point of parse-then-print
@@ -167,6 +178,10 @@ def test_syntax_errors_carry_offsets():
     with pytest.raises(RateSyntaxError) as err:
         parse_rate("2 +* t")
     assert err.value.offset == 3
+    # offsets index the string as given, leading whitespace included
+    with pytest.raises(RateSyntaxError) as err:
+        parse_rate(" \t 1 + foo")
+    assert err.value.offset == 7
     with pytest.raises(RateSyntaxError, match="unknown identifier 'foo'"):
         parse_rate("foo(t)")
     with pytest.raises(RateSyntaxError, match="empty"):
@@ -177,11 +192,25 @@ def test_syntax_errors_carry_offsets():
         parse_rate("(1 + t")
 
 
+@pytest.mark.parametrize("source", [
+    "1 # x", "t**2", "2 ++ t", "sin(x=t)", "1_000*t", "0x10", "1j", "True",
+    "'a'", "t.real", "t[0]", "t if t else 1", "lambda: 1", "1 \\ 2",
+    "sin(t,)", "(sin)(t)", "t(1)", "sin",
+])
+def test_inputs_outside_the_grammar(source):
+    # outside the grammar, though most are Python expressions
+    with pytest.raises(RateSyntaxError) as err:
+        parse_rate(source)
+    assert 0 <= err.value.offset < len(source)
+
+
 def test_eval_errors():
     with pytest.raises(RateEvalError, match="negative"):
         eval_rate(parse_rate("t - 5"), 0.0)
     with pytest.raises(RateEvalError):
         eval_rate(parse_rate("1/(t-1)"), 1.0)
+    with pytest.raises(RateEvalError):
+        eval_rate(parse_rate("1/0"), 0.0)
     with pytest.raises(ValueError, match="t >= 0"):
         eval_rate(parse_rate("t"), -0.5)
 

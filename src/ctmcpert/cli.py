@@ -340,9 +340,15 @@ def build_chain(scn: Scenario, section: str = "chain") -> model.ChainSpec:
     def batches(prefix: str) -> dict[int, RateFunction]:
         keys = [key for key in cfg if re.match(rf"{prefix}_\d+$", key)]
         read.update(keys)
-        return {int(key[len(prefix) + 1:]): _decode_rate(cfg[key], period,
-                                                         section, key)
-                for key in keys}
+        named = {}
+        for key in keys:
+            k = int(key[len(prefix) + 1:])
+            if k in named:
+                raise ScenarioError(f"{named[k]} and {key} both give the rate "
+                                    f"of batch size {k}", section, key)
+            named[k] = key
+        return {k: _decode_rate(cfg[key], period, section, key)
+                for k, key in named.items()}
 
     # model attributes are looked up at call time, so wrappers see the calls
     builders = {
@@ -714,9 +720,8 @@ def reproduce(target: str, out_dir: Path, grid: int = 4096,
                                        validation_grid=64)
         scaled = model.perturb(base, model.Perturbation("multiplicative",
                                                         eps=0.1))
-        p_base = solver.stationary_distribution(base, step=0.25 / base.l_bound)
-        p_scaled = solver.stationary_distribution(
-            scaled, step=0.25 / scaled.l_bound)
+        p_base = solver.stationary_distribution(base)
+        p_scaled = solver.stationary_distribution(scaled)
         shift = float(np.abs(p_base - p_scaled).sum())
         rep.put("scaling.stationary_distance", shift)
         rep.put("scaling.invariant", shift < 1e-8)

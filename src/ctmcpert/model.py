@@ -525,7 +525,8 @@ def _validation_times(spec: ChainSpec) -> np.ndarray:
 def _validate_family(name: str, fam: RateFamily, ts: np.ndarray):
     if np.any(fam.multipliers < 0):
         raise ChainValidationError(f"{name}: negative multiplier")
-    grid = fam.block(TimeBlock(ts))
+    with np.errstate(all="ignore"):  # a non-finite value is rejected below
+        grid = fam.block(TimeBlock(ts))
     if not np.all(np.isfinite(grid)):
         raise ChainValidationError(f"{name}: non-finite rate value on the grid")
     if np.any(grid < 0):

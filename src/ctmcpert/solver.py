@@ -16,13 +16,17 @@ on its own clock, so lanes with different steps share the loop without
 sharing a step rule.  ``integrate`` (``RunLane``: samples at every
 stride; perturbed chains add one column each), the limiting-regime search
 (``RegimeLane``: the extreme states on the period clock, stopped at the
-first period boundary where they meet), ``ergodicity_coefficient`` and
-``stationary_distribution`` are single-lane uses of it; a run of the
-command-line tool marches its run lane and its regime lane together.
+first period boundary where they meet) and ``ergodicity_coefficient`` are
+single-lane uses of it; a run of the command-line tool marches its run
+lane and its regime lane together.
 Per block of steps each lane's chains are built on that lane's time
 nodes and all are stacked on a trailing generator axis, one entry per
 column; the step is a row over the columns.  Columns never mix, so each
 is bit for bit what a run of its chain alone on its lane's clock gives.
+
+Stationary vectors of time-invariant chains are not marched:
+``stationary_distribution`` solves A p = 0 directly, by elimination in
+band storage.
 """
 
 from __future__ import annotations
@@ -460,42 +464,72 @@ def perturbation_distance(chain: Chain, perturbed: Chain, p0,
     return distance_curve(traj, traj.states.shape[2] - 1, horizon, period)
 
 
-class _StationaryLane(Lane):
-    """Chunks of at least unit length from state 0, until the residual
-    ||A p||_inf falls below ``tol`` or t reaches 500."""
+def stationary_distribution(chain: Chain, tol: float = 1e-12) -> np.ndarray:
+    """Stationary vector of a time-homogeneous chain by one direct solve;
+    the residual ||A p||_inf must fall below ``tol``.
 
-    def __init__(self, chain: Chain, tol: float, step: float | None):
-        h = _checked_step(chain, step)
-        chunk = max(1.0, 20.0 * h)
-        steps = math.ceil(chunk / h)
-        super().__init__((chain,), (1,), delta_state(chain.size, 0)[:, None],
-                         0.0, chunk / steps, steps, chunk)
-        self.bands = chain.bands_block(TimeBlock(0.0)).at(0)
-        self.tol = tol
-        self.t = 0.0
-        self.converged = False
+    With p_0 fixed to 1, rows 1..n of A p = 0 are the banded system
+    A[1:, 1:] x = -A[1:, 0]: a catastrophe row sits in the dropped row 0
+    and a mass-arrival column moves to the right-hand side.  Gaussian
+    elimination in band storage without pivoting solves it.  Each pivot
+    is minus the sum of the off-diagonal entries left in its column, the
+    flow into row 0 included (Grassmann, Taksar and Heyman, Oper. Res.
+    1985), as elimination keeps the column sums of A at zero; every other
+    operation adds terms of one sign, so no step cancels and each entry,
+    however small, has a small relative error.
 
-    def segment_end(self, i):
-        self.t += self.seg_dt
-        residual = float(np.abs(self.bands.matvec(self.y)).max())
-        self.converged = residual < self.tol
-        return not self.converged and self.t < 500.0
-
-
-def stationary_distribution(chain: Chain, tol: float = 1e-12,
-                            step: float | None = None) -> np.ndarray:
-    """Stationary vector of a time-homogeneous chain by integrating to
-    tolerance, for at most t = 500; the residual is ||A p||_inf."""
+    A zero pivot means that its state never reaches state 0, so state 0
+    is not recurrent (a births-only chain, say): SolverError.  So is a
+    p_0 below the floating-point range relative to another state.
+    """
     if not chain.time_invariant:
-        raise SolverError("stationary integration requires time-invariant "
-                          "rates")
-    lane = _StationaryLane(chain, tol, step)
-    march(lane)
-    if not lane.converged:
-        raise SolverError(f"no stationary vector to residual {tol} within "
-                          f"t = 500")
-    _check_columns(lane.y, lane.t)
-    return lane.y[:, 0]
+        raise SolverError("stationary solve requires time-invariant rates")
+    block = chain.bands_block(TimeBlock(0.0))
+    g = block.at(0)
+    n = g.n
+    # B = A[1:, 1:] in band storage, band[i, lo + c - i] = B[i, c], with lo
+    # bands below the diagonal, hi above it and lo rows of zeros past the end
+    lo = max(0, *g.offsets)
+    hi = max(0, *(-k for k in g.offsets))
+    band = np.zeros((n + lo, lo + hi + 1))
+    for k, row in zip(g.offsets, g.data):
+        # A[j + k, j] for j = 1..n, kept where j + k >= 1
+        if k > 0:
+            band[k:n, lo - k] += row[1:n + 1 - k]
+        else:
+            band[:n + k, lo - k] += row[1 - k:]
+    rhs = np.concatenate((-block.forcing()[0], np.zeros(lo)))
+    # A[0, c], the flow into the dropped row, with hi zeros past the end
+    to_zero = np.concatenate((block.direct_to_zero()[0], np.zeros(hi)))
+    rs = np.arange(1, lo + 1)
+    cols = (lo - rs)[:, None] + np.arange(1, hi + 1)
+    for j in range(n):
+        below = band[j + rs, lo - rs]
+        pivot = -(to_zero[j] + below.sum())
+        if pivot == 0:
+            raise SolverError(f"no stationary vector: state {j + 1} never "
+                              f"reaches state 0, so state 0 is not recurrent")
+        band[j, lo] = pivot
+        factors = below / pivot
+        band[j + rs[:, None], cols] -= factors[:, None] * band[j, lo + 1:]
+        rhs[j + rs] -= factors * rhs[j]
+        to_zero[j + 1:j + hi + 1] -= to_zero[j] / pivot * band[j, lo + 1:]
+    # back substitution, with hi zeros past state n
+    x = np.zeros(n + hi)
+    with np.errstate(all="ignore"):
+        for j in range(n - 1, -1, -1):
+            x[j] = (rhs[j] - band[j, lo + 1:] @ x[j + 1:j + hi + 1]) \
+                / band[j, lo]
+        p = np.concatenate(([1.0], x[:n]))
+        p /= p.sum()
+    if not np.all(np.isfinite(p)):
+        raise SolverError("no stationary vector: the mass of state 0 is "
+                          "below the floating-point range")
+    residual = float(np.abs(g.matvec(p)).max())
+    if not residual < tol:
+        raise SolverError(f"stationary residual {residual} above {tol}")
+    _check_columns(p, 0.0)
+    return p
 
 
 @dataclass(frozen=True)
@@ -524,9 +558,7 @@ def mass_arrival_probe(eps: float, levels, birth: float = 1.0,
                                  validation_grid=16)
         chain: MassArrivalChain = perturb(base, Perturbation("mass-arrival",
                                                              eps=eps))
-        # stationary vectors are exact fixed points of the stepper, so the
-        # step only has to respect the stability guard, not transient accuracy
-        p = stationary_distribution(chain, tol=tol, step=0.25 / chain.l_bound)
+        p = stationary_distribution(chain, tol=tol)
         ks = np.arange(1, n - 1)
         resid = np.abs(death * p[ks + 1] - birth * p[ks]
                        - p[0] * eps / (ks + 1))

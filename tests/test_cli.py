@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctmcpert import (batch_arrival_chain, batch_chain, batch_service_chain,
-                      birth_death_chain, catastrophe_chain, delta_state,
-                      generator_at, parse_rate, rate_family, solver)
+from conftest import dense_generator
+from ctmcpert import (Perturbation, RateFunction, batch_arrival_chain,
+                      batch_chain, batch_service_chain, birth_death_chain,
+                      catastrophe_chain, delta_state, generator_at,
+                      parse_rate, perturb, rate_family, solver)
 from ctmcpert.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE,
                           EXIT_VALIDATION, EXIT_VIOLATION, Scenario,
                           ScenarioError, build_chain, build_weights,
@@ -388,6 +390,19 @@ def test_main_exit_codes(small_scn, tmp_path, capsys):
         assert main(["--out", out, "--grid", "256", "bounds",
                      str(path)]) == EXIT_PARSE
         assert where in capsys.readouterr().err
+    # two keys for one batch size are ambiguous
+    for name, text, keys in (
+            ("arrival", "[chain]\nkind = batch-arrival\nstates = 4\n"
+             "period = 1\narrival_1 = \"1\"\narrival_01 = \"5\"\n"
+             "service = \"2\"\n", "arrival_1 and arrival_01"),
+            ("service", "[chain]\nkind = batch-service\nstates = 4\n"
+             "period = 1\nbirth = \"1\"\nservice_2 = \"1\"\n"
+             "service_002 = \"3\"\n", "service_2 and service_002")):
+        path = tmp_path / f"duplicate_{name}.scn"
+        path.write_text(text)
+        assert main(["--out", out, "analyze", str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"{keys} both give the rate of batch size" in err
     # a constant rate that divides by zero is non-finite, like one that
     # does so only at some times
     for rate in ("1/0", "1/(t-t)"):
@@ -659,6 +674,20 @@ def test_reproduce_counterexample(tmp_path, capsys):
     p0s = [float(row.split(",")[1]) for row in table[1:]]
     assert levels == [100, 200, 400]
     assert p0s[0] > p0s[1] > p0s[2]
+    rep = _report_values(kv)
+    for level in levels:
+        # the probe's chain, solved densely with the normalisation in place
+        # of the last balance row
+        chain = perturb(birth_death_chain(RateFunction.constant(1.0),
+                                          RateFunction.constant(4.0),
+                                          size=level + 1, validation_grid=16),
+                        Perturbation("mass-arrival", eps=0.1))
+        a = dense_generator(chain, 0.0)
+        a -= np.diag(a.sum(axis=0))
+        a[-1] = 1.0
+        head = np.linalg.solve(a, delta_state(level + 1, level))[0]
+        assert abs(rep[f"probe.p0_at_{level}"] - head) <= 1e-12 * head
+        assert rep[f"probe.recursion_residual_{level}"] <= 1e-14
 
 
 DATA = Path(__file__).resolve().parent / "data"

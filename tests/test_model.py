@@ -352,7 +352,13 @@ def test_perturbation_validation():
         Perturbation("explicit", eps=0.1)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_validation_errors():
+    # a rate that divides by zero fails validation without a numpy warning
+    for rate in ("1/0", "1/(t-t)"):
+        with pytest.raises(ChainValidationError, match="non-finite"):
+            birth_death_chain(parse_rate(rate), FOUR, size=3,
+                              validation_grid=16)
     with pytest.raises(ChainValidationError, match="negative"):
         birth_death_chain(parse_rate("sin(2*pi*t)", period=1.0), FOUR,
                           size=3, validation_grid=64)

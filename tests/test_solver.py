@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_generator, dense_rk4
+from conftest import (dense_generator, dense_rk4, random_batches,
+                      random_chain, random_family)
 from ctmcpert import (Perturbation, RateFunction, SolverError, batch_chain,
                       birth_death_chain, catastrophe_chain, delta_state,
                       ergodicity_coefficient, integrate, limiting_regime,
@@ -139,17 +140,73 @@ def test_perturbation_distance_identical(loss_queue):
 def test_multiplicative_perturbation_keeps_stationary_law():
     spec = birth_death_chain(ONE, FOUR, size=60, validation_grid=16)
     scaled = perturb(spec, Perturbation("multiplicative", eps=0.5))
-    p = stationary_distribution(spec, step=0.25 / spec.l_bound)
-    q = stationary_distribution(scaled, step=0.25 / scaled.l_bound)
+    p = stationary_distribution(spec)
+    q = stationary_distribution(scaled)
     assert np.abs(p - q).sum() < 1e-8
 
 
 def test_stationary_distribution_geometric():
     spec = birth_death_chain(ONE, FOUR, size=40, validation_grid=16)
-    p = stationary_distribution(spec, step=0.25 / spec.l_bound)
+    p = stationary_distribution(spec)
     geo = 0.25 ** np.arange(40)
     geo /= geo.sum()
     assert np.abs(p - geo).max() < 1e-10
+    # the tail down to 4^-39 ~ 3e-24 to rounding, entry by entry
+    assert np.abs(p / geo - 1.0).max() < 1e-13
+
+
+def _constant_rate(rng):
+    return RateFunction.constant(float(rng.uniform(0.2, 3.0)))
+
+
+def _exact_stationary(chain):
+    """The null vector of the dense generator with entries summing to 1,
+    by a 40-digit dense solve with the normalisation in place of the last
+    balance row; the diagonal is summed in that precision too."""
+    mpmath = pytest.importorskip("mpmath")
+    size = chain.size
+    with mpmath.workdps(40):
+        a = mpmath.matrix(dense_generator(chain, 0.0).tolist())
+        for j in range(size):
+            a[j, j] = -mpmath.fsum(a[i, j] for i in range(size) if i != j)
+        for j in range(size):
+            a[size - 1, j] = 1
+        rhs = mpmath.matrix(size, 1)
+        rhs[size - 1] = 1
+        return np.array([float(v) for v in mpmath.lu_solve(a, rhs)])
+
+
+def test_stationary_distribution_against_dense_solve():
+    rng = np.random.default_rng(2024)
+    chains = []
+    for kind in ("birth-death", "batch-arrival", "batch-service", "batch"):
+        for n in (8, 30):
+            if kind == "batch":
+                # service in ones keeps every state in reach of state 0
+                services = random_batches(rng, n, _constant_rate)
+                services[1] = _constant_rate(rng)
+                chains.append(batch_chain(
+                    random_batches(rng, n, _constant_rate), services, n + 1,
+                    validation_grid=16))
+            else:
+                chains.append(random_chain(rng, kind, n, _constant_rate))
+    base = random_chain(rng, "batch-arrival", 20, _constant_rate)
+    chains.append(catastrophe_chain(
+        base, random_family(rng, base.n, _constant_rate)))
+    chains.append(perturb(random_chain(rng, "birth-death", 25, _constant_rate),
+                          Perturbation("mass-arrival", eps=0.3)))
+    for chain in chains:
+        p = stationary_distribution(chain)
+        exact = _exact_stationary(chain)
+        assert np.all(np.abs(p - exact) <= 1e-10 * exact), chain.kind
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stationary_distribution_needs_recurrent_state_zero():
+    # births only: state 0 is transient and all mass ends in state n
+    spec = birth_death_chain(ONE, ZERO, size=10, validation_grid=16)
+    with pytest.raises(SolverError, match="not recurrent"):
+        stationary_distribution(spec)
 
 
 def test_stationary_distribution_rejects_time_dependent_rates():

@@ -27,6 +27,7 @@ flagged as such in reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -106,11 +107,25 @@ class WeightSequence:
         return inv
 
     def weighted_norm(self, z: np.ndarray):
-        """l1 norm of D z, via tail sums of z; rows of a (T, n) block give
-        T norms."""
+        """l1 norm of D z, via tail sums of z; rows of a (T, m) block give
+        T norms.  Entries past the m given (m <= n) are zero, so a vector
+        whose tail is zero can be given by its head."""
         tails = np.cumsum(z[..., ::-1], axis=-1)[..., ::-1]
-        norms = np.abs(tails * self.values).sum(axis=-1)
+        norms = np.abs(tails * self.values[:z.shape[-1]]).sum(axis=-1)
         return float(norms) if z.ndim == 1 else norms
+
+    @cached_property
+    def _ratios(self) -> dict[int, np.ndarray]:
+        return {}
+
+    def ratio(self, k: int) -> np.ndarray:
+        """d_{i+k} / d_i over the states i of offset k in D B D^{-1},
+        computed once per offset."""
+        if k not in self._ratios:
+            d, n = self.values, len(self.values)
+            self._ratios[k] = (d[max(k, 0):n + min(k, 0)]
+                               / d[max(-k, 0):n - max(k, 0)])
+        return self._ratios[k]
 
 
 # ---------------------------------------------------------------------------
@@ -138,41 +153,45 @@ def reduced_bands_block(g: GeneratorBlock,
         raise CertificateError(
             "weighted reduction is not defined for a generator with a "
             "catastrophe row or a mass-arrival column")
-    n, d = g.n, w.values
-    if len(d) != n:
-        raise CertificateError(f"need {n} weights, got {len(d)}")
+    n = g.n
+    if len(w) != n:
+        raise CertificateError(f"need {n} weights, got {len(w)}")
     p = max((k for k in g.offsets if k > 0), default=0)
     q = max((-k for k in g.offsets if k < 0), default=0)
-    zero = np.zeros((g.times, n + 1))
-
-    def row(k):
-        return g.data[:, g.offsets.index(k)] if k in g.offsets else zero
-
+    rows = {k: g.data[:, i] for i, k in enumerate(g.offsets)}
     # running sums over the table rows, from the outermost offsets in:
-    # low[p+1-o][:, c] = sum_{k >= o} A[c+k, c] and
-    # up[q-e][:, c] = sum_{m > e} A[c-m, c]
-    low, up = [zero], [zero]
-    for o in range(p, 0, -1):
-        low.append(low[-1] + row(o))
-    for e in range(q, 0, -1):
-        up.append(up[-1] + row(-e))
-    diag = -(low[p][:, :n] + up[q][:, 1:])
+    # tail[o][:, c] = sum_{k >= o} A[c+k, c] and
+    # tail[-e][:, c] = sum_{m >= e} A[c-m, c] (None: no row that far out)
+    tail = {}
+    for sign, top in ((1, p), (-1, q)):
+        acc = None
+        for o in range(sign * top, 0, -sign):
+            if o in rows:
+                acc = rows[o] if acc is None else acc + rows[o]
+            tail[o] = acc
+    zero = None if p and q else np.zeros((g.times, n + 1))
+    diag = -(tail.get(1, zero)[:, :n] + tail.get(-1, zero)[:, 1:])
     offsets = (tuple(range(-1, -min(q + 1, n), -1))
                + tuple(range(1, min(p + 1, n))))
     data = np.zeros((g.times, len(offsets), n))
-    # the outermost offset on each side has no tail beyond it
     for i, k in enumerate(offsets):
+        # offset k of the reduced table reads the generator columns src:
+        # row k of A plus the change of the tail beyond row k between
+        # each column and its neighbour (src shifted by step), times the
+        # weight ratio
         if k < 0:
-            e = -k
-            v = row(k)[:, e:n]
-            if e < q:
-                v = v + (up[q - e][:, e:n] - up[q - e][:, e + 1:])
-            data[:, i, e:] = (d[:n - e] / d[e:]) * v
+            out, src, step = data[:, i, -k:], slice(-k, n), 1
         else:
-            v = row(k)[:, 1:n + 1 - k]
-            if k < p:
-                v = v + (low[p - k][:, 1:n + 1 - k] - low[p - k][:, :n - k])
-            data[:, i, :n - k] = (d[k:] / d[:n - k]) * v
+            out, src, step = data[:, i, :n - k], slice(1, n + 1 - k), -1
+        beyond = tail.get(k - step)
+        if beyond is None:  # the outermost offset on each side
+            np.multiply(rows[k][:, src], w.ratio(k), out=out)
+            continue
+        np.subtract(beyond[:, src],
+                    beyond[:, src.start + step:src.stop + step], out=out)
+        if k in rows:
+            out += rows[k][:, src]
+        out *= w.ratio(k)
     return GeneratorBlock(n - 1, offsets, data, fixed_diag=diag)
 
 
@@ -197,10 +216,19 @@ def similarity_reduced_matrix(spec: ChainSpec, w: WeightSequence,
     return w.matrix() @ red.matrix @ w.inverse_matrix()
 
 
-def column_stats(table: GeneratorBlock) -> tuple[np.ndarray, np.ndarray]:
-    """(decay rates, l1 column sums) per time of a table."""
-    offabs = table.column_sums(absolute=True)
-    return -(table.diag + offabs), np.abs(table.diag) + offabs
+def column_stats(table: GeneratorBlock, rates: bool = True):
+    """(decay rates, l1 column sums) per time of a table, which is spent:
+    its entries are overwritten by their absolute values.  Without
+    ``rates`` the decay rates are None and the diagonal is spent too."""
+    diag = table.diag  # read while the entries keep their signs
+    for a in (table.data, table.row0, table.col0):
+        if a is not None:
+            np.abs(a, out=a)
+    offabs = table.column_sums()
+    if not rates:
+        offabs += np.abs(diag, out=diag)
+        return None, offabs
+    return -(diag + offabs), np.abs(diag) + offabs
 
 
 def _reduced_stats(spec: ChainSpec, w: WeightSequence, tb: TimeBlock):
@@ -345,7 +373,7 @@ def weighted_certificate(spec: ChainSpec, w: WeightSequence,
         rates, colsums = column_stats(reduced_bands_block(g, w))
         alphas.append(rates.min(axis=1))
         b_sup = max(b_sup, float(colsums.max()))
-        f_sup = max(f_sup, float(w.weighted_norm(g.forcing()).max()))
+        f_sup = max(f_sup, float(w.weighted_norm(g.forcing(head=True)).max()))
     return _certificate(
         "weighted", 1.0, decay_rate_fn(spec, w), np.concatenate(alphas),
         period, grid,

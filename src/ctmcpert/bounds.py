@@ -157,34 +157,35 @@ def perturbation_gaps(spec: ChainSpec, draws: Sequence[Chain],
     """Grid suprema over one period of the distances between the original
     and each perturbed chain of ``draws``, maximised over the draws.
 
-    The weighted gaps require every draw to be a ``ChainSpec`` of the
-    original's kind and dimension, and neither to have catastrophes (a
-    weighted reduction needs a generator without overlays); otherwise
-    they are nan.  The generator gap is defined for any perturbed chain
-    on the same state space.
+    The weighted gaps need the weighted reduction of every chain, which
+    is defined for a generator without overlays: a chain with
+    catastrophes (a ``row0``) or mass arrivals (a ``col0``) makes them
+    nan.  The generator gap is defined for any perturbed chain on the same
+    state space.
     """
     if any(chain.size != spec.size for chain in draws):
         raise ValueError("perturbed chain must share the state space")
     period = spec.period if spec.period is not None else 1.0
-    structural = all(isinstance(chain, ChainSpec) and chain.kind == spec.kind
-                     and chain.catastrophes is None
-                     for chain in (spec, *draws))
+    structural = not any(chain.rate_table.row0
+                         or chain.rate_table.col0 is not None
+                         for chain in (spec, *draws))
     red = forc = gen = 0.0
     for tb in time_blocks(doubled_grid(period, grid)):
         g1 = spec.bands_block(tb)
-        if structural:
-            r1 = reduced_bands_block(g1, w)
+        r1 = reduced_bands_block(g1, w) if structural else None
         for chain in draws:
+            # a draw's tables are spent on its differences, in place
             g2 = chain.bands_block(tb)
-            diff = g1 - g2
+            r2 = reduced_bands_block(g2, w) if structural else None
+            diff = g2.subtracted_from(g1)
+            if structural:
+                norms = column_stats(r2.subtracted_from(r1), rates=False)[1]
+                red = max(red, float(norms.max()))
+                forc = max(forc, float(
+                    w.weighted_norm(diff.forcing(head=True)).max()))
             # l1 distance of the generators: the difference's diagonal is
             # minus its column sums
-            gen = max(gen, float(column_stats(diff)[1].max()))
-            if not structural:
-                continue
-            _, colsums = column_stats(r1 - reduced_bands_block(g2, w))
-            red = max(red, float(colsums.max()))
-            forc = max(forc, float(w.weighted_norm(diff.forcing()).max()))
+            gen = max(gen, float(column_stats(diff, rates=False)[1].max()))
     if not structural:
         red = forc = math.nan
     return PerturbationGaps(reduced=red, forcing=forc, generator=gen, grid=grid)

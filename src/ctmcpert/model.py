@@ -23,11 +23,12 @@ times are one array ``data`` of shape (T, K, n+1) with
 ``data[:, i, j] = A[j + offsets[i], j]``, so a jump of size k up or down
 from state j sits in column j of the row with offset +k or -k.
 Catastrophes add a dense row 0 and the mass-arrival perturbation a dense
-column 0.  ``bands_block`` builds the table of a block of times and
-``bands_at`` the slice at one time.  Tables of several chains are put on
-one offset order, a row a chain lacks being zero, to be subtracted or to
-be stacked on a trailing generator axis (``stack_blocks``) so that the
-stepper advances them together.
+column 0.  A table is rate values times multipliers, V ⊙ M
+(``RateTable``): a chain builds its time-invariant multipliers M once,
+and ``bands_block`` multiplies them by the rate values V at a block of
+times (``bands_at``: at one time).  Tables of several chains go on one
+offset order (``merged_offsets``), a row a chain lacks being zero, to be
+subtracted or to be stacked by the solver on a trailing axis.
 """
 
 from __future__ import annotations
@@ -164,8 +165,8 @@ class GeneratorBands:
     """One time slice of A(t), the view ``GeneratorBlock.at(i)``:
     ``data[i, j] = A[j + offsets[i], j]`` with ``data`` of shape (K, n+1),
     and ``diag`` and ``row0`` of shape (n+1,).  A slice of several
-    generators (``stack_blocks``) carries a trailing axis on every array,
-    one entry per state column."""
+    generators stacked by the solver carries a trailing axis on every
+    array, one entry per state column."""
 
     n: int
     offsets: tuple[int, ...]
@@ -216,16 +217,15 @@ class GeneratorBlock:
 
     ``data`` has shape (T, K, n+1) and is aligned by column:
     ``data[:, i, j] = A[j + offsets[i], j]``, zero where that row lies
-    outside 0..n.  A chain's offsets come in fill order (see
-    ``ChainSpec._offdiag``).  ``row0`` (T, n+1) and the time-invariant
-    ``col0`` (n+1,) are optional dense overlays for the top row and the
-    first column (index 0 entries unused).  The diagonal is minus the
-    off-diagonal column sums, computed on first read (the certificate and
-    gap grids never read it), unless ``fixed_diag`` gives it: the weighted
-    reduced matrix of ``analysis.reduced_bands_block`` uses this layout on
-    states 0..n-1 with its own diagonal, and a stack of several chains
-    keeps each chain's own diagonal (the column 0 sum of a stacked
-    ``col0`` would run over every chain's entries).
+    outside 0..n.  A chain's table is V ⊙ M (``RateTable.block``), with M
+    built once per chain by ``ChainSpec.rate_table`` and once per march
+    for the solver's stack of chains.  ``row0`` (T, n+1) and the
+    time-invariant ``col0`` (n+1,) are optional dense overlays for the
+    top row and the first column (index 0 entries unused).  The diagonal
+    is minus the off-diagonal column sums, computed on first read (the
+    certificate and gap grids never read it), unless ``fixed_diag`` gives
+    it: the weighted reduced matrix of ``analysis.reduced_bands_block``
+    uses this layout on states 0..n-1 with its own diagonal.
     """
 
     n: int
@@ -243,18 +243,19 @@ class GeneratorBlock:
     def diag(self) -> np.ndarray:
         if self.fixed_diag is not None:
             return self.fixed_diag
-        return -self.column_sums()
+        s = self.column_sums()
+        return np.negative(s, out=s)
 
-    def column_sums(self, absolute: bool = False) -> np.ndarray:
-        """Per-column sums of the off-diagonal entries (or of their absolute
-        values) per time.  The sum over the offset axis of a C-ordered
-        table adds its rows in table order."""
-        mag = np.abs if absolute else (lambda v: v)
-        s = mag(self.data).sum(axis=1)
+    def column_sums(self) -> np.ndarray:
+        """Per-column sums of the off-diagonal entries per time.  The sum
+        over the offset axis of a C-ordered table adds its rows in table
+        order, and a stack's column-major ``col0`` sums each column as a
+        lone ``col0`` is summed."""
+        s = self.data.sum(axis=1)
         if self.row0 is not None:
-            s[:, 1:] += mag(self.row0[:, 1:])
+            s[:, 1:] += self.row0[:, 1:]
         if self.col0 is not None:
-            s[:, 0] += mag(self.col0[1:]).sum()
+            s[:, 0] += self.col0[1:].sum(axis=0)
         return s
 
     def at(self, i: int) -> GeneratorBands:
@@ -262,10 +263,15 @@ class GeneratorBlock:
                               None if self.row0 is None else self.row0[i],
                               self.col0)
 
-    def forcing(self) -> np.ndarray:
-        """Column 0 without its diagonal entry, (A[1,0], ..., A[n,0]) per time."""
+    def forcing(self, head: bool = False) -> np.ndarray:
+        """Column 0 without its diagonal entry, (A[1,0], ..., A[n,0]) per
+        time.  With ``head`` and no ``col0`` only the first p entries, p
+        the largest offset up: the rest are zero."""
         up = [i for i, k in enumerate(self.offsets) if k > 0]
-        f = np.zeros((self.times, self.n))
+        width = self.n
+        if head and self.col0 is None:
+            width = max((self.offsets[i] for i in up), default=0)
+        f = np.zeros((self.times, width))
         f[:, [self.offsets[i] - 1 for i in up]] = self.data[:, up, 0]
         if self.col0 is not None:
             f += self.col0[1:]
@@ -282,33 +288,41 @@ class GeneratorBlock:
             out += self.row0[:, 1:]
         return out
 
-    def __sub__(self, other: "GeneratorBlock") -> "GeneratorBlock":
-        """The difference of two tables on the same states and times; its
-        diagonal is the difference of fixed diagonals, or else again minus
-        its column sums."""
-        offsets, (d1, d2), (r1, r2), (c1, c2) = _align([self, other])
-        fixed = None if self.fixed_diag is None \
-            else self.fixed_diag - other.fixed_diag
-        return GeneratorBlock(self.n, offsets, d1 - d2,
+    def subtracted_from(self, other: "GeneratorBlock") -> "GeneratorBlock":
+        """``other - self`` on their merged offsets, for tables on the same
+        states and times.  The band entries and a fixed diagonal are
+        written over this table's, which is spent; without a fixed diagonal
+        the difference's is again minus its column sums."""
+        offsets, (d1, d2), (r1, r2), (c1, c2) = _align([other, self])
+        fixed = self.fixed_diag
+        if fixed is not None:
+            np.subtract(other.fixed_diag, fixed, out=fixed)
+        return GeneratorBlock(self.n, offsets, np.subtract(d1, d2, out=d2),
                               None if r1 is None else r1 - r2,
                               None if c1 is None else c1 - c2, fixed)
 
 
-def _align(blocks: Sequence[GeneratorBlock]):
-    """(offsets, datas, row0s, col0s): the tables of ``blocks`` on one
-    offset order, the first block's with every other offset inserted
-    before the next offset of its own block, so that each block keeps its
-    own order.  A row a block lacks is zero, and so is an overlay that
-    another block has."""
-    merged = list(blocks[0].offsets)
-    for b in blocks[1:]:
+def merged_offsets(offset_lists: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """One offset order for several tables: the first table's, with every
+    other offset inserted before the next offset of its own table, so that
+    each table keeps its own order (and its column sums their order)."""
+    merged = list(offset_lists[0])
+    for offsets in offset_lists[1:]:
         at = len(merged)
-        for k in reversed(b.offsets):
+        for k in reversed(offsets):
             if k in merged:
                 at = merged.index(k)
             else:
                 merged.insert(at, k)
-    offsets = tuple(merged)
+    return tuple(merged)
+
+
+def _align(blocks: Sequence[GeneratorBlock]):
+    """(offsets, datas, row0s, col0s): the tables of ``blocks`` on their
+    ``merged_offsets``, a block's own data where it needs no padding.  A
+    row a block lacks is zero, and so is an overlay that another block
+    has."""
+    offsets = merged_offsets([b.offsets for b in blocks])
     datas = []
     for b in blocks:
         data = b.data
@@ -326,27 +340,51 @@ def _align(blocks: Sequence[GeneratorBlock]):
             filled([b.col0 for b in blocks]))
 
 
-def stack_blocks(blocks: Sequence[GeneratorBlock],
-                 widths: Sequence[int]) -> GeneratorBlock:
-    """Blocks of chains on the same states and times, stacked along a
-    trailing generator axis with ``widths[i]`` entries for ``blocks[i]``:
-    one per state column that chain advances.  A row or overlay a chain
-    lacks is zero in its entries, and each chain keeps its own diagonal.
-    A lone block gets a broadcast axis of length 1 instead, whatever its
-    width."""
-    offsets, datas, row0s, col0s = _align(blocks)
+@dataclass(frozen=True, eq=False)
+class RateTable:
+    """A chain's generator tables as rate values times multipliers, V ⊙ M.
 
-    def stack(arrays):
-        if arrays[0] is None:
-            return None
-        if len(arrays) == 1:
-            return arrays[0][..., None]
-        return np.concatenate(
-            [np.broadcast_to(a[..., None], a.shape + (w,))
-             for a, w in zip(arrays, widths)], axis=-1)
+    Row i of the time-invariant M, ``m`` (rows, n+1), holds the multipliers
+    of the family on offset ``offsets[i]`` at its source states, zero
+    elsewhere; with ``row0`` a last row holds the catastrophes'.
+    ``families`` gives each row's first source state and family.  V,
+    ``values(tb)``, holds each row's rate values at the block's times:
+    (T, rows, 1), or (T, rows, n+1) when a member family has one function
+    per state (``wide``).  Each entry of V ⊙ M is the one product rate ×
+    multiplier.  ``col0`` is the mass-arrival column, outside the product.
+    """
 
-    return GeneratorBlock(blocks[0].n, offsets, stack(datas), stack(row0s),
-                          stack(col0s), stack([b.diag for b in blocks]))
+    n: int
+    offsets: tuple[int, ...]
+    families: tuple[tuple[int, RateFamily], ...]
+    m: np.ndarray
+    row0: bool
+    col0: np.ndarray | None = None
+
+    @cached_property
+    def wide(self) -> bool:
+        return any(len(f.rate_functions) > 1 for _, f in self.families)
+
+    def values(self, tb: TimeBlock) -> np.ndarray:
+        v = np.zeros((len(tb), len(self.families),
+                      self.n + 1 if self.wide else 1))
+        for i, (start, f) in enumerate(self.families):
+            if len(f.rate_functions) == 1:  # one function fills the row
+                v[:, i] = tb.rate(f.rate_functions[0])[:, None]
+            else:
+                v[:, i, start:start + f.count] = np.stack(
+                    [tb.rate(fn) for fn in f.members], axis=1)
+        return v
+
+    def block(self, tb: TimeBlock) -> GeneratorBlock:
+        v = self.values(tb)
+        # the products of v * m, formed by einsum at about twice the speed
+        # of a multiply that broadcasts v along the states
+        table = v * self.m if self.wide else \
+            np.einsum("tr,rj->trj", v[:, :, 0], self.m)
+        k = len(self.offsets)
+        return GeneratorBlock(self.n, self.offsets, table[:, :k],
+                              table[:, k] if self.row0 else None, self.col0)
 
 
 # ---------------------------------------------------------------------------
@@ -384,33 +422,32 @@ class ChainSpec:
     def size(self) -> int:
         return self.n + 1
 
-    def _offdiag(self, tb: TimeBlock):
-        """(offsets, data, row0): the off-diagonal table of ``GeneratorBlock``
-        and the catastrophe row overlay at a block of times, from whichever
-        rate families are set.  Rows come in fill order: births +1,
-        arrival batches +k ascending, deaths or services -1, service
-        batches -k ascending."""
-        n = self.n
-        # (offset, family, values taken: one per source state, or the first
-        # for a batch rate, which is the same from every state)
-        rows = [(1, self.births, n)]
-        rows += [(k, self.arrival_batches[k], 1)
+    @cached_property
+    def rate_table(self) -> RateTable:
+        """The multipliers of ``bands_block``, from whichever rate families
+        are set.  Rows come in fill order: births +1, arrival batches +k
+        ascending, deaths or services -1, service batches -k ascending,
+        and last the catastrophes, which leave states 1..n as a jump by -1
+        does.  A batch rate is the same from every source state, so its
+        one multiplier fills its row."""
+        n, cat = self.n, self.catastrophes
+        rows = [(1, self.births)]
+        rows += [(k, self.arrival_batches[k])
                  for k in sorted(self.arrival_batches)]
-        rows += [(-1, self.deaths, n), (-1, self.services, n)]
-        rows += [(-k, self.service_batches[k], 1)
+        rows += [(-1, self.deaths), (-1, self.services)]
+        rows += [(-k, self.service_batches[k])
                  for k in sorted(self.service_batches)]
-        rows = [row for row in rows if row[1] is not None]
-        data = np.zeros((len(tb), len(rows), n + 1))
-        for i, (k, fam, taken) in enumerate(rows):
-            data[:, i, max(-k, 0):n + 1 - max(k, 0)] = fam.block(tb)[:, :taken]
-        row0 = None
-        if self.catastrophes is not None:
-            row0 = np.zeros((len(tb), n + 1))
-            row0[:, 1:] = self.catastrophes.block(tb)
-        return tuple(k for k, _, _ in rows), data, row0
+        rows = [(k, fam) for k, fam in rows + [(-1, cat)] if fam is not None]
+        m = np.zeros((len(rows), n + 1))
+        for i, (k, fam) in enumerate(rows):
+            m[i, max(-k, 0):n + 1 - max(k, 0)] = fam.multipliers
+        offsets = tuple(k for k, _ in rows)[:len(rows) - (cat is not None)]
+        return RateTable(n, offsets,
+                         tuple((max(-k, 0), fam) for k, fam in rows), m,
+                         cat is not None)
 
     def bands_block(self, tb: TimeBlock) -> GeneratorBlock:
-        return GeneratorBlock(self.n, *self._offdiag(tb))
+        return self.rate_table.block(tb)
 
     def bands_at(self, t: float) -> GeneratorBands:
         return self.bands_block(TimeBlock(t)).at(0)
@@ -500,8 +537,12 @@ class MassArrivalChain:
     def time_invariant(self) -> bool:
         return self.base.time_invariant
 
+    @cached_property
+    def rate_table(self) -> RateTable:
+        return replace(self.base.rate_table, col0=self._col0)
+
     def bands_block(self, tb: TimeBlock) -> GeneratorBlock:
-        return GeneratorBlock(self.n, *self.base._offdiag(tb), self._col0)
+        return self.rate_table.block(tb)
 
     def bands_at(self, t: float) -> GeneratorBands:
         return self.bands_block(TimeBlock(t)).at(0)
@@ -593,11 +634,17 @@ def _family_arg(fam, count: int, name: str) -> RateFamily:
 
 
 def _batch_arg(batches: Mapping[int, RateFunction], n: int,
-               name: str) -> dict[int, RateFamily]:
+               slot: str) -> dict[int, RateFamily]:
     out = {}
     for k, fn in batches.items():
         if not 1 <= k <= n:
-            raise ChainValidationError(f"{name}: batch size {k} outside 1..{n}")
+            raise ChainValidationError(
+                f"{slot}[{k}]: batch size {k} outside 1..{n}")
+        if isinstance(fn, RateFamily) and fn.count != 1:
+            # a batch rate does not depend on the source state
+            raise ChainValidationError(
+                f"{slot}[{k}]: a batch rate takes one multiplier, "
+                f"got {fn.count}")
         out[k] = fn if isinstance(fn, RateFamily) else rate_family(shared=fn, count=1)
     return out
 
@@ -633,7 +680,7 @@ def batch_arrival_chain(arrival_batches: Mapping[int, RateFunction], services,
     n = size - 1
     return _structural_chain(
         "batch-arrival", size, declared_bound, validation_grid,
-        arrival_batches=_batch_arg(arrival_batches, n, "arrivals"),
+        arrival_batches=_batch_arg(arrival_batches, n, "arrival"),
         services=_family_arg(services, n, "services"))
 
 
@@ -645,7 +692,7 @@ def batch_service_chain(births, service_batches: Mapping[int, RateFunction],
     return _structural_chain(
         "batch-service", size, declared_bound, validation_grid,
         births=_family_arg(births, n, "births"),
-        service_batches=_batch_arg(service_batches, n, "services"))
+        service_batches=_batch_arg(service_batches, n, "service"))
 
 
 def batch_chain(arrival_batches: Mapping[int, RateFunction],
@@ -656,8 +703,8 @@ def batch_chain(arrival_batches: Mapping[int, RateFunction],
     n = size - 1
     return _structural_chain(
         "batch", size, declared_bound, validation_grid,
-        arrival_batches=_batch_arg(arrival_batches, n, "arrivals"),
-        service_batches=_batch_arg(service_batches, n, "services"))
+        arrival_batches=_batch_arg(arrival_batches, n, "arrival"),
+        service_batches=_batch_arg(service_batches, n, "service"))
 
 
 def catastrophe_chain(base: ChainSpec, catastrophes,

@@ -19,10 +19,12 @@ stride; perturbed chains add one column each), the limiting-regime search
 first period boundary where they meet) and ``ergodicity_coefficient`` are
 single-lane uses of it; a run of the command-line tool marches its run
 lane and its regime lane together.
-Per block of steps each lane's chains are built on that lane's time
-nodes and all are stacked on a trailing generator axis, one entry per
-column; the step is a row over the columns.  Columns never mix, so each
-is bit for bit what a run of its chain alone on its lane's clock gives.
+The chains of all lanes are one table with a trailing axis of columns,
+V ⊙ M: the column-stacked multipliers M are built once per march (and
+again when lanes stop), and each block of steps multiplies them by every
+chain's rate values on its lane's time nodes; the step is a row over the
+columns.  Columns never mix, so each is bit for bit what a run of its
+chain alone on its lane's clock gives.
 
 Stationary vectors of time-invariant chains are not marched:
 ``stationary_distribution`` solves A p = 0 directly, by elimination in
@@ -37,9 +39,9 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .model import (NODE_BLOCK, Chain, GeneratorBands, MassArrivalChain,
-                    Perturbation, TimeBlock, birth_death_chain, perturb,
-                    stack_blocks)
+from .model import (NODE_BLOCK, Chain, GeneratorBlock, MassArrivalChain,
+                    Perturbation, TimeBlock, birth_death_chain,
+                    merged_offsets, perturb)
 from .rates import RateFunction
 
 #: conservation tolerance asserted at every recorded sample
@@ -121,36 +123,65 @@ class Lane:
         return np.concatenate((t + 0.5 * self.h, t + self.h))
 
 
-def _stacked(lanes, times):
-    """Each lane's chains at that lane's ``times``, all stacked in one
-    call (a stacked block cannot be stacked again)."""
-    blocks, widths = [], []
-    for lane, ts in zip(lanes, times):
-        tb = TimeBlock(ts)
-        blocks += [chain.bands_block(tb) for chain in lane.chains]
-        widths += lane.widths
-    return stack_blocks(blocks, widths)
+class _Stack:
+    """The chains of some lanes as one table with a trailing axis of state
+    columns, V ⊙ M: the column-stacked multipliers M, built once on the
+    chains' merged offsets (a row a chain lacks has zero multipliers),
+    times every chain's rate values at its lane's times.  A lone chain
+    gets a broadcast axis of length 1 instead, whatever its width.  The
+    column sums add each chain's rows in its own order, zero rows between,
+    so each column keeps its chain's diagonal."""
+
+    def __init__(self, lanes):
+        self.lanes = lanes
+        tables = [c.rate_table for lane in lanes for c in lane.chains]
+        self.widths = [w for lane in lanes for w in lane.widths] \
+            if len(tables) > 1 else [1]
+        self.n, self.offsets = tables[0].n, merged_offsets(
+            [t.offsets for t in tables])
+        k = len(self.offsets)
+        self.row0 = any(t.row0 for t in tables)
+        self.wide = any(t.wide for t in tables)
+        # each chain's rows in the merged table, the catastrophe row last
+        self.rows = [[self.offsets.index(o) for o in t.offsets]
+                     + [k] * t.row0 for t in tables]
+        m = np.zeros((k + self.row0, self.n + 1, len(tables)))
+        for j, t in enumerate(tables):
+            m[self.rows[j], :, j] = t.m
+        self.m = np.repeat(m, self.widths, axis=-1)
+        self.col0 = None
+        if any(t.col0 is not None for t in tables):
+            # column-major, so that each column sums as its chain's does
+            self.col0 = np.repeat([np.zeros(self.n + 1) if t.col0 is None
+                                   else t.col0 for t in tables],
+                                  self.widths, axis=0).T
+
+    def block(self, times) -> GeneratorBlock:
+        """The stacked table at each lane's ``times``."""
+        v = np.zeros((len(times[0]), len(self.m),
+                      self.n + 1 if self.wide else 1, len(self.rows)))
+        blocks = map(TimeBlock, times)  # one per lane, shared by its chains
+        chains = [(c, tb) for lane, tb in zip(self.lanes, blocks)
+                  for c in lane.chains]
+        for j, (chain, tb) in enumerate(chains):
+            v[..., j][:, self.rows[j]] = chain.rate_table.values(tb)
+        table = np.repeat(v, self.widths, axis=-1) * self.m
+        k = len(self.offsets)
+        return GeneratorBlock(self.n, self.offsets, table[:, :k],
+                              table[:, k] if self.row0 else None, self.col0)
 
 
-def _step_slices(lanes, first: int, last):
+def _step_slices(stack: _Stack, first: int, last):
     """The (mid, end) slices of steps first, first+1, ... (up to ``last``),
     built for a block of steps at a time."""
     per_block = NODE_BLOCK // 2
     while first < last:
         count = min(per_block, last - first)
-        block = _stacked(lanes, [lane.stage_times(first, count)
-                                 for lane in lanes])
+        block = stack.block([lane.stage_times(first, count)
+                             for lane in stack.lanes])
         for j in range(count):
             yield block.at(j), block.at(count + j)
         first += count
-
-
-def _columns(g: GeneratorBands, idx: np.ndarray) -> GeneratorBands:
-    """The slice restricted to the state columns ``idx``."""
-    def take(v):
-        return None if v is None else v[..., idx]
-    return GeneratorBands(g.n, g.offsets, take(g.data), take(g.diag),
-                          take(g.row0), take(g.col0))
 
 
 def march(*lanes: Lane):
@@ -158,15 +189,16 @@ def march(*lanes: Lane):
     own size per step of the loop, until every lane has stopped.
 
     The first k1 of a segment reuses the previous step's end slice.  When
-    some lanes stop, the others go on with their columns of the current
-    slice and slices rebuilt from the next step.  A time-invariant set of
-    chains reuses its start slice for every stage.
+    some lanes stop, the others go on with a stack rebuilt for them, from
+    the end slice of the last step on.  A time-invariant set of chains
+    reuses its start slice for every stage.
     """
     lanes = [lane for lane in lanes if lane.segments != 0]
     if not lanes:
         return
     y = np.concatenate([lane.y for lane in lanes], axis=1)
-    a_t = _stacked(lanes, [[lane.t0] for lane in lanes]).at(0)
+    stack = _Stack(lanes)
+    a_t = stack.block([[lane.t0] for lane in lanes]).at(0)
     s = 0  # steps taken
     while lanes:
         # the step as a row over the columns; a lone lane keeps a scalar,
@@ -179,7 +211,7 @@ def march(*lanes: Lane):
         else:
             last = min((lane.segments * lane.steps for lane in lanes
                         if lane.segments is not None), default=math.inf)
-            slices = _step_slices(lanes, s, last)
+            slices = _step_slices(stack, s, last)
         stopped = []
         while not stopped:
             event = min((lane.done + 1) * lane.steps for lane in lanes)
@@ -205,9 +237,10 @@ def march(*lanes: Lane):
                                for lane in lanes])
         lanes = [lane for lane in lanes if lane not in stopped]
         if lanes:
-            idx = np.flatnonzero(keep)
-            y = y[:, idx]
-            a_t = _columns(a_t, idx)
+            y = y[:, np.flatnonzero(keep)]
+            stack = _Stack(lanes)
+            a_t = stack.block([lane.stage_times(s - 1, 1)[1:]
+                               for lane in lanes]).at(0)
 
 
 # ---------------------------------------------------------------------------

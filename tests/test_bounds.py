@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ctmcpert import (InfeasibleBoundError, Perturbation, RateFunction,
-                      WeightSequence, batch_chain, birth_death_chain,
+                      WeightSequence, batch_arrival_chain, batch_chain,
+                      batch_service_chain, birth_death_chain,
                       build_report, catastrophe_chain, critical_reduced_gap,
                       generator_at,
                       perturb, perturbation_gaps, similarity_reduced_matrix,
@@ -15,7 +16,7 @@ from ctmcpert import (InfeasibleBoundError, Perturbation, RateFunction,
                       weighted_limsup_bound, weighted_mean_limsup_bound)
 from ctmcpert.analysis import ErgodicityCertificate
 from ctmcpert.quadrature import doubled_grid
-from conftest import random_chain, random_weights, rich_rate
+from conftest import random_chain, random_family, random_weights, rich_rate
 
 
 def make_cert(approach, amplitude, rate, forcing_sup=None, min_weight=1.0,
@@ -209,6 +210,12 @@ def test_gaps_against_dense_matrices():
     cases.append((spec, [perturb(spec, Perturbation("multiplicative", eps=0.05)),
                          perturb(spec, Perturbation("mass-arrival", eps=0.05))],
                   WeightSequence.unit(6), False))
+    # the route follows the overlays, not the kind label: a batch-service
+    # draw with single services has the bands of a birth-death base
+    spec = random_chain(rng, "birth-death", 9, rate=rich_rate)
+    same_bands = batch_service_chain(spec.births, {1: rich_rate(rng)}, 10,
+                                     validation_grid=32)
+    cases.append((spec, [same_bands], random_weights(rng, 9), True))
     for spec, draws, w, structural in cases:
         g = perturbation_gaps(spec, draws, w, grid=16)
         gen, red, forc = np.max([_dense_gaps(spec, pert, w, 16, structural)
@@ -220,6 +227,28 @@ def test_gaps_against_dense_matrices():
         else:
             assert math.isnan(g.reduced) and math.isnan(g.forcing)
             assert g.generator > 0
+
+
+def test_forcing_from_a_long_head():
+    # arrivals of 1, 3 and 4 on 45 states: column 0 has four nonzero
+    # entries below the diagonal, so the forcing norms sum more than two
+    # nonzero terms
+    rng = np.random.default_rng(41)
+    spec = batch_arrival_chain({1: rich_rate(rng), 3: rich_rate(rng),
+                                4: rich_rate(rng)},
+                               random_family(rng, 44, rich_rate), 45,
+                               validation_grid=32)
+    w = WeightSequence.geometric(1.3, 44)
+    want = max(np.abs(w.matrix() @ generator_at(spec, float(t)).matrix[1:, 0])
+               .sum() for t in doubled_grid(1.0, 16))
+    cert = weighted_certificate(spec, w, grid=16)
+    assert cert.forcing_norm_sup == pytest.approx(want, rel=1e-12)
+    draws = [perturb(spec, Perturbation("rate-offsets", eps=0.05, seed=seed))
+             for seed in (1, 2)]
+    g = perturbation_gaps(spec, draws, w, grid=16)
+    forc = max(_dense_gaps(spec, pert, w, 16, True)[2] for pert in draws)
+    assert g.forcing == pytest.approx(forc, rel=1e-12)
+    assert g.forcing > 0
 
 
 def test_gap_dimension_mismatch(loss_queue):

@@ -337,6 +337,23 @@ def test_batch_size_out_of_range():
         batch_service_chain(ONE, {0: ONE}, size=5, validation_grid=16)
 
 
+def test_batch_rate_takes_one_multiplier():
+    # a batch rate is the same from every source state, so a family with
+    # several multipliers has no meaning there
+    fam = rate_family(shared=ONE, multipliers=[1, 5, 9])
+    with pytest.raises(ChainValidationError,
+                       match=r"arrival\[1\]: a batch rate takes one "
+                             r"multiplier, got 3"):
+        batch_arrival_chain({1: fam}, ONE, size=5, validation_grid=16)
+    with pytest.raises(ChainValidationError, match=r"service\[2\]"):
+        batch_service_chain(ONE, {2: fam}, size=5, validation_grid=16)
+    # one multiplier scales the rate from every source state
+    chain = batch_arrival_chain({1: rate_family(shared=ONE, multipliers=[5])},
+                                ONE, size=5, validation_grid=16)
+    a = generator_at(chain, 0.0).matrix
+    assert np.all(a[np.arange(1, 5), np.arange(4)] == 5.0)
+
+
 def test_perturbation_validation():
     with pytest.raises(ValueError, match="mode"):
         Perturbation("wobble", eps=0.1)

@@ -275,7 +275,7 @@ def test_ensemble_integration_matches_separate_runs(pair_queue):
 def _draw_cases():
     """(base, draws) pairs covering every generator layout a draw can
     have: plain bands, batch bands, batch sizes the base lacks, a col0 and
-    a row0 overlay."""
+    a row0 overlay, and a member family (one rate function per state)."""
     periodic = parse_rate("1+0.8*sin(2*pi*t)", period=1.0)
     deaths = rate_family(shared=RateFunction.constant(2.0),
                          multipliers=np.minimum(np.arange(1, 12), 3))
@@ -290,6 +290,12 @@ def _draw_cases():
         {**services, 3: RateFunction.constant(0.4)}, size=12,
         validation_grid=64)
     cat = catastrophe_chain(bd, parse_rate("0.3*(1+sin(2*pi*t))", period=1.0))
+    # one birth rate function per state, marched next to a draw whose
+    # births share one function
+    members = birth_death_chain(
+        [parse_rate(f"{1 + 0.1 * k}*(1+0.5*sin(2*pi*(t-{0.05 * k})))",
+                    period=1.0) for k in range(11)], deaths, size=12,
+        validation_grid=64)
 
     def offsets(chain, seed):
         return perturb(chain, Perturbation("rate-offsets", eps=0.2, seed=seed))
@@ -300,6 +306,7 @@ def _draw_cases():
               perturb(bd, Perturbation("mass-arrival", eps=0.5))]),
         (batch, [offsets(batch, 2), extra]),
         (cat, [offsets(cat, 3)]),
+        (members, [offsets(members, 4), bd]),
     ]
 
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .model import (NODE_BLOCK, Chain, GeneratorBlock, MassArrivalChain,
                     Perturbation, TimeBlock, birth_death_chain,
@@ -534,19 +535,27 @@ def stationary_distribution(chain: Chain, tol: float = 1e-12) -> np.ndarray:
     rhs = np.concatenate((-block.forcing()[0], np.zeros(lo)))
     # A[0, c], the flow into the dropped row, with hi zeros past the end
     to_zero = np.concatenate((block.direct_to_zero()[0], np.zeros(hi)))
-    rs = np.arange(1, lo + 1)
-    cols = (lo - rs)[:, None] + np.arange(1, hi + 1)
+    # step j reads column j below the diagonal, below[j, r - 1] =
+    # band[j + r, lo - r], and updates the block update[j, r - 1, c - 1] =
+    # band[j + r, lo - r + c], r = 1..lo, c = 1..hi; both run along the
+    # anti-diagonals of the band storage, so they are strided views of it
+    w = lo + hi + 1
+    flat, step = band.ravel(), band.itemsize
+    below = as_strided(flat[w + lo - 1:], (n, lo), (w * step, (w - 1) * step))
+    update = as_strided(flat[w + lo:], (n, lo, hi),
+                        (w * step, (w - 1) * step, step))
     for j in range(n):
-        below = band[j + rs, lo - rs]
-        pivot = -(to_zero[j] + below.sum())
+        column = below[j]
+        pivot = -(to_zero[j] + column.sum())
         if pivot == 0:
             raise SolverError(f"no stationary vector: state {j + 1} never "
                               f"reaches state 0, so state 0 is not recurrent")
         band[j, lo] = pivot
-        factors = below / pivot
-        band[j + rs[:, None], cols] -= factors[:, None] * band[j, lo + 1:]
-        rhs[j + rs] -= factors * rhs[j]
-        to_zero[j + 1:j + hi + 1] -= to_zero[j] / pivot * band[j, lo + 1:]
+        factors = column / pivot
+        right = band[j, lo + 1:]
+        update[j] -= factors[:, None] * right
+        rhs[j + 1:j + lo + 1] -= factors * rhs[j]
+        to_zero[j + 1:j + hi + 1] -= to_zero[j] / pivot * right
     # back substitution, with hi zeros past state n
     x = np.zeros(n + hi)
     with np.errstate(all="ignore"):

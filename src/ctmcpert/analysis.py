@@ -9,8 +9,9 @@ matrix B by D follows from one identity for every chain without overlays:
 column of A sums to zero, these tail sums come from the off-diagonal
 bands alone and stay within the generator's own band range, so the
 transform is banded and its column sums are cheap to evaluate on a time
-grid.  The per-column decay rates and their infimum drive the
-certificates:
+grid.  It is linear in the table, so that of V ⊙ M is V times R, R built
+once from the multiplier rows (``reduced_block``).  The per-column decay
+rates and their infimum drive the certificates:
 
 * weighted certificate (amplitude M, rate a): the D-weighted distance of
   any two solutions contracts at least like M * exp(-a (t-s));
@@ -33,9 +34,9 @@ from typing import Callable
 import numpy as np
 
 from .model import (Chain, ChainSpec, GeneratorBands, GeneratorBlock,
-                    TimeBlock, reduced_system_at, time_blocks)
+                    RateTable, TimeBlock, reduced_system_at, time_blocks)
 from .quadrature import (ANALYSIS_GRID, adaptive_simpson, doubled_grid,
-                         peak_running_integral, simpson_on_grid)
+                         grid_sup, peak_running_integral, simpson_on_grid)
 from .rates import RateFunction, periodic_mean
 
 
@@ -147,7 +148,8 @@ def reduced_bands_block(g: GeneratorBlock,
     as A[i, j] (or A[i-1, j-1] above the diagonal) plus the change of one
     tail sum between neighbouring columns, which is exactly zero wherever
     truncation does not cut a band.  A block with a catastrophe row or
-    mass-arrival column overlay is refused.
+    mass-arrival column overlay is refused.  Every step is linear in the
+    table, so ``reduced_block`` reduces a chain's multipliers only once.
     """
     if g.row0 is not None or g.col0 is not None:
         raise CertificateError(
@@ -195,10 +197,24 @@ def reduced_bands_block(g: GeneratorBlock,
     return GeneratorBlock(n - 1, offsets, data, fixed_diag=diag)
 
 
+def reduced_block(table: RateTable, tb: TimeBlock,
+                  w: WeightSequence) -> GeneratorBlock:
+    """``reduced_bands_block(table.block(tb), w)`` as V ⊙ R, R reducing each
+    multiplier row alone (``table.block()``), cached on the table.  A wide
+    table, whose rate values vary along the states, does not factor."""
+    if table.wide:
+        return reduced_bands_block(table.block(tb), w)
+    if w not in table.reduced:
+        table.reduced[w] = reduced_bands_block(table.block(), w)
+    r, v = table.reduced[w], table.values(tb)[:, :, 0]
+    return GeneratorBlock(r.n, r.offsets, np.einsum("tr,rkj->tkj", v, r.data),
+                          fixed_diag=np.einsum("tr,rj->tj", v, r.diag))
+
+
 def weighted_reduced_bands(chain: Chain, w: WeightSequence,
                            t: float) -> GeneratorBands:
-    """``reduced_bands_block`` at the single time t."""
-    return reduced_bands_block(chain.bands_block(TimeBlock(t)), w).at(0)
+    """``reduced_block`` at the single time t."""
+    return reduced_block(chain.rate_table, TimeBlock(t), w).at(0)
 
 
 def weighted_reduced_matrix(spec: ChainSpec, w: WeightSequence,
@@ -232,7 +248,7 @@ def column_stats(table: GeneratorBlock, rates: bool = True):
 
 
 def _reduced_stats(spec: ChainSpec, w: WeightSequence, tb: TimeBlock):
-    return column_stats(reduced_bands_block(spec.bands_block(tb), w))
+    return column_stats(reduced_block(spec.rate_table, tb, w))
 
 
 def log_norm(m: np.ndarray) -> float:
@@ -253,24 +269,22 @@ def decay_rate_at(spec: ChainSpec, w: WeightSequence, t: float) -> float:
     return float(decay_rates_at(spec, w, t).min())
 
 
-def _block_profile(spec: ChainSpec,
-                   per_block: Callable[[GeneratorBlock], np.ndarray]
+def _block_profile(per_block: Callable[[TimeBlock], np.ndarray]
                    ) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized t -> ``per_block`` of the generator slices at t, one
+    """Vectorized t -> ``per_block`` of a block of times holding t, one
     value per time, evaluated block by block: a certificate's rate profile."""
 
     def fn(ts: np.ndarray) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.concatenate([per_block(spec.bands_block(tb))
-                               for tb in time_blocks(ts)])
+        return np.concatenate([per_block(tb) for tb in time_blocks(ts)])
 
     return fn
 
 
 def decay_rate_fn(spec: ChainSpec, w: WeightSequence) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized t -> overall decay rate, for quadrature."""
-    return _block_profile(spec, lambda g: column_stats(
-        reduced_bands_block(g, w))[0].min(axis=1))
+    return _block_profile(
+        lambda tb: _reduced_stats(spec, w, tb)[0].min(axis=1))
 
 
 def reduced_norm_at(spec: ChainSpec, w: WeightSequence, t: float) -> float:
@@ -369,11 +383,11 @@ def weighted_certificate(spec: ChainSpec, w: WeightSequence,
         raise CertificateError(f"no weighted certificate for kind {spec.kind!r}")
     alphas, b_sup, f_sup = [], 0.0, 0.0
     for tb in time_blocks(doubled_grid(period, grid)):
-        g = spec.bands_block(tb)
-        rates, colsums = column_stats(reduced_bands_block(g, w))
+        rates, colsums = _reduced_stats(spec, w, tb)
         alphas.append(rates.min(axis=1))
-        b_sup = max(b_sup, float(colsums.max()))
-        f_sup = max(f_sup, float(w.weighted_norm(g.forcing(head=True)).max()))
+        b_sup = grid_sup(b_sup, colsums)
+        f_sup = grid_sup(f_sup, w.weighted_norm(
+            spec.bands_block(tb).forcing(head=True)))
     return _certificate(
         "weighted", 1.0, decay_rate_fn(spec, w), np.concatenate(alphas),
         period, grid,
@@ -405,6 +419,7 @@ def catastrophe_uniform_certificate(spec: ChainSpec,
         raise CertificateError("uniform catastrophe certificate needs a "
                                "catastrophe chain")
     period = _require_period(spec)
-    floor = _block_profile(spec, lambda g: g.direct_to_zero().min(axis=1))
+    floor = _block_profile(
+        lambda tb: spec.bands_block(tb).direct_to_zero().min(axis=1))
     return _certificate("uniform", 2.0, floor,
                         floor(doubled_grid(period, grid)), period, grid)

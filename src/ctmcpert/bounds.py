@@ -25,9 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import (ErgodicityCertificate, WeightSequence, column_stats,
-                       reduced_bands_block)
-from .model import Chain, ChainSpec, time_blocks
-from .quadrature import ANALYSIS_GRID, doubled_grid
+                       reduced_block)
+from .model import Chain, ChainSpec, difference, time_blocks
+from .quadrature import ANALYSIS_GRID, doubled_grid, grid_sup
 
 
 class InfeasibleBoundError(ValueError):
@@ -157,11 +157,12 @@ def perturbation_gaps(spec: ChainSpec, draws: Sequence[Chain],
     """Grid suprema over one period of the distances between the original
     and each perturbed chain of ``draws``, maximised over the draws.
 
-    The weighted gaps need the weighted reduction of every chain, which
-    is defined for a generator without overlays: a chain with
-    catastrophes (a ``row0``) or mass arrivals (a ``col0``) makes them
-    nan.  The generator gap is defined for any perturbed chain on the same
-    state space.
+    Each distance is read from V ⊙ (M' - M) (``model.difference``) and
+    V ⊙ (R' - R), never from the chains' own tables.  The weighted gaps
+    need the weighted reduction, which is defined for a generator without
+    overlays: a chain with catastrophes (a ``row0``) or mass arrivals (a
+    ``col0``) makes them nan.  The generator gap is defined for any
+    perturbed chain on the same state space.
     """
     if any(chain.size != spec.size for chain in draws):
         raise ValueError("perturbed chain must share the state space")
@@ -169,23 +170,18 @@ def perturbation_gaps(spec: ChainSpec, draws: Sequence[Chain],
     structural = not any(chain.rate_table.row0
                          or chain.rate_table.col0 is not None
                          for chain in (spec, *draws))
+    diffs = [difference(spec.rate_table, chain.rate_table) for chain in draws]
     red = forc = gen = 0.0
     for tb in time_blocks(doubled_grid(period, grid)):
-        g1 = spec.bands_block(tb)
-        r1 = reduced_bands_block(g1, w) if structural else None
-        for chain in draws:
-            # a draw's tables are spent on its differences, in place
-            g2 = chain.bands_block(tb)
-            r2 = reduced_bands_block(g2, w) if structural else None
-            diff = g2.subtracted_from(g1)
+        for diff in diffs:
+            g = diff.block(tb)
             if structural:
-                norms = column_stats(r2.subtracted_from(r1), rates=False)[1]
-                red = max(red, float(norms.max()))
-                forc = max(forc, float(
-                    w.weighted_norm(diff.forcing(head=True)).max()))
+                red = grid_sup(red, column_stats(reduced_block(diff, tb, w),
+                                                 rates=False)[1])
+                forc = grid_sup(forc, w.weighted_norm(g.forcing(head=True)))
             # l1 distance of the generators: the difference's diagonal is
             # minus its column sums
-            gen = max(gen, float(column_stats(diff, rates=False)[1].max()))
+            gen = grid_sup(gen, column_stats(g, rates=False)[1])
     if not structural:
         red = forc = math.nan
     return PerturbationGaps(reduced=red, forcing=forc, generator=gen, grid=grid)

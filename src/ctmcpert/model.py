@@ -28,7 +28,8 @@ column 0.  A table is rate values times multipliers, V ⊙ M
 and ``bands_block`` multiplies them by the rate values V at a block of
 times (``bands_at``: at one time).  Tables of several chains go on one
 offset order (``merged_offsets``), a row a chain lacks being zero, to be
-subtracted or to be stacked by the solver on a trailing axis.
+stacked by the solver on a trailing axis; the difference of two chains
+is one table of multiplier differences (``difference``).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .quadrature import ANALYSIS_GRID
+from .quadrature import ANALYSIS_GRID, grid_sup
 from .rates import RateFunction
 
 class ChainValidationError(ValueError):
@@ -288,19 +289,6 @@ class GeneratorBlock:
             out += self.row0[:, 1:]
         return out
 
-    def subtracted_from(self, other: "GeneratorBlock") -> "GeneratorBlock":
-        """``other - self`` on their merged offsets, for tables on the same
-        states and times.  The band entries and a fixed diagonal are
-        written over this table's, which is spent; without a fixed diagonal
-        the difference's is again minus its column sums."""
-        offsets, (d1, d2), (r1, r2), (c1, c2) = _align([other, self])
-        fixed = self.fixed_diag
-        if fixed is not None:
-            np.subtract(other.fixed_diag, fixed, out=fixed)
-        return GeneratorBlock(self.n, offsets, np.subtract(d1, d2, out=d2),
-                              None if r1 is None else r1 - r2,
-                              None if c1 is None else c1 - c2, fixed)
-
 
 def merged_offsets(offset_lists: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """One offset order for several tables: the first table's, with every
@@ -317,29 +305,6 @@ def merged_offsets(offset_lists: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(merged)
 
 
-def _align(blocks: Sequence[GeneratorBlock]):
-    """(offsets, datas, row0s, col0s): the tables of ``blocks`` on their
-    ``merged_offsets``, a block's own data where it needs no padding.  A
-    row a block lacks is zero, and so is an overlay that another block
-    has."""
-    offsets = merged_offsets([b.offsets for b in blocks])
-    datas = []
-    for b in blocks:
-        data = b.data
-        if b.offsets != offsets:
-            data = np.zeros(data.shape[:1] + (len(offsets),) + data.shape[2:])
-            data[:, [offsets.index(k) for k in b.offsets]] = b.data
-        datas.append(data)
-
-    def filled(arrays):
-        ref = next((a for a in arrays if a is not None), None)
-        return [np.zeros_like(ref) if a is None and ref is not None else a
-                for a in arrays]
-
-    return (offsets, datas, filled([b.row0 for b in blocks]),
-            filled([b.col0 for b in blocks]))
-
-
 @dataclass(frozen=True, eq=False)
 class RateTable:
     """A chain's generator tables as rate values times multipliers, V ⊙ M.
@@ -352,6 +317,9 @@ class RateTable:
     (T, rows, 1), or (T, rows, n+1) when a member family has one function
     per state (``wide``).  Each entry of V ⊙ M is the one product rate ×
     multiplier.  ``col0`` is the mass-arrival column, outside the product.
+    A ``difference`` may sum several rows on one offset: ``at`` gives each
+    row's offset index (the row0 row's is ``len(offsets)``), nondecreasing.
+    ``reduced`` caches ``analysis.reduced_block``'s R by weight sequence.
     """
 
     n: int
@@ -360,6 +328,8 @@ class RateTable:
     m: np.ndarray
     row0: bool
     col0: np.ndarray | None = None
+    at: tuple[int, ...] | None = None
+    reduced: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def wide(self) -> bool:
@@ -376,15 +346,43 @@ class RateTable:
                     [tb.rate(fn) for fn in f.members], axis=1)
         return v
 
-    def block(self, tb: TimeBlock) -> GeneratorBlock:
-        v = self.values(tb)
+    def block(self, tb: TimeBlock | None = None) -> GeneratorBlock:
+        """V ⊙ M at the block's times; without ``tb``, V is the identity:
+        M as a block whose times are its rows, each alone at its offset."""
+        v = np.eye(len(self.m))[..., None] if tb is None else self.values(tb)
         # the products of v * m, formed by einsum at about twice the speed
         # of a multiply that broadcasts v along the states
         table = v * self.m if self.wide else \
             np.einsum("tr,rj->trj", v[:, :, 0], self.m)
+        if self.at is not None:  # rows on one offset, summed in row order
+            table = np.add.reduceat(
+                table, np.unique(self.at, return_index=True)[1], axis=1)
         k = len(self.offsets)
         return GeneratorBlock(self.n, self.offsets, table[:, :k],
                               table[:, k] if self.row0 else None, self.col0)
+
+
+def difference(base: RateTable, other: RateTable) -> RateTable:
+    """other - base over both tables' rate rows, a row being an offset (or
+    row0) with its rate functions: M' - M on a row of both tables, and on a
+    row of one its multipliers, negated for the base.  Rows follow the
+    ``merged_offsets``, the base's first where two share an offset."""
+    offsets = merged_offsets([base.offsets, other.offsets])
+    rows: dict[tuple, list] = {}
+    col0 = None
+    for sign, table in ((-1.0, base), (1.0, other)):
+        ats = [offsets.index(k) for k in table.offsets] + [len(offsets)]
+        for at, row, m in zip(ats, table.families, table.m):
+            key = (at, *map(id, row[1].rate_functions))
+            rows.setdefault(key, [row, 0.0])[1] += sign * m
+        if table.col0 is not None:
+            col0 = (0.0 if col0 is None else col0) + sign * table.col0
+    keys = sorted(rows, key=lambda key: key[0])
+    at = tuple(key[0] for key in keys)
+    families, m = zip(*(rows[key] for key in keys))
+    return RateTable(base.n, offsets, families, np.array(m),
+                     base.row0 or other.row0, col0,
+                     None if at == tuple(range(len(at))) else at)
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +486,12 @@ class ChainSpec:
         """Grid supremum of |A_kk(t)| (the validated intensity bound)."""
         return _validate_chain(self)
 
+    @cached_property
+    def _family_sups(self) -> dict[str, np.ndarray]:
+        """Per-member grid suprema of each family, shaping offset draws."""
+        tb = TimeBlock(_validation_times(self))
+        return {name: f.block(tb).max(axis=0) for name, f in self.rate_slots()}
+
 
 @dataclass(frozen=True, eq=False)
 class MassArrivalChain:
@@ -576,13 +580,13 @@ def _validate_family(name: str, fam: RateFamily, ts: np.ndarray):
             f"{name}: negative rate value at t={ts[i_t]}")
 
 
-def _validate_chain(spec: ChainSpec) -> float:
+def _validate_chain(spec: ChainSpec, families: bool = True) -> float:
     ts = _validation_times(spec)
-    for name, fam in spec.rate_slots():
+    for name, fam in spec.rate_slots() if families else ():
         _validate_family(name, fam, ts)
     sup = 0.0
     for tb in time_blocks(ts):
-        sup = max(sup, float(np.abs(spec.bands_block(tb).diag).max()))
+        sup = grid_sup(sup, np.abs(spec.bands_block(tb).diag))
     if spec.declared_bound is not None and sup > spec.declared_bound * (1 + 1e-12):
         raise ChainValidationError(
             f"declared intensity bound {spec.declared_bound} exceeded: "
@@ -818,11 +822,6 @@ class Perturbation:
                              f"nonnegative, got {self.eps}")
 
 
-def _family_sup(fam: RateFamily, ts: np.ndarray) -> np.ndarray:
-    """Per-member grid suprema, used to shape offset draws."""
-    return fam.block(TimeBlock(ts)).max(axis=0)
-
-
 def _offset_family(fam: RateFamily, eps: float, coeffs: np.ndarray,
                    sups: np.ndarray) -> RateFamily:
     factors = np.ones(fam.count)
@@ -840,11 +839,14 @@ def perturb(spec: ChainSpec, pert: Perturbation) -> Chain:
         return MassArrivalChain(base=spec, eps=pert.eps)
     if pert.mode == "multiplicative":
         new = {name: fam.scaled(1.0 + pert.eps) for name, fam in spec.rate_slots()}
-        return _built(spec._replace_slots(new))
-    rng = np.random.default_rng(0 if pert.seed is None else pert.seed)
-    ts = _validation_times(spec)
-    new = {}
-    for name, fam in spec.rate_slots():
-        coeffs = rng.uniform(-1.0, 1.0, size=fam.count)
-        new[name] = _offset_family(fam, pert.eps, coeffs, _family_sup(fam, ts))
-    return _built(spec._replace_slots(new))
+    else:
+        rng = np.random.default_rng(0 if pert.seed is None else pert.seed)
+        new = {name: _offset_family(fam, pert.eps, rng.uniform(
+            -1.0, 1.0, size=fam.count), spec._family_sups[name])
+            for name, fam in spec.rate_slots()}
+    draw = spec._replace_slots(new)
+    # its rate functions are the base's, validated on the same grid, and its
+    # multipliers the base's times finite factors >= 0, so only its bound
+    # and the declared-bound check are computed afresh
+    draw.__dict__["l_bound"] = _validate_chain(draw, families=False)
+    return draw

@@ -145,6 +145,13 @@ def peak_running_integral(f: VecFn, period: float, mean: float,
     return max(float(cum[j]), refined, 0.0)
 
 
+def grid_sup(sup: float, values: np.ndarray) -> float:
+    """``sup`` folded with the largest of ``values``, inf if one is not
+    finite (Python's max would drop a nan)."""
+    top = float(values.max())
+    return max(sup, top) if math.isfinite(top) else math.inf
+
+
 def doubled_grid(period: float, grid: int = ANALYSIS_GRID) -> np.ndarray:
     """Grid refined once; used for sup-type certificates so that every
     coarse node is also probed."""

@@ -12,8 +12,8 @@ from ctmcpert import (CertificateError, MassArrivalChain, RateFunction,
                       similarity_reduced_matrix,
                       uniform_from_weighted, weighted_certificate,
                       weighted_reduced_matrix)
-from ctmcpert.analysis import reduced_bands_block
-from ctmcpert.model import TimeBlock
+from ctmcpert.analysis import reduced_bands_block, reduced_block
+from ctmcpert.model import TimeBlock, difference
 from conftest import (dense_rk4, expm_ode, family_at, random_chain,
                       random_weights, rich_rate)
 
@@ -56,6 +56,15 @@ def test_weight_sequence_validation():
 
 # ---------------------------------------------------------------------------
 # the weighted reduced matrix
+
+def _dense_reduced(red, i):
+    """Dense matrix of a reduced table at its time index i."""
+    direct = np.diag(red.diag[i])
+    n = len(direct)
+    for k, vals in zip(red.offsets, red.data[i]):
+        direct += np.diag(vals[:n - k] if k > 0 else vals[-k:], -k)
+    return direct
+
 
 def test_loss_queue_unit_weight_matrix(loss_queue):
     w = WeightSequence.unit(299)
@@ -114,11 +123,46 @@ def test_transcription_against_similarity():
             assert all(min(g.offsets) <= k <= max(g.offsets)
                        for k in red.offsets)
             for i, t in enumerate(ts):
-                direct = np.diag(red.diag[i])
-                for k, vals in zip(red.offsets, red.data[i]):
-                    direct += np.diag(vals[:n - k] if k > 0 else vals[-k:], -k)
                 oracle = similarity_reduced_matrix(spec, w, float(t))
-                assert np.abs(direct - oracle).max() < 1e-10
+                assert np.abs(_dense_reduced(red, i) - oracle).max() < 1e-10
+
+
+def test_reduced_block_from_reduced_multipliers():
+    # V contracted with the reduced multiplier rows R equals the reduction
+    # of the generator table V ⊙ M and the dense similarity transform, for
+    # chains of every kind, with shared and member (wide) families, and for
+    # the difference of two chains
+    rng = np.random.default_rng(2024)
+    wide = 0
+    for kind in ("birth-death", "batch-arrival", "batch-service", "batch"):
+        for _ in range(8):
+            n = int(rng.integers(3, 16))
+            spec = random_chain(rng, kind, n, rate=rich_rate)
+            other = random_chain(rng, kind, n, rate=rich_rate)
+            w = random_weights(rng, n)
+            ts = rng.uniform(0, 2, 5)
+            table = spec.rate_table
+            wide += table.wide
+            got = reduced_block(table, TimeBlock(ts), w)
+            assert w in table.reduced or table.wide
+            want = reduced_bands_block(spec.bands_block(TimeBlock(ts)), w)
+            assert got.offsets == want.offsets
+            scale = max(1.0, np.abs(want.data).max(), np.abs(want.diag).max())
+            assert np.abs(got.data - want.data).max() <= 1e-12 * scale
+            assert np.abs(got.diag - want.diag).max() <= 1e-12 * scale
+            for i, t in enumerate(ts):
+                oracle = similarity_reduced_matrix(spec, w, float(t))
+                assert np.abs(_dense_reduced(got, i) - oracle).max() \
+                    <= 1e-12 * max(1.0, np.abs(oracle).max())
+            # a difference table sums the rows it puts on one offset
+            diff = difference(table, other.rate_table)
+            got = reduced_block(diff, TimeBlock(ts), w)
+            for i, t in enumerate(ts):
+                oracle = similarity_reduced_matrix(other, w, float(t)) \
+                    - similarity_reduced_matrix(spec, w, float(t))
+                assert np.abs(_dense_reduced(got, i) - oracle).max() \
+                    <= 1e-12 * max(1.0, np.abs(oracle).max())
+    assert wide > 0
 
 
 def test_birth_death_reduction_is_exact():

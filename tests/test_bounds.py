@@ -7,7 +7,7 @@ from ctmcpert import (InfeasibleBoundError, Perturbation, RateFunction,
                       WeightSequence, batch_arrival_chain, batch_chain,
                       batch_service_chain, birth_death_chain,
                       build_report, catastrophe_chain, critical_reduced_gap,
-                      generator_at,
+                      generator_at, parse_rate,
                       perturb, perturbation_gaps, similarity_reduced_matrix,
                       to_total_variation,
                       uniform_bound_at, uniform_from_weighted,
@@ -16,6 +16,7 @@ from ctmcpert import (InfeasibleBoundError, Perturbation, RateFunction,
                       weighted_limsup_bound, weighted_mean_limsup_bound)
 from ctmcpert.analysis import ErgodicityCertificate
 from ctmcpert.quadrature import doubled_grid
+from ctmcpert.model import rate_family
 from conftest import random_chain, random_family, random_weights, rich_rate
 
 
@@ -227,6 +228,46 @@ def test_gaps_against_dense_matrices():
         else:
             assert math.isnan(g.reduced) and math.isnan(g.forcing)
             assert g.generator > 0
+
+
+def test_gaps_against_long_double():
+    # rates around 400 moved by about 0.01: a gap taken as the difference
+    # of the two chains' tables loses about 1e-12 relative to cancellation.
+    # The reference differences the same rate values and multipliers in
+    # long double and transforms densely.
+    lam = parse_rate("400*(1+0.5*sin(2*pi*t))", period=1.0)
+    mu = parse_rate("380+20*cos(2*pi*t)", period=1.0)
+    n = 30
+    spec = birth_death_chain(
+        rate_family(shared=lam, multipliers=np.linspace(0.9, 1.1, n)),
+        rate_family(shared=mu, multipliers=np.linspace(1.1, 0.9, n)), n + 1,
+        validation_grid=32)
+    w = WeightSequence.geometric(1.1, n)
+    draws = [perturb(spec, Perturbation("rate-offsets", eps=0.01, seed=seed))
+             for seed in (1, 2)]
+    g = perturbation_gaps(spec, draws, w, grid=16)
+    ld = np.longdouble
+    d = w.values.astype(ld)
+    dm = np.triu(np.tile(d[:, None], (1, n)))
+    dinv = np.diag(1 / d) - np.diag(1 / d[1:], 1)
+    want = np.zeros(3, dtype=ld)
+    js = np.arange(n)
+    for t in doubled_grid(1.0, 16):
+        rates = [ld(f.values(np.array([t]))[0]) for f in (lam, mu)]
+        for draw in draws:
+            a = np.zeros((n + 1, n + 1), dtype=ld)
+            for (rows, cols), rate, new, old in zip(
+                    ((js + 1, js), (js, js + 1)), rates,
+                    (draw.births, draw.deaths), (spec.births, spec.deaths)):
+                a[rows, cols] = rate * new.multipliers.astype(ld) \
+                    - rate * old.multipliers.astype(ld)
+            a[np.arange(n + 1), np.arange(n + 1)] = -a.sum(axis=0)
+            red = dm @ (a[1:, 1:] - a[1:, :1]) @ dinv
+            want = np.maximum(want, [np.abs(red).sum(axis=0).max(),
+                                     np.abs(dm @ a[1:, 0]).sum(),
+                                     np.abs(a).sum(axis=0).max()])
+    for got, ref in zip((g.reduced, g.forcing, g.generator), want):
+        assert abs(ld(got) - ref) <= 1e-14 * ref
 
 
 def test_forcing_from_a_long_head():

@@ -728,3 +728,43 @@ def test_pinned_reports(name, command, tmp_path, capsys):
                 or abs(got[key] - value) <= 1e-12 * abs(value), key
         else:
             assert got[key] == value, key
+
+
+SPIKE = """
+[chain]
+kind = birth-death
+states = 20
+period = 1
+birth = {birth}
+death = "4"
+
+[weights]
+kind = unit
+
+[perturbation]
+mode = rate-offsets
+epsilon = 0.01
+draws = 2
+seed = 7
+"""
+
+
+@pytest.mark.parametrize("birth", [
+    "table: [(0, 1), (0.5001, inf), (0.5002, 1)]",
+    '"1+0.001/((t-0.5001220703125)*(t-0.5001220703125))"'])
+def test_non_finite_rate_makes_suprema_inf(birth, tmp_path, capsys):
+    # a birth rate that is finite at every validation node (k/4096) and
+    # infinite at node 4097/8192 of the doubled grid: every grid supremum
+    # is inf, where a max that drops a nan reported finite gaps.  The
+    # expression divides by zero there, which numpy is told to expect.
+    path = tmp_path / "spike.scn"
+    path.write_text(SPIKE.format(birth=birth))
+    with np.errstate(divide="ignore" if birth.startswith('"') else "warn"):
+        code = main(["--out", str(tmp_path), "bounds", str(path)])
+    capsys.readouterr()
+    assert code == EXIT_INFEASIBLE
+    rep = _report_values((tmp_path / "spike.report.kv").read_text())
+    for key in ("cert.weighted.reduced_norm_sup",
+                "cert.weighted.forcing_norm_sup", "bounds.gaps.reduced",
+                "bounds.gaps.forcing", "bounds.gaps.generator"):
+        assert rep[key] == math.inf, key

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from ctmcpert import (ChainValidationError, MassArrivalChain, Perturbation,
                       catastrophe_chain, catastrophe_floor_at,
                       catastrophe_reduction_at, generator_at, parse_rate,
                       perturb, rate_family, reduced_system_at)
-from ctmcpert.model import TimeBlock
+from ctmcpert.model import TimeBlock, _built
 from conftest import dense_generator, random_chain, rich_rate
 
 ONE = RateFunction.constant(1.0)
@@ -317,6 +319,24 @@ def test_offsets_never_produce_negative_rates():
         pert = perturb(spec, Perturbation("rate-offsets", eps=0.3, seed=seed))
         a = generator_at(pert, 0.75).matrix
         assert np.diag(a, -1).min() >= 0
+
+
+def test_draw_bound_equals_a_fresh_build():
+    # a seeded or scaled draw skips the validation of its families, whose
+    # rate functions are the base's; its intensity bound and the
+    # declared-bound check are those of a chain built afresh
+    rng = np.random.default_rng(12)
+    for kind in ("birth-death", "batch-arrival", "batch-service", "batch"):
+        spec = random_chain(rng, kind, int(rng.integers(3, 12)),
+                            rate=rich_rate)
+        for pert in (Perturbation("rate-offsets", eps=0.2, seed=5),
+                     Perturbation("multiplicative", eps=0.2)):
+            draw = perturb(spec, pert)
+            assert draw.l_bound == _built(replace(draw)).l_bound
+            tight = replace(spec, declared_bound=spec.l_bound)
+            if pert.mode == "multiplicative":
+                with pytest.raises(ChainValidationError, match="declared"):
+                    perturb(tight, pert)
 
 
 def test_catastrophes_over_batch_base():

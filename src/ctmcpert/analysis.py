@@ -382,12 +382,16 @@ def weighted_certificate(spec: ChainSpec, w: WeightSequence,
     if not isinstance(spec, ChainSpec) or spec.catastrophes is not None:
         raise CertificateError(f"no weighted certificate for kind {spec.kind!r}")
     alphas, b_sup, f_sup = [], 0.0, 0.0
+    table = spec.rate_table  # the forcing head: A[k, 0], k up, at k - 1
+    up = [i for i, k in enumerate(table.offsets) if k > 0]
+    at = [table.offsets[i] - 1 for i in up]
     for tb in time_blocks(doubled_grid(period, grid)):
         rates, colsums = _reduced_stats(spec, w, tb)
         alphas.append(rates.min(axis=1))
         b_sup = grid_sup(b_sup, colsums)
-        f_sup = grid_sup(f_sup, w.weighted_norm(
-            spec.bands_block(tb).forcing(head=True)))
+        head = np.zeros((len(tb), max(at, default=-1) + 1))
+        head[:, at] = table.values(tb)[:, up, 0] * table.m[up, 0]
+        f_sup = grid_sup(f_sup, w.weighted_norm(head))
     return _certificate(
         "weighted", 1.0, decay_rate_fn(spec, w), np.concatenate(alphas),
         period, grid,

@@ -27,9 +27,9 @@ column 0.  A table is rate values times multipliers, V ⊙ M
 (``RateTable``): a chain builds its time-invariant multipliers M once,
 and ``bands_block`` multiplies them by the rate values V at a block of
 times (``bands_at``: at one time).  Tables of several chains go on one
-offset order (``merged_offsets``), a row a chain lacks being zero, to be
-stacked by the solver on a trailing axis; the difference of two chains
-is one table of multiplier differences (``difference``).
+offset order (``merged_offsets``), a row a chain lacks being zero: the
+difference of two chains is one table of multiplier differences
+(``difference``), and the solver steps several chains on one table.
 """
 
 from __future__ import annotations
@@ -126,6 +126,10 @@ def rate_family(shared: RateFunction | None = None,
 #: both within 0.3 % of per-node slices.
 NODE_BLOCK = 64
 
+#: ``fn.values(ts)``, a pole at a node being inf there without a warning
+_node_values = np.errstate(divide="ignore", invalid="ignore",
+                           over="ignore")(lambda fn, ts: fn.values(ts))
+
 
 class TimeBlock:
     """A block of time nodes with the rate values evaluated on them.
@@ -147,8 +151,7 @@ class TimeBlock:
     def rate(self, fn: RateFunction) -> np.ndarray:
         hit = self._values.get(id(fn))
         if hit is None:  # the function is kept so that its id stays unique
-            hit = (fn, fn.values(self.ts))
-            self._values[id(fn)] = hit
+            hit = self._values[id(fn)] = (fn, _node_values(fn, self.ts))
         return hit[1]
 
 
@@ -165,9 +168,7 @@ def time_blocks(ts: np.ndarray):
 class GeneratorBands:
     """One time slice of A(t), the view ``GeneratorBlock.at(i)``:
     ``data[i, j] = A[j + offsets[i], j]`` with ``data`` of shape (K, n+1),
-    and ``diag`` and ``row0`` of shape (n+1,).  A slice of several
-    generators stacked by the solver carries a trailing axis on every
-    array, one entry per state column."""
+    and ``diag``, ``row0`` and ``col0`` of shape (n+1,)."""
 
     n: int
     offsets: tuple[int, ...]
@@ -177,25 +178,19 @@ class GeneratorBands:
     col0: np.ndarray | None = None
 
     def matvec(self, p: np.ndarray) -> np.ndarray:
-        """A @ p; each column of ``p`` only meets its own entries, so a
-        column's result does not depend on the other columns."""
-        # a lone slice meets a block of columns through a broadcast axis
-        lift = (...,) if self.diag.ndim == p.ndim else (..., None)
-        out = self.diag[lift] * p
-        prods = self.data[lift] * p
+        """A @ p for one state vector, summed as the solver's step sums."""
+        out = self.diag * p
+        prods = self.data * p
         for i, k in enumerate(self.offsets):
             # data[i, j] * p[j] lands on row j + k
             if k > 0:
                 out[k:] += prods[i, :-k]
             else:
                 out[:k] += prods[i, -k:]
-        if self.row0 is not None:
-            # a running sum adds in row order whatever the column count,
-            # which a BLAS product does not
-            out[0] += np.add.accumulate(self.row0[lift][1:] * p[1:],
-                                        axis=0)[-1]
+        if self.row0 is not None:  # a running sum adds in state order
+            out[0] += np.add.accumulate(self.row0[1:] * p[1:])[-1]
         if self.col0 is not None:
-            out += self.col0[lift] * p[0]
+            out += self.col0 * p[0]
         return out
 
     def dense(self) -> np.ndarray:
@@ -219,14 +214,13 @@ class GeneratorBlock:
     ``data`` has shape (T, K, n+1) and is aligned by column:
     ``data[:, i, j] = A[j + offsets[i], j]``, zero where that row lies
     outside 0..n.  A chain's table is V ⊙ M (``RateTable.block``), with M
-    built once per chain by ``ChainSpec.rate_table`` and once per march
-    for the solver's stack of chains.  ``row0`` (T, n+1) and the
-    time-invariant ``col0`` (n+1,) are optional dense overlays for the
-    top row and the first column (index 0 entries unused).  The diagonal
-    is minus the off-diagonal column sums, computed on first read (the
-    certificate and gap grids never read it), unless ``fixed_diag`` gives
-    it: the weighted reduced matrix of ``analysis.reduced_bands_block``
-    uses this layout on states 0..n-1 with its own diagonal.
+    built once per chain by ``ChainSpec.rate_table``.  ``row0`` (T, n+1)
+    and the time-invariant ``col0`` (n+1,) are optional dense overlays
+    for the top row and the first column (index 0 entries unused).  The
+    diagonal is minus the off-diagonal column sums, computed on first read
+    (the certificate and gap grids never read it), unless ``fixed_diag``
+    gives it, as ``analysis.reduced_bands_block`` does for the weighted
+    reduced matrix on states 0..n-1.
     """
 
     n: int
@@ -250,13 +244,12 @@ class GeneratorBlock:
     def column_sums(self) -> np.ndarray:
         """Per-column sums of the off-diagonal entries per time.  The sum
         over the offset axis of a C-ordered table adds its rows in table
-        order, and a stack's column-major ``col0`` sums each column as a
-        lone ``col0`` is summed."""
+        order."""
         s = self.data.sum(axis=1)
         if self.row0 is not None:
             s[:, 1:] += self.row0[:, 1:]
         if self.col0 is not None:
-            s[:, 0] += self.col0[1:].sum(axis=0)
+            s[:, 0] += self.col0[1:].sum()
         return s
 
     def at(self, i: int) -> GeneratorBands:

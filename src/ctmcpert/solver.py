@@ -19,12 +19,12 @@ stride; perturbed chains add one column each), the limiting-regime search
 first period boundary where they meet) and ``ergodicity_coefficient`` are
 single-lane uses of it; a run of the command-line tool marches its run
 lane and its regime lane together.
-The chains of all lanes are one table with a trailing axis of columns,
-V ⊙ M: the column-stacked multipliers M are built once per march (and
-again when lanes stop), and each block of steps multiplies them by every
-chain's rate values on its lane's time nodes; the step is a row over the
-columns.  Columns never mix, so each is bit for bit what a run of its
-chain alone on its lane's clock gives.
+The march holds the columns of all lanes as the rows of one workspace,
+states innermost.  The column-stacked multipliers M are built once per
+march (and when lanes stop); each block of steps multiplies them by the
+chains' rate values on their lanes' nodes into one table of stages, and
+each step works in place.  Columns never mix: each is bit for bit a run
+of its chain alone on its lane's clock, by ``GeneratorBands.matvec``.
 
 Stationary vectors of time-invariant chains are not marched:
 ``stationary_distribution`` solves A p = 0 directly, by elimination in
@@ -40,9 +40,8 @@ from itertools import islice, repeat
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .model import (NODE_BLOCK, Chain, GeneratorBlock, MassArrivalChain,
-                    Perturbation, TimeBlock, birth_death_chain,
-                    merged_offsets, perturb)
+from .model import (NODE_BLOCK, Chain, MassArrivalChain, Perturbation,
+                    TimeBlock, birth_death_chain, merged_offsets, perturb)
 from .rates import RateFunction
 
 #: conservation tolerance asserted at every recorded sample
@@ -124,124 +123,158 @@ class Lane:
         return np.concatenate((t + 0.5 * self.h, t + self.h))
 
 
-class _Stack:
-    """The chains of some lanes as one table with a trailing axis of state
-    columns, V ⊙ M: the column-stacked multipliers M, built once on the
-    chains' merged offsets (a row a chain lacks has zero multipliers),
-    times every chain's rate values at its lane's times.  A lone chain
-    gets a broadcast axis of length 1 instead, whatever its width.  The
-    column sums add each chain's rows in its own order, zero rows between,
-    so each column keeps its chain's diagonal."""
+class _Workspace:
+    """The RK4 step of some lanes' columns, states innermost.  Row c of a
+    (C, L) stage holds column c's n+1 states between p zeros on either
+    side, p the widest offset.  A stage table, slot 0 the diagonal, is
+    V ⊙ M: the column-stacked multipliers M (a row a chain lacks being
+    zero, the catastrophe row last; a lone chain's broadcast over its
+    columns) times each chain's rate values at its lane's times.  The
+    band at offset k is the product of windows of its slot and of the
+    stage shifted by k, which read zeros outside them."""
 
-    def __init__(self, lanes):
+    def __init__(self, lanes, y: np.ndarray, k1=0.0):
         self.lanes = lanes
         tables = [c.rate_table for lane in lanes for c in lane.chains]
         self.widths = [w for lane in lanes for w in lane.widths] \
             if len(tables) > 1 else [1]
         self.n, self.offsets = tables[0].n, merged_offsets(
             [t.offsets for t in tables])
-        k = len(self.offsets)
-        self.row0 = any(t.row0 for t in tables)
+        k, self.row0 = len(self.offsets), any(t.row0 for t in tables)
         self.wide = any(t.wide for t in tables)
-        # each chain's rows in the merged table, the catastrophe row last
         self.rows = [[self.offsets.index(o) for o in t.offsets]
                      + [k] * t.row0 for t in tables]
-        m = np.zeros((k + self.row0, self.n + 1, len(tables)))
-        for j, t in enumerate(tables):
-            m[self.rows[j], :, j] = t.m
-        self.m = np.repeat(m, self.widths, axis=-1)
-        self.col0 = None
-        if any(t.col0 is not None for t in tables):
-            # column-major, so that each column sums as its chain's does
-            self.col0 = np.repeat([np.zeros(self.n + 1) if t.col0 is None
-                                   else t.col0 for t in tables],
-                                  self.widths, axis=0).T
+        n, p = self.n, max(map(abs, self.offsets))
+        self.states = slice(p, p + n + 1)
+        m = np.zeros((k + self.row0 + 1, len(tables), n + 1 + 2 * p))
+        for j, t in enumerate(tables):  # the mass-arrival columns last
+            m[self.rows[j], j, self.states] = t.m
+            m[-1, j, self.states] = 0.0 if t.col0 is None else t.col0
+        self.m, col0 = np.split(np.repeat(m, self.widths, axis=1), [-1])
+        self.col0_sums = col0[0, :, p + 1:p + n + 1].sum(axis=1)
+        self.col0 = None if all(t.col0 is None for t in tables) else col0[0]
+        shape, size = (len(y), m.shape[-1]), len(y) * m.shape[-1]
+        # y and the stage input with p zeros around, shifted by each offset
+        flat = np.zeros((2, size + 2 * p))
+        self.windows = [[f[p - k:][:size].reshape(shape)
+                         for k in (0,) + self.offsets] for f in flat]
+        self.y, self.k = self.windows[0][0], np.zeros((4,) + shape)
+        self.y[:, self.states], self.k[0][:, self.states] = y, k1
+        # each lane's step in full rows, which multiply faster than a column
+        self.h = np.repeat([[lane.h] * shape[1] for lane in lanes],
+                           [sum(lane.widths) for lane in lanes], axis=0)
+        self.half, self.sixth = 0.5 * self.h, self.h / 6.0
+        self.tmp = np.empty(shape)
+        # the tables (p zeros after), per node its diagonal, bands and row0
+        slots, size = len(m), self.m[0].size
+        flat = np.zeros(NODE_BLOCK * slots * size + p)
+        self.buf = flat[:-p].reshape((NODE_BLOCK, slots) + self.m.shape[1:])
+        self.nodes = [(self.buf[j, 0], [
+            flat[(j * slots + i) * size - k:][:size].reshape(self.m.shape[1:])
+            for i, k in enumerate(self.offsets, 1)], self.buf[j, -1])
+            for j in range(NODE_BLOCK)]
 
-    def block(self, times) -> GeneratorBlock:
-        """The stacked table at each lane's ``times``."""
-        v = np.zeros((len(times[0]), len(self.m),
-                      self.n + 1 if self.wide else 1, len(self.rows)))
-        blocks = map(TimeBlock, times)  # one per lane, shared by its chains
-        chains = [(c, tb) for lane, tb in zip(self.lanes, blocks)
-                  for c in lane.chains]
-        for j, (chain, tb) in enumerate(chains):
-            v[..., j][:, self.rows[j]] = chain.rate_table.values(tb)
-        table = np.repeat(v, self.widths, axis=-1) * self.m
-        k = len(self.offsets)
-        return GeneratorBlock(self.n, self.offsets, table[:, :k],
-                              table[:, k] if self.row0 else None, self.col0)
+    def tables(self, times) -> list:
+        """(diagonal, bands, row0) at each lane's ``times``, in buffers."""
+        v = np.zeros((len(times[0]), len(self.m), len(self.rows),
+                      self.m.shape[-1] if self.wide else 1))
+        chains = [(c, b) for lane, b in zip(self.lanes, map(TimeBlock, times))
+                  for c in lane.chains]  # a block per lane, for its chains
+        cols = self.states if self.wide else slice(None)
+        for j, (chain, b) in enumerate(chains):
+            v[:, self.rows[j], j, cols] = chain.rate_table.values(b)
+        table = self.buf[:len(v)]
+        # each product formed once, as by a multiply
+        np.einsum("tkcl,kcl->tkcl", np.repeat(v, self.widths, axis=2),
+                  self.m, out=table[:, 1:])
+        # minus the column sums: each column's rows in table order, then
+        # the mass-arrival column, as in ``GeneratorBlock.column_sums``
+        diag = np.sum(table[:, 1:], axis=1, out=table[:, 0])
+        np.negative(diag, out=diag)
+        if self.col0 is not None:
+            diag[..., self.states.start] -= self.col0_sums
+        return self.nodes
 
+    def stages(self, first: int):
+        """The (mid, end) tables of the steps from ``first`` on, a block of
+        steps at a time; each block overwrites the last."""
+        last = min((lane.segments * lane.steps for lane in self.lanes
+                    if lane.segments is not None), default=math.inf)
+        while first < last:
+            count = min(NODE_BLOCK // 2, last - first)
+            table = self.tables([lane.stage_times(first, count)
+                                 for lane in self.lanes])
+            for j in range(count):
+                yield table[j], table[count + j]
+            first += count
 
-def _step_slices(stack: _Stack, first: int, last):
-    """The (mid, end) slices of steps first, first+1, ... (up to ``last``),
-    built for a block of steps at a time."""
-    per_block = NODE_BLOCK // 2
-    while first < last:
-        count = min(per_block, last - first)
-        block = stack.block([lane.stage_times(first, count)
-                             for lane in stack.lanes])
-        for j in range(count):
-            yield block.at(j), block.at(count + j)
-        first += count
+    def matvec(self, a, x: int, out: np.ndarray):
+        """out = A x for the stage table ``a``; x 0 is y, 1 the stage input."""
+        (diag, bands, row0), (xs, *windows) = a, self.windows[x]
+        np.multiply(diag, xs, out=out)
+        for band, window in zip(bands, windows):
+            out += np.multiply(band, window, out=self.tmp)
+        p = self.states.start
+        if self.row0:  # a running sum adds in state order
+            tail = np.multiply(row0, xs, out=self.tmp)[:, p + 1:p + self.n + 1]
+            out[:, p] += np.add.accumulate(tail, axis=1)[:, -1]
+        if self.col0 is not None:
+            out += self.col0 * xs[:, p:p + 1]
+
+    def step(self, a_mid, a_end):
+        """One step of y, given k1 = A(t) y; k1 becomes A(t + h) y."""
+        y, z, h, half = self.y, self.windows[1][0], self.h, self.half
+        k1, k2, k3, k4 = self.k
+        for k, a, c, out in ((k1, a_mid, half, k2), (k2, a_mid, half, k3),
+                             (k3, a_end, h, k4)):
+            np.add(np.multiply(k, c, out=z), y, out=z)
+            self.matvec(a, 1, out)
+        # y + h/6 (k1 + 2 k2 + 2 k3 + k4), added from the left
+        np.add(np.multiply(k2, 2.0, out=k2), k1, out=k2)
+        np.add(k2, np.multiply(k3, 2.0, out=k3), out=k2)
+        y += np.multiply(np.add(k2, k4, out=k2), self.sixth, out=k2)
+        self.matvec(a_end, 0, k1)
 
 
 def march(*lanes: Lane):
     """Advance every lane's columns together, one RK4 step of each lane's
     own size per step of the loop, until every lane has stopped.
 
-    The first k1 of a segment reuses the previous step's end slice.  When
-    some lanes stop, the others go on with a stack rebuilt for them, from
-    the end slice of the last step on.  A time-invariant set of chains
-    reuses its start slice for every stage.
+    The k1 of a step is the previous step's A(t + h) y.  When some lanes
+    stop, the others go on in a workspace rebuilt for their columns and
+    k1.  A time-invariant set of chains uses one table for every stage.
     """
     lanes = [lane for lane in lanes if lane.segments != 0]
     if not lanes:
         return
-    y = np.concatenate([lane.y for lane in lanes], axis=1)
-    stack = _Stack(lanes)
-    a_t = stack.block([[lane.t0] for lane in lanes]).at(0)
+    ws = _Workspace(lanes, np.concatenate([lane.y for lane in lanes], 1).T)
+    ws.matvec(ws.tables([[lane.t0] for lane in lanes])[0], 0, ws.k[0])
     s = 0  # steps taken
     while lanes:
-        # the step as a row over the columns; a lone lane keeps a scalar,
-        # which is the same arithmetic without the cost of broadcasting
-        h = lanes[0].h if len(lanes) == 1 else np.concatenate(
-            [np.full(lane.y.shape[1], lane.h) for lane in lanes])
-        half, sixth = 0.5 * h, h / 6.0
-        if all(c.time_invariant for lane in lanes for c in lane.chains):
-            slices = repeat((a_t, a_t))
-        else:
-            last = min((lane.segments * lane.steps for lane in lanes
-                        if lane.segments is not None), default=math.inf)
-            slices = _step_slices(stack, s, last)
+        fixed = all(c.time_invariant for lane in lanes for c in lane.chains)
+        stages = repeat((ws.tables([[lane.t0] for lane in lanes])[0],) * 2) \
+            if fixed else ws.stages(s)
         stopped = []
         while not stopped:
             event = min((lane.done + 1) * lane.steps for lane in lanes)
-            for a_mid, a_end in islice(slices, event - s):
-                k1 = a_t.matvec(y)
-                k2 = a_mid.matvec(y + half * k1)
-                k3 = a_mid.matvec(y + half * k2)
-                k4 = a_end.matvec(y + h * k3)
-                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                a_t = a_end
+            for a_mid, a_end in islice(stages, event - s):
+                ws.step(a_mid, a_end)
             s = event
             col = 0
             for lane in lanes:
                 width = lane.y.shape[1]
                 if (lane.done + 1) * lane.steps == s:
-                    lane.y = y[:, col:col + width]
+                    lane.y = ws.y[col:col + width, ws.states].T.copy()
                     lane.done += 1
                     if not lane.segment_end(lane.done - 1) \
                             or lane.done == lane.segments:
                         stopped.append(lane)
                 col += width
-        keep = np.concatenate([np.full(lane.y.shape[1], lane not in stopped)
-                               for lane in lanes])
+        kept = np.concatenate([np.full(lane.y.shape[1], lane not in stopped)
+                               for lane in lanes]), ws.states
         lanes = [lane for lane in lanes if lane not in stopped]
-        if lanes:
-            y = y[:, np.flatnonzero(keep)]
-            stack = _Stack(lanes)
-            a_t = stack.block([lane.stage_times(s - 1, 1)[1:]
-                               for lane in lanes]).at(0)
+        if lanes:  # ``kept``: the states of the columns that go on
+            ws = _Workspace(lanes, ws.y[kept], ws.k[0][kept])
 
 
 # ---------------------------------------------------------------------------

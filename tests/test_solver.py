@@ -12,7 +12,8 @@ from ctmcpert import (Perturbation, RateFunction, SolverError, batch_chain,
                       perturbation_distance, rate_family,
                       stationary_distribution, write_mean_csv,
                       write_states_csv)
-from ctmcpert.solver import RegimeLane, RunLane, default_step, march
+from ctmcpert.solver import (Lane, RegimeLane, RunLane, default_step,
+                             march)
 
 ONE = RateFunction.constant(1.0)
 FOUR = RateFunction.constant(4.0)
@@ -283,10 +284,12 @@ def _draw_cases():
     arrivals = {1: periodic, 3: parse_rate("0.5+0.4*cos(2*pi*t)", period=1.0)}
     services = {1: RateFunction.constant(2.5), 2: RateFunction.constant(1.0)}
     batch = batch_chain(arrivals, services, size=12, validation_grid=64)
-    # what an explicit perturbation that adds arrival_2 and service_3 builds:
-    # one offset between two of the base's and one after them
+    # what an explicit perturbation that adds arrival_2, arrival_4 and
+    # service_3 builds: one offset between two of the base's, one after
+    # them and one wider than any of the base's
     extra = batch_chain(
-        {**arrivals, 2: parse_rate("0.2*(1+sin(2*pi*t))", period=1.0)},
+        {**arrivals, 2: parse_rate("0.2*(1+sin(2*pi*t))", period=1.0),
+         4: RateFunction.constant(0.3)},
         {**services, 3: RateFunction.constant(0.4)}, size=12,
         validation_grid=64)
     cat = catastrophe_chain(bd, parse_rate("0.3*(1+sin(2*pi*t))", period=1.0))
@@ -416,3 +419,96 @@ def test_regime_lane_shorter_than_a_period():
     assert lane.done == 0 and lane.dists == [2.0]
     with pytest.raises(SolverError, match="horizon 0.5 exhausted"):
         lane.report()
+
+
+class _Recorder(Lane):
+    """A lane that keeps its columns at every segment end and stops after
+    ``stop`` segments (None: after ``segments``)."""
+
+    def __init__(self, chains, widths, y, t0, h, steps, segments, stop=None):
+        super().__init__(chains, widths, y, t0, h, steps, steps * h,
+                         segments)
+        self.stop, self.seen = stop, []
+
+    def segment_end(self, i):
+        self.seen.append(self.y.copy())
+        return self.stop is None or i + 1 < self.stop
+
+
+def _reference_columns(chain, y, lane):
+    """One column of ``lane`` stepped alone, slice by slice: k1 reuses the
+    previous step's end slice, the other stages read ``bands_at`` at the
+    lane's stage times.  The column at every segment end."""
+    h, seen = lane.h, []
+    a_t = chain.bands_at(lane.t0)
+    for i in range(len(lane.seen)):
+        for j in range(lane.steps):
+            t = (lane.t0 + i * lane.seg_dt) + j * h
+            a_mid, a_end = chain.bands_at(t + 0.5 * h), chain.bands_at(t + h)
+            k1 = a_t.matvec(y)
+            k2 = a_mid.matvec(y + 0.5 * h * k1)
+            k3 = a_mid.matvec(y + 0.5 * h * k2)
+            k4 = a_end.matvec(y + h * k3)
+            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            a_t = a_end
+        seen.append(y)
+    return seen
+
+
+def _assert_matches_reference(lane, y0):
+    col = 0
+    for chain, width in zip(lane.chains, lane.widths):
+        for c in range(col, col + width):
+            want = _reference_columns(chain, y0[:, c], lane)
+            for got, ref in zip(lane.seen, want):
+                assert np.array_equal(got[:, c], ref), (chain.kind, c)
+        col += width
+
+
+def test_march_matches_per_step_reference():
+    # every column of a march is bit for bit a plain RK4 loop over
+    # single-time slices on its lane's clock: every generator layout, two
+    # lanes on different clocks, a lane that stops early (alone, with the
+    # draws, or next to them), and a time-invariant chain
+    def lane(chains, y, *clock, stop=None):
+        more = len(chains) - 1
+        y = np.concatenate([y] + [y[:, :1]] * more, axis=1)
+        return _Recorder(chains, (2,) + (1,) * more, y, *clock, stop=stop), y
+
+    def check(base, draws, step):
+        size = base.size
+        cols = np.stack([delta_state(size, 0), delta_state(size, size - 1)],
+                        axis=1)
+        # spread columns, so that a sum over the states has many terms; the
+        # ramp starts empty, so that state 0 shows a stage's every bit
+        spread = np.stack([np.full(size, 1 / size),
+                           np.arange(size) * 2 / (size * size - size)], axis=1)
+        # the draws on the lane that goes on, then on the one that stops
+        # first, whose columns may hold the widest offset; each lane alone
+        # (the early one a lone chain), then both together
+        for run_draws, early_draws, picks in (
+                (draws, [], ([0], [1], [0, 1])), ([], draws, ([0, 1],))):
+            for pick in picks:
+                group = [lane([base] + run_draws, spread, 0.0, step, 5, 3),
+                         lane([base] + early_draws, cols, 0.1, 0.7 * step,
+                              4, 6, stop=2)]
+                group = [group[i] for i in pick]
+                march(*(run for run, _ in group))
+                for run, y0 in group:
+                    assert len(run.seen) == (3 if run.stop is None else 2)
+                    _assert_matches_reference(run, y0)
+
+    for base, draws in _draw_cases():
+        check(base, draws, 0.25 / max(c.l_bound for c in [base] + draws))
+    # catastrophe rows of many terms, where a pairwise sum is not a
+    # running sum
+    periodic = parse_rate("1+0.8*sin(2*pi*t)", period=1.0)
+    big = catastrophe_chain(
+        birth_death_chain(periodic, FOUR.with_period(1.0), size=60,
+                          validation_grid=64),
+        parse_rate("0.3*(1+sin(2*pi*t))", period=1.0))
+    check(big, [], 0.25 / big.l_bound)
+    flat = birth_death_chain(ONE, FOUR, size=12, validation_grid=16)
+    drawn = perturb(flat, Perturbation("mass-arrival", eps=0.5))
+    assert flat.time_invariant and drawn.time_invariant
+    check(flat, [drawn], 0.02)

@@ -197,16 +197,17 @@ def reduced_bands_block(g: GeneratorBlock,
     return GeneratorBlock(n - 1, offsets, data, fixed_diag=diag)
 
 
-def reduced_block(table: RateTable, tb: TimeBlock,
-                  w: WeightSequence) -> GeneratorBlock:
+def reduced_block(table: RateTable, tb: TimeBlock, w: WeightSequence,
+                  v: np.ndarray | None = None) -> GeneratorBlock:
     """``reduced_bands_block(table.block(tb), w)`` as V ⊙ R, R reducing each
-    multiplier row alone (``table.block()``), cached on the table.  A wide
-    table, whose rate values vary along the states, does not factor."""
+    multiplier row alone (``table.block()``), cached on the table; ``v``
+    may give V, ``table.values(tb)``.  A wide table, whose rate values vary
+    along the states, does not factor."""
     if table.wide:
         return reduced_bands_block(table.block(tb), w)
     if w not in table.reduced:
         table.reduced[w] = reduced_bands_block(table.block(), w)
-    r, v = table.reduced[w], table.values(tb)[:, :, 0]
+    r, v = table.reduced[w], (table.values(tb) if v is None else v)[:, :, 0]
     return GeneratorBlock(r.n, r.offsets, np.einsum("tr,rkj->tkj", v, r.data),
                           fixed_diag=np.einsum("tr,rj->tj", v, r.diag))
 
@@ -382,16 +383,13 @@ def weighted_certificate(spec: ChainSpec, w: WeightSequence,
     if not isinstance(spec, ChainSpec) or spec.catastrophes is not None:
         raise CertificateError(f"no weighted certificate for kind {spec.kind!r}")
     alphas, b_sup, f_sup = [], 0.0, 0.0
-    table = spec.rate_table  # the forcing head: A[k, 0], k up, at k - 1
-    up = [i for i, k in enumerate(table.offsets) if k > 0]
-    at = [table.offsets[i] - 1 for i in up]
+    table = spec.rate_table
     for tb in time_blocks(doubled_grid(period, grid)):
-        rates, colsums = _reduced_stats(spec, w, tb)
+        v = table.values(tb)
+        rates, colsums = column_stats(reduced_block(table, tb, w, v))
         alphas.append(rates.min(axis=1))
         b_sup = grid_sup(b_sup, colsums)
-        head = np.zeros((len(tb), max(at, default=-1) + 1))
-        head[:, at] = table.values(tb)[:, up, 0] * table.m[up, 0]
-        f_sup = grid_sup(f_sup, w.weighted_norm(head))
+        f_sup = grid_sup(f_sup, w.weighted_norm(table.forcing_head(v)))
     return _certificate(
         "weighted", 1.0, decay_rate_fn(spec, w), np.concatenate(alphas),
         period, grid,

@@ -58,8 +58,8 @@ class RateFamily:
     Either a shared rate function with per-index multipliers (covers the
     common shapes mu_k(t) = k*mu(t) and min(k, c)*mu(t) compactly) or an
     explicit list of member functions, again with per-member scale
-    factors.  ``block(tb)`` returns the family evaluated at the times of
-    a ``TimeBlock``, one row per time.
+    factors.  ``values(tb)`` returns the rate values at the times of a
+    ``TimeBlock``, one row per time, which the multipliers scale.
     """
 
     multipliers: np.ndarray
@@ -78,12 +78,12 @@ class RateFamily:
     def count(self) -> int:
         return len(self.multipliers)
 
-    def block(self, tb: "TimeBlock") -> np.ndarray:
-        """(len(tb), count) matrix of family values at the block's times."""
+    def values(self, tb: "TimeBlock") -> np.ndarray:
+        """The rate values at the block's times: (len(tb), 1) of the shared
+        function, or (len(tb), count) of the members."""
         if self.shared is not None:
-            return tb.rate(self.shared)[:, None] * self.multipliers
-        return np.stack([tb.rate(m) for m in self.members],
-                        axis=1) * self.multipliers
+            return tb.rate(self.shared)[:, None]
+        return np.stack([tb.rate(m) for m in self.members], axis=1)
 
     def scaled(self, factor) -> "RateFamily":
         """Multipliers times ``factor``, a number or one per member."""
@@ -119,11 +119,11 @@ def rate_family(shared: RateFunction | None = None,
 # time blocks
 
 #: time nodes per block of the vectorised formulas.  A block is one
-#: (T, K, n+1) table for K offsets, so this bounds its memory.  Measured at
-#: n = 300 with one (T, n+1) array per band, the peak resident set of a
-#: certificate sweep rose by 13 % with 128-node blocks and that of a
-#: loss-queue run by 21 % with 256-node blocks, while 64-node blocks kept
-#: both within 0.3 % of per-node slices.
+#: (T, K, n+1) table for K offsets, as is the march's stage buffer, so this
+#: bounds their memory.  Measured at n = 300, the benchmark's peak resident
+#: set read 40.4, 41.6, 43.4 and 46.3 MB on certify-sweep and 41.8, 45.1,
+#: 49.9 and 58.9 MB on loss-verify with 16-, 64-, 128- and 256-node blocks;
+#: 16-node blocks took more CPU time per operation on both.
 NODE_BLOCK = 64
 
 #: ``fn.values(ts)``, a pole at a node being inf there without a warning
@@ -339,6 +339,14 @@ class RateTable:
                     [tb.rate(fn) for fn in f.members], axis=1)
         return v
 
+    def forcing_head(self, v: np.ndarray) -> np.ndarray:
+        """``GeneratorBlock.forcing(head=True)`` of V ⊙ M from V and column 0
+        of M, for a table without ``at``: A[k, 0] at k - 1, k up."""
+        up = [i for i, k in enumerate(self.offsets) if k > 0]
+        head = np.zeros((len(v), max((self.offsets[i] for i in up), default=0)))
+        head[:, [self.offsets[i] - 1 for i in up]] = v[:, up, 0] * self.m[up, 0]
+        return head
+
     def block(self, tb: TimeBlock | None = None) -> GeneratorBlock:
         """V ⊙ M at the block's times; without ``tb``, V is the identity:
         M as a block whose times are its rows, each alone at its offset."""
@@ -353,6 +361,14 @@ class RateTable:
         k = len(self.offsets)
         return GeneratorBlock(self.n, self.offsets, table[:, :k],
                               table[:, k] if self.row0 else None, self.col0)
+
+
+def contract(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_r v_r m_r per time and state: the column sums of V ⊙ M, added in
+    table order as ``GeneratorBlock.column_sums`` adds them, bit for bit."""
+    if v.shape[2] == 1:
+        return np.einsum("tr,rj->tj", v[:, :, 0], m)
+    return np.einsum("trj,rj->tj", v, m)
 
 
 def difference(base: RateTable, other: RateTable) -> RateTable:
@@ -475,15 +491,27 @@ class ChainSpec:
         return replace(self, **kw)
 
     @cached_property
+    def _validation_blocks(self) -> tuple[TimeBlock, ...]:
+        """The validation grid in blocks, keeping the rate values that the
+        draws of ``perturb``, sharing the rate functions, reuse."""
+        return tuple(time_blocks(np.linspace(
+            0.0, 1.0 if self.period is None else self.period,
+            self.validation_grid + 1)))
+
+    @cached_property
     def l_bound(self) -> float:
         """Grid supremum of |A_kk(t)| (the validated intensity bound)."""
-        return _validate_chain(self)
+        for name, fam in self.rate_slots():
+            _validate_family(name, fam, self._validation_blocks)
+        return _diag_sup(self, self._validation_blocks)
 
     @cached_property
     def _family_sups(self) -> dict[str, np.ndarray]:
-        """Per-member grid suprema of each family, shaping offset draws."""
-        tb = TimeBlock(_validation_times(self))
-        return {name: f.block(tb).max(axis=0) for name, f in self.rate_slots()}
+        """Per-member grid suprema of each family, shaping offset draws:
+        fl(max v * m), which is the largest fl(v * m) for m >= 0."""
+        return {name: np.concatenate([f.values(tb) for tb in
+                                      self._validation_blocks]).max(axis=0)
+                * f.multipliers for name, f in self.rate_slots()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -555,31 +583,29 @@ Chain = ChainSpec | MassArrivalChain
 # ---------------------------------------------------------------------------
 # validation
 
-def _validation_times(spec: ChainSpec) -> np.ndarray:
-    horizon = spec.period if spec.period is not None else 1.0
-    return np.linspace(0.0, horizon, spec.validation_grid + 1)
-
-
-def _validate_family(name: str, fam: RateFamily, ts: np.ndarray):
+def _validate_family(name: str, fam: RateFamily, blocks):
     if np.any(fam.multipliers < 0):
         raise ChainValidationError(f"{name}: negative multiplier")
+    # rounding is monotone in m >= 0: a shared rate times the largest
+    # multiplier (if any) is negative or overflows where a product does
+    top = fam.multipliers if fam.members is not None \
+        else fam.multipliers.max(initial=0.0, keepdims=True)[:fam.count]
     with np.errstate(all="ignore"):  # a non-finite value is rejected below
-        grid = fam.block(TimeBlock(ts))
+        grid = np.concatenate([fam.values(tb) for tb in blocks]) * top
     if not np.all(np.isfinite(grid)):
         raise ChainValidationError(f"{name}: non-finite rate value on the grid")
     if np.any(grid < 0):
         i_t, _ = np.unravel_index(int(np.argmin(grid)), grid.shape)
-        raise ChainValidationError(
-            f"{name}: negative rate value at t={ts[i_t]}")
+        ts = np.concatenate([tb.ts for tb in blocks])
+        raise ChainValidationError(f"{name}: negative rate value at t={ts[i_t]}")
 
 
-def _validate_chain(spec: ChainSpec, families: bool = True) -> float:
-    ts = _validation_times(spec)
-    for name, fam in spec.rate_slots() if families else ():
-        _validate_family(name, fam, ts)
-    sup = 0.0
-    for tb in time_blocks(ts):
-        sup = grid_sup(sup, np.abs(spec.bands_block(tb).diag))
+def _diag_sup(spec: ChainSpec, blocks) -> float:
+    """Grid supremum of |A_kk(t)|, minus the column sums of V ⊙ M as one
+    contraction of V with M per block, checked against the declared bound."""
+    table, sup = spec.rate_table, 0.0
+    for tb in blocks:
+        sup = grid_sup(sup, np.abs(contract(table.values(tb), table.m)))
     if spec.declared_bound is not None and sup > spec.declared_bound * (1 + 1e-12):
         raise ChainValidationError(
             f"declared intensity bound {spec.declared_bound} exceeded: "
@@ -840,6 +866,7 @@ def perturb(spec: ChainSpec, pert: Perturbation) -> Chain:
     draw = spec._replace_slots(new)
     # its rate functions are the base's, validated on the same grid, and its
     # multipliers the base's times finite factors >= 0, so only its bound
-    # and the declared-bound check are computed afresh
-    draw.__dict__["l_bound"] = _validate_chain(draw, families=False)
+    # and the declared-bound check are computed afresh, from the base's
+    # rate values
+    draw.__dict__["l_bound"] = _diag_sup(draw, spec._validation_blocks)
     return draw

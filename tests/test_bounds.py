@@ -7,17 +7,17 @@ from ctmcpert import (InfeasibleBoundError, Perturbation, RateFunction,
                       WeightSequence, batch_arrival_chain, batch_chain,
                       batch_service_chain, birth_death_chain,
                       build_report, catastrophe_chain, critical_reduced_gap,
-                      generator_at, parse_rate,
-                      perturb, perturbation_gaps, similarity_reduced_matrix,
+                      parse_rate, perturb, perturbation_gaps,
                       to_total_variation,
                       uniform_bound_at, uniform_from_weighted,
                       uniform_limsup_bound, uniform_mean_limsup_bound,
                       weighted_certificate, weighted_feasible,
                       weighted_limsup_bound, weighted_mean_limsup_bound)
-from ctmcpert.analysis import ErgodicityCertificate
-from ctmcpert.quadrature import doubled_grid
-from ctmcpert.model import rate_family
-from conftest import random_chain, random_family, random_weights, rich_rate
+from ctmcpert.analysis import ErgodicityCertificate, column_stats, reduced_block
+from ctmcpert.quadrature import doubled_grid, grid_sup
+from ctmcpert.model import difference, rate_family, time_blocks
+from conftest import (dense_generator, random_chain, random_family,
+                      random_weights, rich_rate)
 
 
 def make_cert(approach, amplitude, rate, forcing_sup=None, min_weight=1.0,
@@ -164,18 +164,28 @@ def test_gaps_mass_arrival_generator_norm():
     assert math.isnan(g.reduced) and math.isnan(g.forcing)
 
 
+def _dense_full(chain, t):
+    """A(t) from the chain's transition rates (``dense_generator``), with
+    the diagonal that makes its columns sum to zero."""
+    a = dense_generator(chain, t)
+    a[np.diag_indices_from(a)] = -a.sum(axis=0)
+    return a
+
+
 def _dense_gaps(spec, pert, w, grid, structural):
-    """Grid maxima of the three gaps from dense matrices at every node."""
+    """Grid maxima of the three gaps from dense matrices at every node,
+    the reduced ones by the dense similarity transform D B D^{-1}."""
     gen = red = forc = 0.0
+    d = w.values
+    dm = np.triu(np.tile(d[:, None], (1, len(d))))
+    dinv = np.diag(1 / d) - np.diag(1 / d[1:], 1)
     for t in doubled_grid(spec.period, grid):
-        a1 = generator_at(spec, float(t)).matrix
-        a2 = generator_at(pert, float(t)).matrix
+        a1, a2 = _dense_full(spec, float(t)), _dense_full(pert, float(t))
         gen = max(gen, np.abs(a1 - a2).sum(axis=0).max())
         if structural:
-            s = similarity_reduced_matrix(spec, w, float(t)) \
-                - similarity_reduced_matrix(pert, w, float(t))
-            red = max(red, np.abs(s).sum(axis=0).max())
-            forc = max(forc, np.abs(w.matrix() @ (a1[1:, 0] - a2[1:, 0])).sum())
+            s1, s2 = (dm @ (a[1:, 1:] - a[1:, :1]) @ dinv for a in (a1, a2))
+            red = max(red, np.abs(s1 - s2).sum(axis=0).max())
+            forc = max(forc, np.abs(dm @ (a1[1:, 0] - a2[1:, 0])).sum())
     return gen, red, forc
 
 
@@ -280,7 +290,7 @@ def test_forcing_from_a_long_head():
                                random_family(rng, 44, rich_rate), 45,
                                validation_grid=32)
     w = WeightSequence.geometric(1.3, 44)
-    want = max(np.abs(w.matrix() @ generator_at(spec, float(t)).matrix[1:, 0])
+    want = max(np.abs(w.matrix() @ dense_generator(spec, float(t))[1:, 0])
                .sum() for t in doubled_grid(1.0, 16))
     cert = weighted_certificate(spec, w, grid=16)
     assert cert.forcing_norm_sup == pytest.approx(want, rel=1e-12)
@@ -290,6 +300,93 @@ def test_forcing_from_a_long_head():
     forc = max(_dense_gaps(spec, pert, w, 16, True)[2] for pert in draws)
     assert g.forcing == pytest.approx(forc, rel=1e-12)
     assert g.forcing > 0
+
+
+def test_multiplicative_generator_gap_is_eps_times_the_norm():
+    # A' = (1 + eps) A, so ||A' - A||_1 = eps ||A||_1 at every node
+    rng = np.random.default_rng(23)
+    eps = 0.05
+    chains = [random_chain(rng, kind, int(rng.integers(3, 12)), rate=rich_rate)
+              for kind in ("birth-death", "batch-arrival", "batch-service",
+                           "batch")]
+    chains.append(catastrophe_chain(chains[0], rich_rate(rng)))
+    for spec in chains:
+        draw = perturb(spec, Perturbation("multiplicative", eps=eps))
+        g = perturbation_gaps(spec, [draw], WeightSequence.unit(spec.n),
+                              grid=16)
+        norm = max(np.abs(_dense_full(spec, float(t))).sum(axis=0).max()
+                   for t in doubled_grid(1.0, 16))
+        assert g.generator == pytest.approx(eps * norm, rel=1e-12)
+
+
+def _materialised_l_bound(chain):
+    """Grid supremum of |A_kk(t)| from the diagonal of every block."""
+    sup = 0.0
+    for tb in time_blocks(np.linspace(0.0, chain.period,
+                                      chain.validation_grid + 1)):
+        sup = grid_sup(sup, np.abs(chain.bands_block(tb).diag))
+    return sup
+
+
+def _materialised_gaps(spec, draws, w, grid):
+    """``perturbation_gaps`` read from the tables V ⊙ (M' - M) of every
+    block."""
+    structural = not any(chain.rate_table.row0
+                         or chain.rate_table.col0 is not None
+                         for chain in (spec, *draws))
+    diffs = [difference(spec.rate_table, chain.rate_table) for chain in draws]
+    red = forc = gen = 0.0
+    for tb in time_blocks(doubled_grid(spec.period, grid)):
+        for diff in diffs:
+            g = diff.block(tb)
+            if structural:
+                red = grid_sup(red, column_stats(reduced_block(diff, tb, w),
+                                                 rates=False)[1])
+                forc = grid_sup(forc, w.weighted_norm(g.forcing(head=True)))
+            gen = grid_sup(gen, column_stats(g, rates=False)[1])
+    if not structural:
+        red = forc = math.nan
+    return np.array([red, forc, gen])
+
+
+def test_contracted_suprema_equal_the_materialised_tables(loss_queue):
+    # the intensity bounds and the gaps are contracted from V and M; the
+    # tables V ⊙ M they replace give the same numbers bit for bit
+    rng = np.random.default_rng(31)
+    modes = [Perturbation("rate-offsets", eps=0.05, seed=4),
+             Perturbation("multiplicative", eps=0.05),
+             Perturbation("mass-arrival", eps=0.05)]
+    cases = [(loss_queue, modes)]
+    for kind in ("birth-death", "batch-arrival", "batch-service", "batch"):
+        spec = random_chain(rng, kind, int(rng.integers(3, 12)), rate=rich_rate)
+        cases += [(spec, modes), (catastrophe_chain(spec, rich_rate(rng)), modes)]
+    # a wide table: a member family with one rate function per state
+    wide = birth_death_chain(random_family(rng, 9, rich_rate),
+                             [rich_rate(rng) for _ in range(9)], 10,
+                             validation_grid=32)
+    assert wide.rate_table.wide
+    cases.append((wide, modes))
+    for spec, perts in cases:
+        draws = [perturb(spec, pert) for pert in perts]
+        for chain in (spec, *draws[:2]):
+            assert chain.l_bound == _materialised_l_bound(chain)
+        w = random_weights(rng, spec.n)
+        for some in (draws[:1], draws[:2], draws):
+            got = perturbation_gaps(spec, some, w, grid=16)
+            want = _materialised_gaps(spec, some, w, 16)
+            assert np.array([got.reduced, got.forcing, got.generator]) \
+                .tobytes() == want.tobytes()
+    # an explicit draw whose single services share offset -1 with the
+    # base's deaths: that difference is read from its table
+    spec = random_chain(rng, "birth-death", 9, rate=rich_rate)
+    other = batch_service_chain(spec.births, {1: rich_rate(rng)}, 10,
+                                validation_grid=32)
+    assert difference(spec.rate_table, other.rate_table).at is not None
+    w = random_weights(rng, 9)
+    got = perturbation_gaps(spec, [other, perturb(spec, modes[0])], w, grid=16)
+    want = _materialised_gaps(spec, [other, perturb(spec, modes[0])], w, 16)
+    assert np.array([got.reduced, got.forcing, got.generator]).tobytes() \
+        == want.tobytes()
 
 
 def test_gap_dimension_mismatch(loss_queue):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,8 @@ from ctmcpert import (ChainValidationError, MassArrivalChain, Perturbation,
                       catastrophe_chain, catastrophe_floor_at,
                       catastrophe_reduction_at, generator_at, parse_rate,
                       perturb, rate_family, reduced_system_at)
-from ctmcpert.model import TimeBlock, _built
-from conftest import dense_generator, random_chain, rich_rate
+from ctmcpert.model import TimeBlock, _built, _validate_family, time_blocks
+from conftest import dense_generator, random_chain, random_family, rich_rate
 
 ONE = RateFunction.constant(1.0)
 TWO = RateFunction.constant(2.0)
@@ -416,3 +417,103 @@ def test_validation_errors():
         with pytest.raises(ChainValidationError, match="positive and finite"):
             birth_death_chain(ONE.with_period(period), FOUR, size=3,
                               validation_grid=16)
+
+
+def _family_check_of_products(fam, ts):
+    """The family check on every product rate value x multiplier, as a
+    reference: the message of the first failure, or None."""
+    if np.any(fam.multipliers < 0):
+        return "negative multiplier"
+    with np.errstate(all="ignore"):
+        grid = fam.values(TimeBlock(ts)) * fam.multipliers
+    if not np.all(np.isfinite(grid)):
+        return "non-finite rate value on the grid"
+    if np.any(grid < 0):
+        i_t, _ = np.unravel_index(int(np.argmin(grid)), grid.shape)
+        return f"negative rate value at t={ts[i_t]}"
+    return None
+
+
+def _family_check_message(fam, blocks):
+    try:
+        _validate_family("f", fam, blocks)
+    except ChainValidationError as exc:
+        return str(exc).removeprefix("f: ")
+    return None
+
+
+def test_family_check_without_products():
+    # the check reads a shared family's rate values times its largest
+    # multiplier; it must accept and reject what the products would
+    ts = np.linspace(0.0, 1.0, 65)
+    blocks = tuple(time_blocks(ts))
+    wave = parse_rate("sin(2*pi*t)", period=1.0)
+    tiny = parse_rate("-1e-300")
+    cases = [
+        (rate_family(shared=ONE, multipliers=[1.0, -0.5]), "negative multiplier"),
+        (rate_family(shared=wave, multipliers=[0.5, 2.0, 1.0]),
+         "negative rate value at t=0.75"),
+        (rate_family(members=[ONE, wave], multipliers=[1.0, 3.0]),
+         "negative rate value at t=0.75"),
+        (rate_family(shared=parse_rate("(t-t)/(t-t)"), count=2), "non-finite"),
+        (rate_family(shared=parse_rate("1/t"), count=2), "non-finite"),
+        (rate_family(shared=RateFunction.constant(1e300),
+                     multipliers=[1.0, 1e10]), "non-finite"),
+        (rate_family(shared=ONE, multipliers=[1.0, np.inf]), "non-finite"),
+        # -1e-300 x 1e-300 rounds to -0.0: no negative product, no error
+        (rate_family(shared=tiny, multipliers=[1e-300, 0.5e-300]), None),
+        (rate_family(shared=tiny, multipliers=[1e-300, 1e-10]),
+         "negative rate value at t=0.0"),
+        (rate_family(shared=wave, multipliers=[0.0, 0.0]), None),
+        (rate_family(shared=RateFunction.constant(1e300),
+                     multipliers=[1.0, 1.5]), None),
+    ]
+    for fam, want in cases:
+        ref = _family_check_of_products(fam, ts)
+        assert ref == want or want in ref
+        assert _family_check_message(fam, blocks) == ref
+    with pytest.raises(ChainValidationError, match=r"birth: negative rate "
+                                                   r"value at t=0\.75"):
+        birth_death_chain(wave, FOUR, size=3, validation_grid=64)
+    # random shared and member families, signs mixed by an offset
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        fam = random_family(rng, int(rng.integers(1, 6)))
+        shift = float(rng.uniform(-2.0, 0.5))
+        fns = [parse_rate(f"{f.canonical()}+({shift})", period=1.0)
+               for f in fam.rate_functions]
+        fam = rate_family(shared=fns[0], multipliers=fam.multipliers) \
+            if fam.shared is not None else rate_family(
+                members=fns, multipliers=fam.multipliers)
+        assert _family_check_message(fam, blocks) == \
+            _family_check_of_products(fam, ts)
+
+
+def test_family_sups_equal_the_largest_products():
+    # fl(max v * m) is the largest fl(v * m) for m >= 0, bit for bit
+    rng = np.random.default_rng(8)
+    for kind in ("birth-death", "batch-arrival", "batch-service", "batch"):
+        for _ in range(3):
+            spec = random_chain(rng, kind, int(rng.integers(3, 12)),
+                                rate=rich_rate)
+            tb = TimeBlock(np.linspace(0.0, 1.0, spec.validation_grid + 1))
+            for name, fam in spec.rate_slots():
+                want = (fam.values(tb) * fam.multipliers).max(axis=0)
+                assert spec._family_sups[name].tobytes() == want.tobytes()
+
+
+def test_building_allocates_no_full_grid_table():
+    # the 300-state loss queue validates on 4097 nodes: a (4097, 299)
+    # table of its products would take 9.8 MB; its build and the family
+    # suprema of its offset draws stay far below
+    lam = parse_rate("200*(1+sin(2*pi*t))", period=1.0)
+    deaths = rate_family(shared=ONE, multipliers=np.arange(1, 300))
+    tracemalloc.start()
+    try:
+        chain = birth_death_chain(lam, deaths, size=300)
+        chain._family_sups
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chain.l_bound == 698.0
+    assert peak < 2e6

@@ -10,22 +10,18 @@ the truncated forward equations.
 
 from .analysis import (CertificateError, ErgodicityCertificate,
                        WeightSequence, catastrophe_uniform_certificate,
-                       decay_rate_at, decay_rates_at, forcing_norm_at,
-                       log_norm, peak_deviation, reduced_norm_at,
-                       similarity_reduced_matrix, uniform_from_weighted,
-                       weighted_certificate, weighted_reduced_matrix)
+                       peak_deviation, uniform_from_weighted,
+                       weighted_certificate)
 from .bounds import (BoundReport, InfeasibleBoundError, PerturbationGaps,
                      build_report, critical_reduced_gap, perturbation_gaps,
                      to_total_variation, uniform_bound_at,
                      uniform_limsup_bound, uniform_mean_limsup_bound,
                      weighted_feasible, weighted_limsup_bound,
                      weighted_mean_limsup_bound)
-from .model import (ChainSpec, ChainValidationError, GeneratorSlice,
-                    MassArrivalChain, Perturbation, RateFamily,
-                    batch_arrival_chain, batch_chain, batch_service_chain,
-                    birth_death_chain, catastrophe_chain,
-                    catastrophe_floor_at, catastrophe_reduction_at,
-                    generator_at, perturb, rate_family, reduced_system_at)
+from .model import (ChainSpec, ChainValidationError, MassArrivalChain,
+                    Perturbation, RateFamily, batch_arrival_chain, batch_chain,
+                    batch_service_chain, birth_death_chain, catastrophe_chain,
+                    perturb, rate_family)
 from .rates import (RateEvalError, RateFunction, RateSyntaxError, eval_rate,
                     parse_rate, periodic_mean)
 from .solver import (DistanceCurve, ProbeResult, RegimeReport, SolverError,

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .model import (Chain, ChainSpec, GeneratorBands, GeneratorBlock,
-                    RateTable, TimeBlock, reduced_system_at, time_blocks)
+                    RateTable, TimeBlock, time_blocks)
 from .quadrature import (ANALYSIS_GRID, adaptive_simpson, doubled_grid,
                          grid_sup, peak_running_integral, simpson_on_grid)
 from .rates import RateFunction, periodic_mean
@@ -95,17 +95,6 @@ class WeightSequence:
     def column_norm(self) -> float:
         """l1 operator norm of the cumulative weight matrix."""
         return float(self.values.sum())
-
-    def matrix(self) -> np.ndarray:
-        n = len(self.values)
-        return np.triu(np.tile(self.values[:, None], (1, n)))
-
-    def inverse_matrix(self) -> np.ndarray:
-        n = len(self.values)
-        inv = np.diag(1.0 / self.values)
-        idx = np.arange(n - 1)
-        inv[idx, idx + 1] = -1.0 / self.values[1:]
-        return inv
 
     def weighted_norm(self, z: np.ndarray):
         """l1 norm of D z, via tail sums of z; rows of a (T, m) block give
@@ -218,56 +207,21 @@ def weighted_reduced_bands(chain: Chain, w: WeightSequence,
     return reduced_block(chain.rate_table, TimeBlock(t), w).at(0)
 
 
-def weighted_reduced_matrix(spec: ChainSpec, w: WeightSequence,
-                            t: float) -> np.ndarray:
-    """Dense weighted reduced matrix assembled from the tail-sum table of
-    ``reduced_bands_block``."""
-    return weighted_reduced_bands(spec, w, t).dense()
-
-
-def similarity_reduced_matrix(spec: ChainSpec, w: WeightSequence,
-                              t: float) -> np.ndarray:
-    """Cross-check path: the same matrix via the dense similarity
-    transform D B D^{-1} of the reduced system."""
-    red = reduced_system_at(spec, t)
-    return w.matrix() @ red.matrix @ w.inverse_matrix()
-
-
 def column_stats(table: GeneratorBlock, rates: bool = True):
     """(decay rates, l1 column sums) per time of a table, which is spent:
     its entries are overwritten by their absolute values.  Without
     ``rates`` the decay rates are None and the diagonal is spent too."""
     diag = table.diag  # read while the entries keep their signs
-    for a in (table.data, table.row0, table.col0):
+    for a in (table.data, table.row0):
         if a is not None:
             np.abs(a, out=a)
+    if table.col0 is not None:  # the rate table's own array: not spent
+        table.col0 = np.abs(table.col0)
     offabs = table.column_sums()
     if not rates:
         offabs += np.abs(diag, out=diag)
         return None, offabs
     return -(diag + offabs), np.abs(diag) + offabs
-
-
-def _reduced_stats(spec: ChainSpec, w: WeightSequence, tb: TimeBlock):
-    return column_stats(reduced_block(spec.rate_table, tb, w))
-
-
-def log_norm(m: np.ndarray) -> float:
-    """Logarithmic norm induced by the l1 vector norm: the largest column
-    sum of (diagonal entry) + (absolute off-diagonal entries)."""
-    m = np.asarray(m, dtype=float)
-    diag = np.diag(m)
-    return float((np.abs(m).sum(axis=0) - np.abs(diag) + diag).max())
-
-
-def decay_rates_at(spec: ChainSpec, w: WeightSequence, t: float) -> np.ndarray:
-    """Per-column exponential decay rates of the weighted reduced matrix;
-    their minimum is -log_norm of that matrix."""
-    return _reduced_stats(spec, w, TimeBlock(t))[0][0]
-
-
-def decay_rate_at(spec: ChainSpec, w: WeightSequence, t: float) -> float:
-    return float(decay_rates_at(spec, w, t).min())
 
 
 def _block_profile(per_block: Callable[[TimeBlock], np.ndarray]
@@ -284,18 +238,8 @@ def _block_profile(per_block: Callable[[TimeBlock], np.ndarray]
 
 def decay_rate_fn(spec: ChainSpec, w: WeightSequence) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized t -> overall decay rate, for quadrature."""
-    return _block_profile(
-        lambda tb: _reduced_stats(spec, w, tb)[0].min(axis=1))
-
-
-def reduced_norm_at(spec: ChainSpec, w: WeightSequence, t: float) -> float:
-    """l1 norm of the weighted reduced matrix at time t."""
-    return float(_reduced_stats(spec, w, TimeBlock(t))[1].max())
-
-
-def forcing_norm_at(spec: ChainSpec, w: WeightSequence, t: float) -> float:
-    """Weighted l1 norm of the reduced-system forcing vector at time t."""
-    return float(w.weighted_norm(spec.bands_block(TimeBlock(t)).forcing())[0])
+    return _block_profile(lambda tb: column_stats(
+        reduced_block(spec.rate_table, tb, w))[0].min(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -744,77 +744,6 @@ def catastrophe_chain(base: ChainSpec, catastrophes,
 
 
 # ---------------------------------------------------------------------------
-# derived slices
-
-@dataclass(frozen=True)
-class GeneratorSlice:
-    """Dense A(t) at a fixed time, with the banded original attached."""
-
-    t: float
-    matrix: np.ndarray
-    bands: GeneratorBands
-
-
-@dataclass(frozen=True)
-class ReducedSystem:
-    """The system for z = (p_1, ..., p_n) after eliminating p_0:
-    dz/dt = matrix @ z + forcing."""
-
-    t: float
-    matrix: np.ndarray
-    forcing: np.ndarray
-
-
-@dataclass(frozen=True)
-class CatastropheReduction:
-    """Kolmogorov system rewritten around the catastrophe floor:
-    dp/dt = matrix @ p + forcing with matrix essentially nonnegative."""
-
-    t: float
-    matrix: np.ndarray
-    forcing: np.ndarray
-    floor: float
-
-
-def generator_at(chain: Chain, t: float) -> GeneratorSlice:
-    """Dense transposed intensity matrix at time t."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    gb = chain.bands_at(t)
-    if isinstance(chain, ChainSpec) and chain.declared_bound is not None:
-        worst = float(np.abs(gb.diag).max())
-        if worst > chain.declared_bound * (1 + 1e-12):
-            raise ChainValidationError(
-                f"intensity bound violated at t={t}: {worst}")
-    return GeneratorSlice(t=t, matrix=gb.dense(), bands=gb)
-
-
-def reduced_system_at(chain: Chain, t: float) -> ReducedSystem:
-    """Eliminate p_0 = 1 - sum(p_i): matrix entries A[i, j] - A[i, 0]."""
-    if chain.size < 2:
-        raise ValueError("reduced system needs at least two states")
-    a = generator_at(chain, t).matrix
-    return ReducedSystem(t=t, matrix=a[1:, 1:] - a[1:, :1], forcing=a[1:, 0].copy())
-
-
-def catastrophe_floor_at(spec: ChainSpec, t: float) -> float:
-    """Smallest direct-to-zero intensity over states 1..n."""
-    return float(spec.bands_block(TimeBlock(t)).direct_to_zero()[0].min())
-
-
-def catastrophe_reduction_at(spec: ChainSpec, t: float) -> CatastropheReduction:
-    """Subtract the floor from row 0 and move it into a forcing term."""
-    if not isinstance(spec, ChainSpec) or spec.catastrophes is None:
-        raise ValueError("catastrophe reduction requires a catastrophe chain")
-    a = generator_at(spec, t).matrix.copy()
-    floor = float(a[0, 1:].min())
-    a[0, :] -= floor
-    g = np.zeros(spec.size)
-    g[0] = floor
-    return CatastropheReduction(t=t, matrix=a, forcing=g, floor=floor)
-
-
-# ---------------------------------------------------------------------------
 # perturbations
 
 @dataclass(frozen=True)

@@ -135,6 +135,39 @@ def dense_generator(chain, t):
     return m
 
 
+def dense_full(chain, t):
+    """A(t) from the chain's transition rates (``dense_generator``), with
+    the diagonal that makes its columns sum to zero."""
+    a = dense_generator(chain, t)
+    a[np.diag_indices_from(a)] = -a.sum(axis=0)
+    return a
+
+
+def weight_matrices(w):
+    """The cumulative weight matrix D = diag(d) U, U upper-triangular ones,
+    and its inverse, dense."""
+    d = w.values
+    return (np.triu(np.tile(d[:, None], (1, len(d)))),
+            np.diag(1 / d) - np.diag(1 / d[1:], 1))
+
+
+def similarity_reduced(chain, w, t):
+    """The weighted reduced matrix by the dense similarity transform
+    D B D^{-1}, B[i, j] = A[i, j] - A[i, 0] (i, j >= 1) the matrix of the
+    system for (p_1, ..., p_n) once p_0 = 1 - sum p_i is eliminated."""
+    a = dense_full(chain, t)
+    dm, dinv = weight_matrices(w)
+    return dm @ (a[1:, 1:] - a[1:, :1]) @ dinv
+
+
+def log_norm(m):
+    """Logarithmic norm induced by the l1 vector norm: the largest column
+    sum of (diagonal entry) + (absolute off-diagonal entries)."""
+    m = np.asarray(m, dtype=float)
+    diag = np.diag(m)
+    return float((np.abs(m).sum(axis=0) - np.abs(diag) + diag).max())
+
+
 def random_weights(rng, n):
     r = rng.random()
     if r < 0.34:

@@ -16,13 +16,13 @@ from ctmcpert import (Perturbation, RateFunction, WeightSequence,
                       birth_death_chain, delta_state, integrate,
                       mass_arrival_probe, parse_rate, perturb,
                       perturbation_distance, rate_family,
-                      similarity_reduced_matrix, stationary_distribution,
-                      to_total_variation, uniform_from_weighted,
-                      uniform_limsup_bound, weighted_certificate,
-                      weighted_limsup_bound, weighted_reduced_matrix)
-from ctmcpert.analysis import decay_rate_at, decay_rate_fn, log_norm
+                      stationary_distribution, to_total_variation,
+                      uniform_from_weighted, uniform_limsup_bound,
+                      weighted_certificate, weighted_limsup_bound)
+from ctmcpert.analysis import decay_rate_fn, weighted_reduced_bands
 from ctmcpert.quadrature import adaptive_simpson
-from conftest import expm_ode, random_chain, random_weights
+from conftest import (expm_ode, log_norm, random_chain, random_weights,
+                      similarity_reduced)
 
 
 def _report(num, text):
@@ -77,8 +77,7 @@ def test_criterion_2_pair_queue_certificate():
     lam = parse_rate("1+sin(2*pi*t)", period=1.0)
     ts = np.linspace(0.0, 1.0, 4097)
     target = 3.0 - 2.5 * lam.values(ts)
-    worst = max(abs(decay_rate_at(spec, w, float(t)) - v)
-                for t, v in zip(ts, target))
+    worst = float(np.abs(decay_rate_fn(spec, w)(ts) - target).max())
     assert worst < 1e-9
     assert cert.rate == pytest.approx(0.5, abs=1e-9)
     assert cert.weight_state_ratio == 1.0
@@ -209,8 +208,8 @@ def test_criterion_8_weighted_matrix_transcription():
             spec = random_chain(rng, kind, n)
             w = random_weights(rng, n)
             t = float(rng.uniform(0.0, 1.0))
-            err = np.abs(weighted_reduced_matrix(spec, w, t)
-                         - similarity_reduced_matrix(spec, w, t)).max()
+            err = np.abs(weighted_reduced_bands(spec, w, t).dense()
+                         - similarity_reduced(spec, w, t)).max()
             worst = max(worst, err)
     assert worst <= 1e-10
     _report(8, f"50 draws per kind, worst entrywise error {worst:.2e}")

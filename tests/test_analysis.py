@@ -1,21 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ctmcpert import (CertificateError, MassArrivalChain, RateFunction,
-                      WeightSequence, birth_death_chain,
-                      catastrophe_chain, catastrophe_reduction_at,
-                      catastrophe_uniform_certificate, decay_rate_at,
-                      decay_rates_at, forcing_norm_at, log_norm, parse_rate,
-                      peak_deviation, rate_family, reduced_norm_at,
-                      similarity_reduced_matrix,
-                      uniform_from_weighted, weighted_certificate,
-                      weighted_reduced_matrix)
-from ctmcpert.analysis import reduced_bands_block, reduced_block
+from ctmcpert import (CertificateError, ChainSpec, MassArrivalChain,
+                      Perturbation, RateFunction, WeightSequence,
+                      birth_death_chain, catastrophe_chain,
+                      catastrophe_uniform_certificate, parse_rate,
+                      peak_deviation, perturb, rate_family,
+                      uniform_from_weighted, weighted_certificate)
+from ctmcpert.analysis import (column_stats, decay_rate_fn,
+                               reduced_bands_block, reduced_block,
+                               weighted_reduced_bands)
 from ctmcpert.model import TimeBlock, difference
-from conftest import (dense_rk4, expm_ode, family_at, random_chain,
-                      random_weights, rich_rate)
+from conftest import (dense_full, dense_rk4, expm_ode, family_at, log_norm,
+                      random_chain, random_weights, rich_rate,
+                      similarity_reduced, weight_matrices)
 
 ONE = RateFunction.constant(1.0)
 FOUR = RateFunction.constant(4.0)
@@ -31,9 +32,10 @@ def test_weight_sequence_basics():
     assert w.min_weight == 1.0
     assert w.state_ratio_min == 1.0  # min over 1, 1, 4/3, 2
     assert w.column_norm == 15.0
-    assert np.allclose(w.matrix() @ w.inverse_matrix(), np.eye(4), atol=1e-15)
+    dm, dinv = weight_matrices(w)
+    assert np.allclose(dm @ dinv, np.eye(4), atol=1e-15)
     z = np.array([0.5, -0.25, 0.0, 0.125])
-    d = w.matrix() @ z
+    d = dm @ z
     assert w.weighted_norm(z) == pytest.approx(np.abs(d).sum())
 
 
@@ -57,18 +59,15 @@ def test_weight_sequence_validation():
 # ---------------------------------------------------------------------------
 # the weighted reduced matrix
 
-def _dense_reduced(red, i):
-    """Dense matrix of a reduced table at its time index i."""
-    direct = np.diag(red.diag[i])
-    n = len(direct)
-    for k, vals in zip(red.offsets, red.data[i]):
-        direct += np.diag(vals[:n - k] if k > 0 else vals[-k:], -k)
-    return direct
+def _decay_rates(spec, w, t):
+    """Per-column decay rates of the weighted reduced matrix at time t;
+    their minimum is -log_norm of that matrix."""
+    return column_stats(reduced_block(spec.rate_table, TimeBlock(t), w))[0][0]
 
 
 def test_loss_queue_unit_weight_matrix(loss_queue):
     w = WeightSequence.unit(299)
-    m = weighted_reduced_matrix(loss_queue, w, 0.25)
+    m = weighted_reduced_bands(loss_queue, w, 0.25).dense()
     lam = 400.0
     mus = np.arange(1, 300)
     assert np.allclose(np.diag(m), -(lam + mus))
@@ -76,7 +75,7 @@ def test_loss_queue_unit_weight_matrix(loss_queue):
     assert np.allclose(np.diag(m, 1), mus[:-1])
     # every interior column decays at exactly the per-server rate; the top
     # column (no arrivals) decays faster, so the infimum is the service rate
-    rates = decay_rates_at(loss_queue, w, 0.25)
+    rates = _decay_rates(loss_queue, w, 0.25)
     assert np.allclose(rates[:-1], 1.0, atol=1e-12)
     assert rates[-1] == pytest.approx(lam + 1.0)
     assert rates.min() == pytest.approx(1.0, abs=1e-12)
@@ -85,15 +84,15 @@ def test_loss_queue_unit_weight_matrix(loss_queue):
 def test_zero_chain_matrix():
     spec = birth_death_chain(ZERO, ZERO, size=5, validation_grid=16)
     w = WeightSequence.unit(4)
-    assert np.allclose(weighted_reduced_matrix(spec, w, 0.3), 0.0)
-    assert decay_rate_at(spec, w, 0.3) == 0.0
+    assert np.allclose(weighted_reduced_bands(spec, w, 0.3).dense(), 0.0)
+    assert decay_rate_fn(spec, w)(0.3)[0] == 0.0
 
 
 def test_pair_queue_first_column_rate(pair_queue):
     w = WeightSequence.geometric(2.0, 299)
     lam = lambda t: 1.0 + math.sin(2 * math.pi * t)
     for t in (0.0, 0.2, 0.45, 0.75):
-        rates = decay_rates_at(pair_queue, w, t)
+        rates = _decay_rates(pair_queue, w, t)
         assert rates[0] == pytest.approx(3.0 - 2.5 * lam(t), abs=1e-12)
         assert rates.min() == pytest.approx(3.0 - 2.5 * lam(t), abs=1e-12)
 
@@ -106,8 +105,8 @@ def test_transcription_against_similarity():
             spec = random_chain(rng, kind, n)
             w = random_weights(rng, n)
             t = float(rng.uniform(0, 1))
-            direct = weighted_reduced_matrix(spec, w, t)
-            oracle = similarity_reduced_matrix(spec, w, t)
+            direct = weighted_reduced_bands(spec, w, t).dense()
+            oracle = similarity_reduced(spec, w, t)
             assert np.abs(direct - oracle).max() < 1e-10
     # a block of nodes, one dense transform per node; the tail sums keep
     # the reduced table within the generator's own offset range [-q, p];
@@ -123,8 +122,8 @@ def test_transcription_against_similarity():
             assert all(min(g.offsets) <= k <= max(g.offsets)
                        for k in red.offsets)
             for i, t in enumerate(ts):
-                oracle = similarity_reduced_matrix(spec, w, float(t))
-                assert np.abs(_dense_reduced(red, i) - oracle).max() < 1e-10
+                oracle = similarity_reduced(spec, w, float(t))
+                assert np.abs(red.at(i).dense() - oracle).max() < 1e-10
 
 
 def test_reduced_block_from_reduced_multipliers():
@@ -151,18 +150,67 @@ def test_reduced_block_from_reduced_multipliers():
             assert np.abs(got.data - want.data).max() <= 1e-12 * scale
             assert np.abs(got.diag - want.diag).max() <= 1e-12 * scale
             for i, t in enumerate(ts):
-                oracle = similarity_reduced_matrix(spec, w, float(t))
-                assert np.abs(_dense_reduced(got, i) - oracle).max() \
+                oracle = similarity_reduced(spec, w, float(t))
+                assert np.abs(got.at(i).dense() - oracle).max() \
                     <= 1e-12 * max(1.0, np.abs(oracle).max())
             # a difference table sums the rows it puts on one offset
             diff = difference(table, other.rate_table)
             got = reduced_block(diff, TimeBlock(ts), w)
             for i, t in enumerate(ts):
-                oracle = similarity_reduced_matrix(other, w, float(t)) \
-                    - similarity_reduced_matrix(spec, w, float(t))
-                assert np.abs(_dense_reduced(got, i) - oracle).max() \
+                oracle = similarity_reduced(other, w, float(t)) \
+                    - similarity_reduced(spec, w, float(t))
+                assert np.abs(got.at(i).dense() - oracle).max() \
                     <= 1e-12 * max(1.0, np.abs(oracle).max())
     assert wide > 0
+
+
+def test_oracles_do_not_read_the_rate_table(monkeypatch):
+    # the dense oracles read the chain's rate families, not the table that
+    # the package builds from them: a table with its first multiplier row
+    # scaled by 1.5 makes the package's matrices and the oracles disagree
+    rng = np.random.default_rng(8)
+    kinds = ("birth-death", "batch-arrival", "batch-service", "batch")
+    table_of = ChainSpec.rate_table.func
+
+    def broken(spec):
+        table = table_of(spec)
+        m = table.m.copy()
+        m[0] *= 1.5
+        return replace(table, m=m)
+
+    for patched in (False, True):
+        with monkeypatch.context() as mp:
+            if patched:
+                mp.setattr(ChainSpec, "rate_table", property(broken))
+            for kind in kinds:
+                n = int(rng.integers(3, 12))
+                spec = random_chain(rng, kind, n)
+                w = random_weights(rng, n)
+                t = float(rng.uniform(0, 1))
+                gen = np.abs(spec.bands_at(t).dense()
+                             - dense_full(spec, t)).max()
+                red = np.abs(weighted_reduced_bands(spec, w, t).dense()
+                             - similarity_reduced(spec, w, t)).max()
+                if patched:
+                    assert gen > 1e-3 and red > 1e-3
+                else:
+                    assert gen < 1e-12 and red < 1e-10
+
+
+def test_column_stats_leaves_the_rate_table_alone():
+    # a block's col0 is its rate table's own array; the norms of a
+    # difference whose mass-arrival column is negative read the same twice
+    spec = birth_death_chain(ONE, FOUR, size=6, validation_grid=16)
+    d = difference(
+        perturb(spec, Perturbation("mass-arrival", eps=0.1)).rate_table,
+        perturb(spec, Perturbation("multiplicative", eps=0.1)).rate_table)
+    col0 = d.col0.copy()
+    tb = TimeBlock([0.0, 0.5])
+    first = column_stats(d.block(tb), rates=False)[1]
+    again = column_stats(d.block(tb), rates=False)[1]
+    assert np.array_equal(first, again)
+    assert np.array_equal(d.col0, col0)
+    assert first[0, 0] == pytest.approx(0.2, rel=1e-12)
 
 
 def test_birth_death_reduction_is_exact():
@@ -191,7 +239,7 @@ def test_birth_death_reduction_is_exact():
 def test_weight_length_must_match_chain():
     spec = birth_death_chain(ONE, FOUR, size=6, validation_grid=16)
     with pytest.raises(CertificateError, match="weights"):
-        weighted_reduced_matrix(spec, WeightSequence.unit(3), 0.0)
+        weighted_reduced_bands(spec, WeightSequence.unit(3), 0.0)
 
 
 def test_weighted_matrix_rejects_catastrophe():
@@ -199,13 +247,13 @@ def test_weighted_matrix_rejects_catastrophe():
     cat = catastrophe_chain(base, RateFunction.constant(0.2))
     w = WeightSequence.unit(3)
     with pytest.raises(CertificateError):
-        weighted_reduced_matrix(cat, w, 0.0)
+        weighted_reduced_bands(cat, w, 0.0)
     # the row-0 and column-0 overlays are refused by the reduction itself
     for chain in (cat, MassArrivalChain(base, 0.1)):
         with pytest.raises(CertificateError, match="not defined"):
             reduced_bands_block(chain.bands_block(TimeBlock([0.0, 0.5])), w)
     with pytest.raises(CertificateError):
-        weighted_reduced_matrix(MassArrivalChain(base, 0.1), w, 0.0)
+        weighted_reduced_bands(MassArrivalChain(base, 0.1), w, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +262,17 @@ def test_weighted_matrix_rejects_catastrophe():
 def test_log_norm_simple_cases(loss_queue):
     assert log_norm(np.zeros((4, 4))) == 0.0
     w = WeightSequence.unit(299)
-    m = weighted_reduced_matrix(loss_queue, w, 0.1)
+    m = weighted_reduced_bands(loss_queue, w, 0.1).dense()
     # the loss-queue matrix contracts at exactly the service rate
     assert log_norm(m) == pytest.approx(-1.0, abs=1e-12)
     cat = catastrophe_chain(birth_death_chain(ONE, FOUR, size=5,
                                               validation_grid=16),
                             RateFunction.constant(0.3))
-    red = catastrophe_reduction_at(cat, 0.0)
-    assert log_norm(red.matrix) == pytest.approx(-0.3, abs=1e-14)
+    # the system rewritten around the catastrophe floor (row 0 less the
+    # floor, which becomes a forcing term)
+    a = cat.bands_at(0.0).dense()
+    a[0] -= a[0, 1:].min()
+    assert log_norm(a) == pytest.approx(-0.3, abs=1e-14)
 
 
 def test_log_norm_shift_identity():
@@ -258,8 +309,9 @@ def test_alpha_equals_neg_log_norm():
         spec = random_chain(rng, kind, 10)
         w = random_weights(rng, 10)
         for t in (0.05, 0.4, 0.9):
-            assert decay_rate_at(spec, w, t) == pytest.approx(
-                -log_norm(weighted_reduced_matrix(spec, w, t)), abs=1e-12)
+            m = weighted_reduced_bands(spec, w, t).dense()
+            assert decay_rate_fn(spec, w)(t)[0] == pytest.approx(
+                -log_norm(m), abs=1e-12)
 
 
 def test_constant_linear_service_profile():
@@ -270,7 +322,7 @@ def test_constant_linear_service_profile():
                              rate_family(shared=RateFunction.constant(mu),
                                          multipliers=np.arange(1, 21)),
                              size=21, validation_grid=16)
-    rates = decay_rates_at(spec, WeightSequence.unit(20), 0.7)
+    rates = _decay_rates(spec, WeightSequence.unit(20), 0.7)
     assert np.allclose(rates[:-1], mu, atol=1e-12)
     assert rates.min() == pytest.approx(mu)
 
@@ -392,8 +444,9 @@ def test_grid_suprema_match_direct_norms(pair_queue):
     w = WeightSequence.geometric(2.0, 299)
     cert = weighted_certificate(pair_queue, w, grid=512)
     ts = np.linspace(0, 1, 257)
-    b_direct = max(reduced_norm_at(pair_queue, w, t) for t in ts)
-    f_direct = max(forcing_norm_at(pair_queue, w, t) for t in ts)
+    tb = TimeBlock(ts)
+    b_direct = column_stats(reduced_block(pair_queue.rate_table, tb, w))[1].max()
+    f_direct = w.weighted_norm(pair_queue.bands_block(tb).forcing()).max()
     assert cert.reduced_norm_sup >= b_direct - 1e-9
     assert cert.forcing_norm_sup >= f_direct - 1e-9
 
@@ -407,10 +460,9 @@ def test_certified_decay_realized_on_trajectories():
                                          multipliers=np.arange(1, 13)),
                              size=13, validation_grid=256)
     w = WeightSequence.geometric(1.5, 12)
-    matrix_at = lambda t: weighted_reduced_matrix(spec, w, t)
+    matrix_at = lambda t: weighted_reduced_bands(spec, w, t).dense()
     rng = np.random.default_rng(5)
     from ctmcpert.quadrature import adaptive_simpson
-    from ctmcpert.analysis import decay_rate_fn
     alpha = decay_rate_fn(spec, w)
     for _ in range(4):
         w0 = rng.normal(size=12)

@@ -16,8 +16,9 @@ from ctmcpert import (InfeasibleBoundError, Perturbation, RateFunction,
 from ctmcpert.analysis import ErgodicityCertificate, column_stats, reduced_block
 from ctmcpert.quadrature import doubled_grid, grid_sup
 from ctmcpert.model import difference, rate_family, time_blocks
-from conftest import (dense_generator, random_chain, random_family,
-                      random_weights, rich_rate)
+from conftest import (dense_full, dense_generator, random_chain,
+                      random_family, random_weights, rich_rate,
+                      similarity_reduced, weight_matrices)
 
 
 def make_cert(approach, amplitude, rate, forcing_sup=None, min_weight=1.0,
@@ -164,26 +165,16 @@ def test_gaps_mass_arrival_generator_norm():
     assert math.isnan(g.reduced) and math.isnan(g.forcing)
 
 
-def _dense_full(chain, t):
-    """A(t) from the chain's transition rates (``dense_generator``), with
-    the diagonal that makes its columns sum to zero."""
-    a = dense_generator(chain, t)
-    a[np.diag_indices_from(a)] = -a.sum(axis=0)
-    return a
-
-
 def _dense_gaps(spec, pert, w, grid, structural):
     """Grid maxima of the three gaps from dense matrices at every node,
     the reduced ones by the dense similarity transform D B D^{-1}."""
     gen = red = forc = 0.0
-    d = w.values
-    dm = np.triu(np.tile(d[:, None], (1, len(d))))
-    dinv = np.diag(1 / d) - np.diag(1 / d[1:], 1)
-    for t in doubled_grid(spec.period, grid):
-        a1, a2 = _dense_full(spec, float(t)), _dense_full(pert, float(t))
+    dm, _ = weight_matrices(w)
+    for t in map(float, doubled_grid(spec.period, grid)):
+        a1, a2 = dense_full(spec, t), dense_full(pert, t)
         gen = max(gen, np.abs(a1 - a2).sum(axis=0).max())
         if structural:
-            s1, s2 = (dm @ (a[1:, 1:] - a[1:, :1]) @ dinv for a in (a1, a2))
+            s1, s2 = (similarity_reduced(c, w, t) for c in (spec, pert))
             red = max(red, np.abs(s1 - s2).sum(axis=0).max())
             forc = max(forc, np.abs(dm @ (a1[1:, 0] - a2[1:, 0])).sum())
     return gen, red, forc
@@ -290,8 +281,9 @@ def test_forcing_from_a_long_head():
                                random_family(rng, 44, rich_rate), 45,
                                validation_grid=32)
     w = WeightSequence.geometric(1.3, 44)
-    want = max(np.abs(w.matrix() @ dense_generator(spec, float(t))[1:, 0])
-               .sum() for t in doubled_grid(1.0, 16))
+    dm, _ = weight_matrices(w)
+    want = max(np.abs(dm @ dense_generator(spec, float(t))[1:, 0]).sum()
+               for t in doubled_grid(1.0, 16))
     cert = weighted_certificate(spec, w, grid=16)
     assert cert.forcing_norm_sup == pytest.approx(want, rel=1e-12)
     draws = [perturb(spec, Perturbation("rate-offsets", eps=0.05, seed=seed))
@@ -314,7 +306,7 @@ def test_multiplicative_generator_gap_is_eps_times_the_norm():
         draw = perturb(spec, Perturbation("multiplicative", eps=eps))
         g = perturbation_gaps(spec, [draw], WeightSequence.unit(spec.n),
                               grid=16)
-        norm = max(np.abs(_dense_full(spec, float(t))).sum(axis=0).max()
+        norm = max(np.abs(dense_full(spec, float(t))).sum(axis=0).max()
                    for t in doubled_grid(1.0, 16))
         assert g.generator == pytest.approx(eps * norm, rel=1e-12)
 

@@ -7,8 +7,8 @@ import pytest
 from conftest import dense_generator
 from ctmcpert import (Perturbation, RateFunction, batch_arrival_chain,
                       batch_chain, batch_service_chain, birth_death_chain,
-                      catastrophe_chain, delta_state, generator_at,
-                      parse_rate, perturb, rate_family, solver)
+                      catastrophe_chain, delta_state, parse_rate, perturb,
+                      rate_family, solver)
 from ctmcpert.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE,
                           EXIT_VALIDATION, EXIT_VIOLATION, Scenario,
                           ScenarioError, build_chain, build_weights,
@@ -207,8 +207,8 @@ def test_build_catastrophe_chain_matches_builders(base_kind):
     assert got.period == want.period == 1.0
     assert got.l_bound == want.l_bound
     for t in (0.0, 0.13, 0.5, 0.77):
-        assert np.array_equal(generator_at(got, t).matrix,
-                              generator_at(want, t).matrix)
+        assert np.array_equal(got.bands_at(t).dense(),
+                              want.bands_at(t).dense())
 
 
 def test_multiplier_count_is_reported():

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from ctmcpert import (ChainValidationError, MassArrivalChain, Perturbation,
-                      RateFunction, batch_arrival_chain, batch_chain,
-                      batch_service_chain, birth_death_chain,
-                      catastrophe_chain, catastrophe_floor_at,
-                      catastrophe_reduction_at, generator_at, parse_rate,
-                      perturb, rate_family, reduced_system_at)
+                      RateFunction, WeightSequence, batch_arrival_chain,
+                      batch_chain, batch_service_chain, birth_death_chain,
+                      catastrophe_chain, parse_rate, perturb, rate_family)
+from ctmcpert.analysis import weighted_reduced_bands
 from ctmcpert.model import TimeBlock, _built, _validate_family, time_blocks
-from conftest import dense_generator, random_chain, random_family, rich_rate
+from conftest import (dense_generator, random_chain, random_family, rich_rate,
+                      weight_matrices)
 
 ONE = RateFunction.constant(1.0)
 TWO = RateFunction.constant(2.0)
@@ -23,18 +23,24 @@ def small_bdp(size=3, grid=32):
     return birth_death_chain(ONE, FOUR, size=size, validation_grid=grid)
 
 
+def _floor(chain, t):
+    """Smallest direct-to-zero intensity over states 1..n at time t, the
+    floor that the uniform catastrophe certificate integrates."""
+    return float(chain.bands_block(TimeBlock(t)).direct_to_zero()[0].min())
+
+
 # ---------------------------------------------------------------------------
 # builders
 
 def test_birth_death_structure():
-    a = generator_at(small_bdp(), 0.7).matrix
+    a = small_bdp().bands_at(0.7).dense()
     assert np.allclose(np.diag(a), [-1, -5, -4])
     assert np.allclose(np.diag(a, 1), [4, 4])
     assert np.allclose(np.diag(a, -1), [1, 1])
 
 
 def test_birth_death_loss_queue_slice(loss_queue):
-    a = generator_at(loss_queue, 0.25).matrix
+    a = loss_queue.bands_at(0.25).dense()
     assert a[0, 0] == pytest.approx(-400.0)
     assert a[1, 0] == pytest.approx(400.0)
     # service from state k at rate k
@@ -44,23 +50,23 @@ def test_birth_death_loss_queue_slice(loss_queue):
 
 def test_absorbing_everywhere():
     spec = birth_death_chain(ZERO, ZERO, size=2, validation_grid=16)
-    assert np.allclose(generator_at(spec, 3.0).matrix, 0.0)
+    assert np.allclose(spec.bands_at(3.0).dense(), 0.0)
 
 
 def test_batch_arrival_two_state():
     spec = batch_arrival_chain({1: ONE}, ONE, size=2, validation_grid=16)
-    assert np.allclose(generator_at(spec, 0.0).matrix, [[-1, 1], [1, -1]])
+    assert np.allclose(spec.bands_at(0.0).dense(), [[-1, 1], [1, -1]])
 
 
 def test_batch_arrival_pure_death_degenerate():
     spec = batch_arrival_chain({1: ZERO}, FOUR, size=5, validation_grid=16)
     bdp = birth_death_chain(ZERO, FOUR, size=5, validation_grid=16)
-    assert np.allclose(generator_at(spec, 0.3).matrix,
-                       generator_at(bdp, 0.3).matrix)
+    assert np.allclose(spec.bands_at(0.3).dense(),
+                       bdp.bands_at(0.3).dense())
 
 
 def test_pair_queue_structure(pair_queue):
-    a = generator_at(pair_queue, 0.25).matrix
+    a = pair_queue.bands_at(0.25).dense()
     lam = 2.0  # 1 + sin(pi/2)
     assert a[1, 0] == pytest.approx(lam)
     assert a[2, 0] == pytest.approx(0.5 * lam)
@@ -73,7 +79,7 @@ def test_pair_queue_structure(pair_queue):
 
 def test_batch_service_pure_birth():
     spec = batch_service_chain(ONE, {1: ZERO}, size=5, validation_grid=16)
-    a = generator_at(spec, 0.1).matrix
+    a = spec.bands_at(0.1).dense()
     assert np.allclose(np.diag(a, -1), 1.0)
     assert np.allclose(np.triu(a, 1), 0.0)
 
@@ -81,14 +87,14 @@ def test_batch_service_pure_birth():
 def test_batch_service_single_size_equals_birth_death():
     spec = batch_service_chain(ONE, {1: TWO}, size=7, validation_grid=16)
     bdp = birth_death_chain(ONE, TWO, size=7, validation_grid=16)
-    assert np.allclose(generator_at(spec, 0.4).matrix,
-                       generator_at(bdp, 0.4).matrix)
+    assert np.allclose(spec.bands_at(0.4).dense(),
+                       bdp.bands_at(0.4).dense())
 
 
 def test_batch_service_exact_group_size():
     # service groups larger than the population cannot fire
     spec = batch_service_chain(ONE, {3: TWO}, size=6, validation_grid=16)
-    a = generator_at(spec, 0.0).matrix
+    a = spec.bands_at(0.0).dense()
     assert a[0, 3] == 2.0
     assert a[0, 1] == 0.0 and a[0, 2] == 0.0
     assert a[1, 1] == -1.0  # state 1 has no service of size 3
@@ -106,29 +112,29 @@ def test_batch_reductions():
     for _ in range(100):
         t = float(rng.uniform(0, 2))
         i, j = rng.integers(0, 9, size=2)
-        a1 = generator_at(full, t).matrix
-        a2 = generator_at(arrivals_only, t).matrix
+        a1 = full.bands_at(t).dense()
+        a2 = arrivals_only.bands_at(t).dense()
         assert a1[i, j] == a2[i, j]
-        b1 = generator_at(services, t).matrix
-        b2 = generator_at(services_only, t).matrix
+        b1 = services.bands_at(t).dense()
+        b2 = services_only.bands_at(t).dense()
         assert b1[i, j] == b2[i, j]
 
 
 def test_batch_chain_zero_generator():
     spec = batch_chain({1: ZERO}, {1: ZERO}, size=4, validation_grid=16)
-    assert np.allclose(generator_at(spec, 1.0).matrix, 0.0)
+    assert np.allclose(spec.bands_at(1.0).dense(), 0.0)
 
 
 def test_catastrophe_overlay():
     cat = catastrophe_chain(small_bdp(size=6), RateFunction.constant(0.3))
-    a = generator_at(cat, 0.0).matrix
+    a = cat.bands_at(0.0).dense()
     assert np.allclose(a[0, 2:], 0.3)
     assert a[0, 1] == pytest.approx(4.0 + 0.3)
-    assert catastrophe_floor_at(cat, 0.0) == pytest.approx(0.3)
+    assert _floor(cat, 0.0) == pytest.approx(0.3)
     # zero catastrophes reproduce the base generator entrywise
     null = catastrophe_chain(small_bdp(size=6), ZERO)
-    base = generator_at(small_bdp(size=6), 0.2).matrix
-    assert np.allclose(generator_at(null, 0.2).matrix, base)
+    base = small_bdp(size=6).bands_at(0.2).dense()
+    assert np.allclose(null.bands_at(0.2).dense(), base)
 
 
 def test_catastrophe_floor_truncated_inf():
@@ -138,20 +144,21 @@ def test_catastrophe_floor_truncated_inf():
     cat = catastrophe_chain(birth_death_chain(ZERO, ZERO, size=n + 1,
                                               validation_grid=16), rates)
     # the infimum runs over the truncated range only
-    assert catastrophe_floor_at(cat, 0.0) == pytest.approx(0.31)
+    assert _floor(cat, 0.0) == pytest.approx(0.31)
 
 
 def test_catastrophe_reduction():
+    # subtracting the floor from row 0 (into a forcing term floor * e_0)
+    # leaves an essentially nonnegative matrix
     cat = catastrophe_chain(small_bdp(size=6), RateFunction.constant(0.3))
-    red = catastrophe_reduction_at(cat, 0.0)
-    assert red.floor == pytest.approx(0.3)
-    assert np.allclose(red.forcing, [0.3] + [0.0] * 5)
-    assert red.matrix[0, 2] == pytest.approx(0.0)
-    assert np.all(red.matrix - np.diag(np.diag(red.matrix)) >= 0)
+    a = cat.bands_at(0.0).dense()
+    floor = a[0, 1:].min()
+    assert floor == pytest.approx(0.3) and floor == _floor(cat, 0.0)
+    a[0] -= floor
+    assert a[0, 2] == pytest.approx(0.0)
+    assert np.all(a - np.diag(np.diag(a)) >= 0)
     # every column of the reduced matrix sums to -floor
-    assert np.allclose(red.matrix.sum(axis=0), -0.3)
-    with pytest.raises(ValueError, match="catastrophe"):
-        catastrophe_reduction_at(small_bdp(), 0.0)
+    assert np.allclose(a.sum(axis=0), -0.3)
 
 
 @pytest.mark.parametrize("kind", ["birth-death", "batch-arrival",
@@ -183,7 +190,7 @@ def test_generator_invariants(kind):
     for _ in range(5):
         spec = random_chain(rng, kind, int(rng.integers(3, 15)))
         for t in rng.uniform(0, 2, size=4):
-            a = generator_at(spec, float(t)).matrix
+            a = spec.bands_at(float(t)).dense()
             assert np.abs(a.sum(axis=0)).max() < 1e-12
             off = a - np.diag(np.diag(a))
             assert off.min() >= 0
@@ -228,35 +235,42 @@ def test_block_bands_equal_scalar_rates():
             assert np.abs(a.sum(axis=0)).max() <= 1e-12 * max(1.0, off.max())
 
 
+def _reduced_matrix(chain, t):
+    """B = D^{-1} (D B D^{-1}) D from the weighted reduced table with unit
+    weights."""
+    w = WeightSequence.unit(chain.n)
+    dm, dinv = weight_matrices(w)
+    return dinv @ weighted_reduced_bands(chain, w, t).dense() @ dm
+
+
 def test_reduced_system_consistency():
+    # eliminating p_0 = 1 - sum(p_i) leaves dz/dt = B z + A[1:, 0] for
+    # z = (p_1, ..., p_n), B[i, j] = A[i, j] - A[i, 0]
     rng = np.random.default_rng(3)
     for kind in ("birth-death", "batch-arrival", "batch-service", "batch"):
         spec = random_chain(rng, kind, 12)
         for t in (0.0, 0.37, 0.81):
-            a = generator_at(spec, t).matrix
-            red = reduced_system_at(spec, t)
+            a = spec.bands_at(t).dense()
             p = rng.dirichlet(np.ones(13))
             z = p[1:]
             rhs_full = (a @ p)[1:]
-            rhs_reduced = red.matrix @ z + red.forcing
+            rhs_reduced = _reduced_matrix(spec, t) @ z + a[1:, 0]
             assert np.abs(rhs_full - rhs_reduced).max() < 1e-12
 
 
 def test_reduced_system_examples():
     tiny = birth_death_chain(ONE, FOUR, size=2, validation_grid=16)
-    red = reduced_system_at(tiny, 0.0)
-    assert np.allclose(red.matrix, [[-5.0]])
-    assert np.allclose(red.forcing, [1.0])
+    assert np.allclose(_reduced_matrix(tiny, 0.0), [[-5.0]])
+    assert np.allclose(tiny.bands_at(0.0).dense()[1:, 0], [1.0])
     zero = birth_death_chain(ZERO, ZERO, size=4, validation_grid=16)
-    red0 = reduced_system_at(zero, 1.0)
-    assert np.allclose(red0.matrix, 0.0) and np.allclose(red0.forcing, 0.0)
-    # catastrophes live in row 0 of the generator, so they shift the
-    # reduced matrix, not the forcing; the floor forcing belongs to the
+    assert np.allclose(_reduced_matrix(zero, 1.0), 0.0)
+    assert np.allclose(zero.bands_at(1.0).dense()[1:, 0], 0.0)
+    # catastrophes live in row 0 of the generator, so they leave the
+    # forcing A[1:, 0] alone; the floor forcing belongs to the
     # catastrophe reduction instead
     cat = catastrophe_chain(small_bdp(size=6), RateFunction.constant(0.25))
-    redc = reduced_system_at(cat, 0.0)
-    assert np.allclose(redc.forcing, [1, 0, 0, 0, 0])
-    assert catastrophe_reduction_at(cat, 0.0).forcing[0] >= 0.25
+    assert np.allclose(cat.bands_at(0.0).dense()[1:, 0], [1, 0, 0, 0, 0])
+    assert _floor(cat, 0.0) >= 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +281,15 @@ def test_perturb_identity_at_zero():
     for mode in ("rate-offsets", "multiplicative", "mass-arrival"):
         pert = perturb(spec, Perturbation(mode, eps=0.0, seed=4))
         for t in (0.0, 0.6):
-            assert np.allclose(generator_at(pert, t).matrix,
-                               generator_at(spec, t).matrix)
+            assert np.allclose(pert.bands_at(t).dense(),
+                               spec.bands_at(t).dense())
 
 
 def test_mass_arrival_column():
     spec = small_bdp(size=11)
     pert = perturb(spec, Perturbation("mass-arrival", eps=0.1))
-    a = generator_at(pert, 0.0).matrix
-    base = generator_at(spec, 0.0).matrix
+    a = pert.bands_at(0.0).dense()
+    base = spec.bands_at(0.0).dense()
     extra = a[:, 0] - base[:, 0]
     ks = np.arange(1, 10)
     assert np.allclose(extra[1:10], 0.1 / (ks * (ks + 1)))
@@ -287,7 +301,7 @@ def test_mass_arrival_column():
 def test_multiplicative_scaling():
     spec = birth_death_chain(ONE, FOUR, size=2, validation_grid=16)
     pert = perturb(spec, Perturbation("multiplicative", eps=0.5))
-    assert np.allclose(generator_at(pert, 0.0).matrix,
+    assert np.allclose(pert.bands_at(0.0).dense(),
                        [[-1.5, 6.0], [1.5, -6.0]])
 
 
@@ -301,14 +315,14 @@ def test_rate_offsets_bounded_and_valid():
     for seed in rng_seeds:
         pert = perturb(spec, Perturbation("rate-offsets", eps=eps, seed=seed))
         for t in ts:
-            diff = generator_at(pert, float(t)).matrix \
-                - generator_at(spec, float(t)).matrix
+            diff = pert.bands_at(float(t)).dense() \
+                - spec.bands_at(float(t)).dense()
             off = diff - np.diag(np.diag(diff))
             assert np.abs(off).max() <= eps + 1e-12
         # determinism: the same seed reproduces the draw
         again = perturb(spec, Perturbation("rate-offsets", eps=eps, seed=seed))
-        assert np.allclose(generator_at(again, 0.3).matrix,
-                           generator_at(pert, 0.3).matrix)
+        assert np.allclose(again.bands_at(0.3).dense(),
+                           pert.bands_at(0.3).dense())
 
 
 def test_offsets_never_produce_negative_rates():
@@ -318,7 +332,7 @@ def test_offsets_never_produce_negative_rates():
                              validation_grid=256)
     for seed in range(6):
         pert = perturb(spec, Perturbation("rate-offsets", eps=0.3, seed=seed))
-        a = generator_at(pert, 0.75).matrix
+        a = pert.bands_at(0.75).dense()
         assert np.diag(a, -1).min() >= 0
 
 
@@ -344,11 +358,11 @@ def test_catastrophes_over_batch_base():
     base = batch_arrival_chain({1: ONE, 2: RateFunction.constant(0.5)}, TWO,
                                size=7, validation_grid=16)
     cat = catastrophe_chain(base, RateFunction.constant(0.4))
-    a = generator_at(cat, 0.1).matrix
-    base_a = generator_at(base, 0.1).matrix
+    a = cat.bands_at(0.1).dense()
+    base_a = base.bands_at(0.1).dense()
     assert np.allclose(a[0, 1:], base_a[0, 1:] + 0.4)
     assert np.abs(a.sum(axis=0)).max() < 1e-12
-    assert catastrophe_floor_at(cat, 0.1) == pytest.approx(0.4)
+    assert _floor(cat, 0.1) == pytest.approx(0.4)
 
 
 def test_batch_size_out_of_range():
@@ -371,7 +385,7 @@ def test_batch_rate_takes_one_multiplier():
     # one multiplier scales the rate from every source state
     chain = batch_arrival_chain({1: rate_family(shared=ONE, multipliers=[5])},
                                 ONE, size=5, validation_grid=16)
-    a = generator_at(chain, 0.0).matrix
+    a = chain.bands_at(0.0).dense()
     assert np.all(a[np.arange(1, 5), np.arange(4)] == 5.0)
 
 

@@ -74,10 +74,6 @@ class WeightSequence:
                              f"got {delta}")
         return WeightSequence(delta ** np.arange(n))
 
-    @staticmethod
-    def explicit(values) -> "WeightSequence":
-        return WeightSequence(np.asarray(values, dtype=float))
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -149,19 +145,16 @@ def reduced_bands_block(g: GeneratorBlock,
         raise CertificateError(f"need {n} weights, got {len(w)}")
     p = max((k for k in g.offsets if k > 0), default=0)
     q = max((-k for k in g.offsets if k < 0), default=0)
-    rows = {k: g.data[:, i] for i, k in enumerate(g.offsets)}
-    # running sums over the table rows, from the outermost offsets in:
-    # tail[o][:, c] = sum_{k >= o} A[c+k, c] and
-    # tail[-e][:, c] = sum_{m >= e} A[c-m, c] (None: no row that far out)
-    tail = {}
-    for sign, top in ((1, p), (-1, q)):
-        acc = None
-        for o in range(sign * top, 0, -sign):
-            if o in rows:
-                acc = rows[o] if acc is None else acc + rows[o]
-            tail[o] = acc
-    zero = None if p and q else np.zeros((g.times, n + 1))
-    diag = -(tail.get(1, zero)[:, :n] + tail.get(-1, zero)[:, 1:])
+    # the table on every offset -q..p, zero where the chain has no row
+    rows = np.zeros((g.times, q + p + 1, n + 1))
+    rows[:, [k + q for k in g.offsets]] = g.data
+    # running sums from the outermost offsets in, with a zero slot past
+    # each end: tail[:, o + q + 1, c] = sum_{k >= o} A[c+k, c] for o > 0
+    # and sum_{k <= o} A[c+k, c] for o < 0
+    tail = np.zeros((g.times, q + p + 3, n + 1))
+    np.cumsum(rows[:, :q], axis=1, out=tail[:, 1:q + 1])
+    np.cumsum(rows[:, :q:-1], axis=1, out=tail[:, q + p + 1:q + 1:-1])
+    diag = -(tail[:, q + 2, :n] + tail[:, q, 1:])
     offsets = (tuple(range(-1, -min(q + 1, n), -1))
                + tuple(range(1, min(p + 1, n))))
     data = np.zeros((g.times, len(offsets), n))
@@ -174,14 +167,10 @@ def reduced_bands_block(g: GeneratorBlock,
             out, src, step = data[:, i, -k:], slice(-k, n), 1
         else:
             out, src, step = data[:, i, :n - k], slice(1, n + 1 - k), -1
-        beyond = tail.get(k - step)
-        if beyond is None:  # the outermost offset on each side
-            np.multiply(rows[k][:, src], w.ratio(k), out=out)
-            continue
+        beyond = tail[:, k - step + q + 1]
         np.subtract(beyond[:, src],
                     beyond[:, src.start + step:src.stop + step], out=out)
-        if k in rows:
-            out += rows[k][:, src]
+        out += rows[:, k + q, src]
         out *= w.ratio(k)
     return GeneratorBlock(n - 1, offsets, data, fixed_diag=diag)
 

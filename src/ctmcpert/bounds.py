@@ -176,10 +176,10 @@ def perturbation_gaps(spec: ChainSpec, draws: Sequence[Chain],
     for tb in time_blocks(doubled_grid(period, grid)):
         values = {}  # V by rate rows, which the draws of a chain share
         for diff in diffs:
+            if diff.families not in values:
+                values[diff.families] = diff.values(tb)
+            v = values[diff.families]
             if diff.at is None:
-                if diff.families not in values:
-                    values[diff.families] = diff.values(tb)
-                v = values[diff.families]
                 # the l1 distance of the generators, |v m| being |v| |m|:
                 # sum_r |v_r| |dm_r| + |sum_r v_r dm_r| with the mass arrivals
                 s = contract(v, diff.m)
@@ -187,15 +187,13 @@ def perturbation_gaps(spec: ChainSpec, draws: Sequence[Chain],
                 if diff.col0 is not None:
                     s[:, 0] += diff.col0[1:].sum()
                     norms[:, 0] += np.abs(diff.col0)[1:].sum()
-                head, norms = diff.forcing_head(v), norms + np.abs(s)
+                norms += np.abs(s)
             else:
-                v, g = None, diff.block(tb)
-                head = g.forcing(head=True)
-                norms = column_stats(g, rates=False)[1]
+                norms = column_stats(diff.block(tb), rates=False)[1]
             if structural:
                 red = grid_sup(red, column_stats(
                     reduced_block(diff, tb, w, v), rates=False)[1])
-                forc = grid_sup(forc, w.weighted_norm(head))
+                forc = grid_sup(forc, w.weighted_norm(diff.forcing_head(v)))
             gen = grid_sup(gen, norms)
     if not structural:
         red = forc = math.nan

@@ -21,13 +21,12 @@ Subcommands:
   (mass-arrival truncation probe).
 
 Exit codes: 0 success, 2 scenario parse error or bad option (a scenario
-file that cannot be read as UTF-8 text, a rate or multiplier key the
-chain kind does not read, ``--grid`` not a positive even integer,
-``--seed`` negative, ``--step`` not a positive finite number, a scenario
-number out of range, or an ``[outputs]`` value other than true/false,
-yes/no, on/off or 1/0), 3
-validation error, 4 no feasible bound, 5 empirical violation of a reported
-bound.
+file that cannot be read as UTF-8 text, a key the chain kind, the
+perturbation mode or the weights kind does not read, ``--grid`` not a
+positive even integer, ``--seed`` negative, ``--step`` not a positive
+finite number, a scenario number out of range, or an ``[outputs]`` value
+other than true/false, yes/no, on/off or 1/0), 3 validation error, 4 no
+feasible bound, 5 empirical violation of a reported bound.
 
 Reports are printed as human-readable text and written as a flat
 machine-readable ``key = value`` document with dot-namespaced keys.
@@ -47,6 +46,7 @@ import numpy as np
 
 from . import analysis, bounds, model, solver
 from .model import ChainValidationError
+from .quadrature import ANALYSIS_GRID
 from .rates import RateFunction, RateSyntaxError
 
 EXIT_OK = 0
@@ -84,8 +84,13 @@ _CHAIN_KEYS = _SHAPE_KEYS | {
     "service", "service_mult", "catastrophe", "catastrophe_mult",
 }
 _CHAIN_PATTERNS = (re.compile(r"arrival_\d+$"), re.compile(r"service_\d+$"))
-_WEIGHT_KEYS = {"kind", "delta", "values"}
-_PERT_KEYS = {"mode", "epsilon", "draws", "seed"} | _CHAIN_KEYS
+#: the keys each weights kind reads besides ``kind``
+_WEIGHT_READS = {"unit": set(), "geometric": {"delta"}, "explicit": {"values"}}
+_WEIGHT_KEYS = {"kind"}.union(*_WEIGHT_READS.values())
+#: the [perturbation] keys that are not an explicit mode's chain keys
+_PERT_OWN_KEYS = {"mode", "epsilon", "draws", "seed"}
+_PERT_KEYS = _PERT_OWN_KEYS | _CHAIN_KEYS
+_PERT_MODES = ("none", "explicit") + model.Perturbation.MODES
 _SOLVE_KEYS = {"t_end", "step", "stride", "tolerance", "horizon"}
 _OUTPUT_KEYS = {"transient_means", "limit_states", "limit_mean", "distance"}
 
@@ -100,18 +105,6 @@ class Scenario:
 
     def has(self, section: str) -> bool:
         return section in self.sections
-
-    def canonical(self) -> str:
-        """Canonical text form; re-parsing yields an identical scenario."""
-        lines = []
-        for section in _SECTIONS:
-            if section not in self.sections:
-                continue
-            lines.append(f"[{section}]")
-            for key in sorted(self.sections[section]):
-                lines.append(f"{key} = {self.sections[section][key]}")
-            lines.append("")
-        return "\n".join(lines)
 
 
 def _allowed(section: str, key: str) -> bool:
@@ -303,8 +296,7 @@ def build_chain(scn: Scenario, section: str = "chain") -> model.ChainSpec:
     cfg = dict(scn.sections[section])
     if section == "perturbation":
         # explicit mode: the chain definition with replaced rates
-        cfg = {k: v for k, v in cfg.items()
-               if k not in ("mode", "epsilon", "draws", "seed")}
+        cfg = {k: v for k, v in cfg.items() if k not in _PERT_OWN_KEYS}
     # the keys of this section; [chain] keys are checked in [chain]
     own = set(cfg)
     cfg = {**scn.sections["chain"], **cfg}
@@ -386,6 +378,11 @@ def build_chain(scn: Scenario, section: str = "chain") -> model.ChainSpec:
 
 def build_weights(scn: Scenario, n: int) -> analysis.WeightSequence:
     kind = scn.get("weights", "kind", "unit")
+    unread = sorted(set(scn.sections.get("weights", ())) - {"kind"}
+                    - _WEIGHT_READS.get(kind, _WEIGHT_KEYS))
+    if unread:
+        raise ScenarioError(f"{kind} weights do not read this key", "weights",
+                            unread[0])
     if kind == "unit":
         return analysis.WeightSequence.unit(n)
     if kind == "geometric":
@@ -407,17 +404,29 @@ def build_weights(scn: Scenario, n: int) -> analysis.WeightSequence:
         if len(vals) != n:
             raise ScenarioError(f"{len(vals)} weights for {n} reduced states",
                                 "weights", "values")
-        return analysis.WeightSequence.explicit(vals)
+        return analysis.WeightSequence(vals)
     raise ScenarioError(f"unknown weights kind {kind!r}", "weights", "kind")
 
 
 def scenario_perturbations(scn: Scenario, spec: model.ChainSpec,
                            seed: int | None = None) -> list[tuple[str, model.Chain]]:
     """The perturbed chains a scenario asks for (several for seeded
-    draws, one otherwise)."""
+    draws, one otherwise).  A key the mode does not read is an error: rate
+    keys outside ``explicit``, ``draws`` and ``seed`` outside
+    ``rate-offsets``."""
     if not scn.has("perturbation"):
         return []
     mode = scn.get("perturbation", "mode", "none")
+    if mode not in _PERT_MODES:
+        raise ScenarioError(f"unknown perturbation mode {mode!r}",
+                            "perturbation", "mode")
+    unread = sorted(
+        key for key in scn.sections["perturbation"]
+        if key in ("draws", "seed") and mode != "rate-offsets"
+        or key not in _PERT_OWN_KEYS and mode != "explicit")
+    if unread:
+        raise ScenarioError(f"mode {mode} does not read this key",
+                            "perturbation", unread[0])
     if mode == "none":
         return []
     eps = _decode_epsilon(scn)
@@ -425,9 +434,6 @@ def scenario_perturbations(scn: Scenario, spec: model.ChainSpec,
         return [("explicit", build_chain(scn, "perturbation"))]
     if mode in ("mass-arrival", "multiplicative"):
         return [(mode, model.perturb(spec, model.Perturbation(mode, eps=eps)))]
-    if mode != "rate-offsets":
-        raise ScenarioError(f"unknown perturbation mode {mode!r}",
-                            "perturbation", "mode")
     draws = _decode_int(scn, "perturbation", "draws", 1, lambda v: v >= 1,
                         "a positive integer")
     if seed is None:
@@ -504,7 +510,6 @@ def _cert_entries(rep: Report, prefix: str,
 class PipelineResult:
     report: Report
     exit_code: int = EXIT_OK
-    artifacts: list[Path] = field(default_factory=list)
 
 
 def _certificates(spec: model.ChainSpec, weights: analysis.WeightSequence,
@@ -522,7 +527,7 @@ def _certificates(spec: model.ChainSpec, weights: analysis.WeightSequence,
 
 
 def run_pipeline(scn: Scenario, out_dir: Path, stage: str,
-                 grid: int = 4096, step: float | None = None,
+                 grid: int = ANALYSIS_GRID, step: float | None = None,
                  seed: int | None = None) -> PipelineResult:
     """Execute the pipeline implied by the scenario sections up to
     ``stage`` in {"analyze", "bounds", "run", "compare"}."""
@@ -626,7 +631,6 @@ def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
         for col, tag in ((0, "x0"), (1, "xtop")):
             path = out_dir / f"{stem}_mean_{tag}.csv"
             solver.write_mean_csv(traj, path, column=col)
-            result.artifacts.append(path)
 
     try:
         regime = search.report()
@@ -636,11 +640,9 @@ def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
         if outputs["limit_states"]:
             path = out_dir / f"{stem}_limit_x0.csv"
             solver.write_states_csv(regime.limit, path, column=0)
-            result.artifacts.append(path)
         if outputs["limit_mean"]:
             path = out_dir / f"{stem}_limit_mean.csv"
             solver.write_mean_csv(regime.limit, path, column=0)
-            result.artifacts.append(path)
     except solver.SolverError as exc:
         rep.put("regime.error", str(exc))
 
@@ -657,7 +659,6 @@ def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
                     fh.write("t,dist\n")
                     for t, v in zip(curve.times, curve.dists):
                         fh.write(f"{t:.17g},{v:.17g}\n")
-                result.artifacts.append(path)
         rep.put("empirical.draws", len(draws))
         rep.put("empirical.final_period_sup", worst_sup)
         rep.put("empirical.bound", best)
@@ -689,7 +690,7 @@ def _emit(result: PipelineResult, out_dir: Path) -> int:
     return result.exit_code
 
 
-def reproduce(target: str, out_dir: Path, grid: int = 4096,
+def reproduce(target: str, out_dir: Path, grid: int = ANALYSIS_GRID,
               step: float | None = None, seed: int | None = None) -> int:
     if target == "1":
         code = EXIT_OK
@@ -731,7 +732,7 @@ def reproduce(target: str, out_dir: Path, grid: int = 4096,
             fh.write("level,p0\n")
             for level, p0 in zip(probe.levels, probe.p0_values):
                 fh.write(f"{level},{p0:.17g}\n")
-        result = PipelineResult(report=rep, artifacts=[table])
+        result = PipelineResult(report=rep)
         if not drops or max(probe.recursion_residuals) > 1e-6:
             result.exit_code = EXIT_VIOLATION
         return _emit(result, out_dir)
@@ -747,7 +748,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ctmcpert",
         description="Ergodicity certificates and perturbation bounds for "
                     "time-inhomogeneous Markovian queueing models")
-    parser.add_argument("--grid", type=int, default=4096,
+    parser.add_argument("--grid", type=int, default=ANALYSIS_GRID,
                         help="samples per period for grid certificates")
     parser.add_argument("--step", type=float, default=None,
                         help="integrator step override")

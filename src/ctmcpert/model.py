@@ -55,23 +55,21 @@ class ChainValidationError(ValueError):
 class RateFamily:
     """A k-indexed family of nonnegative rates.
 
-    Either a shared rate function with per-index multipliers (covers the
-    common shapes mu_k(t) = k*mu(t) and min(k, c)*mu(t) compactly) or an
-    explicit list of member functions, again with per-member scale
-    factors.  ``values(tb)`` returns the rate values at the times of a
-    ``TimeBlock``, one row per time, which the multipliers scale.
+    ``rate_functions`` holds one function shared by every index (covers the
+    common shapes mu_k(t) = k*mu(t) and min(k, c)*mu(t) compactly) or one
+    function per index, and ``multipliers`` scales each index.
+    ``values(tb)`` returns the rate values at the times of a ``TimeBlock``,
+    one row per time, which the multipliers scale.
     """
 
     multipliers: np.ndarray
-    shared: RateFunction | None = None
-    members: tuple[RateFunction, ...] | None = None
+    rate_functions: tuple[RateFunction, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "multipliers",
                            np.asarray(self.multipliers, dtype=float))
-        if (self.shared is None) == (self.members is None):
-            raise ValueError("family needs exactly one of shared / members")
-        if self.members is not None and len(self.members) != self.count:
+        object.__setattr__(self, "rate_functions", tuple(self.rate_functions))
+        if len(self.rate_functions) not in (1, self.count):
             raise ValueError("member count does not match multipliers")
 
     @property
@@ -79,40 +77,37 @@ class RateFamily:
         return len(self.multipliers)
 
     def values(self, tb: "TimeBlock") -> np.ndarray:
-        """The rate values at the block's times: (len(tb), 1) of the shared
-        function, or (len(tb), count) of the members."""
-        if self.shared is not None:
-            return tb.rate(self.shared)[:, None]
-        return np.stack([tb.rate(m) for m in self.members], axis=1)
+        """The rate values at the block's times: (len(tb), 1) of a shared
+        function, or (len(tb), count) of one function per index."""
+        return np.array([tb.rate(fn) for fn in self.rate_functions]).T
 
     def scaled(self, factor) -> "RateFamily":
         """Multipliers times ``factor``, a number or one per member."""
         return replace(self, multipliers=self.multipliers * factor)
-
-    @property
-    def rate_functions(self) -> tuple[RateFunction, ...]:
-        if self.shared is not None:
-            return (self.shared,)
-        return self.members
 
 
 def rate_family(shared: RateFunction | None = None,
                 multipliers: Sequence[float] | None = None,
                 members: Sequence[RateFunction] | None = None,
                 count: int | None = None) -> RateFamily:
-    """Build a family; ``count`` sizes the default unit multipliers."""
+    """Build a family of one ``shared`` function or of ``members``, one per
+    index; ``count`` sizes the default unit multipliers."""
     if members is not None:
-        members = tuple(members)
-        mults = np.ones(len(members)) if multipliers is None \
-            else np.asarray(multipliers, dtype=float)
-        return RateFamily(mults, members=members)
-    if shared is None:
+        fns = tuple(members)
+        count = len(fns)
+    elif shared is None:
         raise ValueError("either shared or members is required")
+    else:
+        fns = (shared,)
     if multipliers is None:
         if count is None:
             raise ValueError("count is required with default multipliers")
         multipliers = np.ones(count)
-    return RateFamily(np.asarray(multipliers, dtype=float), shared=shared)
+    fam = RateFamily(multipliers, fns)
+    if members is not None and fam.count != count:
+        # one member for several multipliers is no shared family
+        raise ValueError("member count does not match multipliers")
+    return fam
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +252,11 @@ class GeneratorBlock:
                               None if self.row0 is None else self.row0[i],
                               self.col0)
 
-    def forcing(self, head: bool = False) -> np.ndarray:
+    def forcing(self) -> np.ndarray:
         """Column 0 without its diagonal entry, (A[1,0], ..., A[n,0]) per
-        time.  With ``head`` and no ``col0`` only the first p entries, p
-        the largest offset up: the rest are zero."""
+        time."""
         up = [i for i, k in enumerate(self.offsets) if k > 0]
-        width = self.n
-        if head and self.col0 is None:
-            width = max((self.offsets[i] for i in up), default=0)
-        f = np.zeros((self.times, width))
+        f = np.zeros((self.times, self.n))
         f[:, [self.offsets[i] - 1 for i in up]] = self.data[:, up, 0]
         if self.col0 is not None:
             f += self.col0[1:]
@@ -335,16 +326,18 @@ class RateTable:
             if len(f.rate_functions) == 1:  # one function fills the row
                 v[:, i] = tb.rate(f.rate_functions[0])[:, None]
             else:
-                v[:, i, start:start + f.count] = np.stack(
-                    [tb.rate(fn) for fn in f.members], axis=1)
+                v[:, i, start:start + f.count] = f.values(tb)
         return v
 
     def forcing_head(self, v: np.ndarray) -> np.ndarray:
-        """``GeneratorBlock.forcing(head=True)`` of V ⊙ M from V and column 0
-        of M, for a table without ``at``: A[k, 0] at k - 1, k up."""
-        up = [i for i, k in enumerate(self.offsets) if k > 0]
-        head = np.zeros((len(v), max((self.offsets[i] for i in up), default=0)))
-        head[:, [self.offsets[i] - 1 for i in up]] = v[:, up, 0] * self.m[up, 0]
+        """``GeneratorBlock.forcing()`` of V ⊙ M cut to its first p entries,
+        p the largest offset up (the rest are zero), from V and column 0 of
+        M: A[k, 0] at k - 1, rows on one offset added in row order."""
+        at = range(len(self.m)) if self.at is None else self.at
+        head = np.zeros((len(v), max(0, *self.offsets)))
+        for r, i in enumerate(at):  # the row0 row's index is past offsets
+            if i < len(self.offsets) and self.offsets[i] > 0:
+                head[:, self.offsets[i] - 1] += v[:, r, 0] * self.m[r, 0]
         return head
 
     def block(self, tb: TimeBlock | None = None) -> GeneratorBlock:
@@ -588,7 +581,7 @@ def _validate_family(name: str, fam: RateFamily, blocks):
         raise ChainValidationError(f"{name}: negative multiplier")
     # rounding is monotone in m >= 0: a shared rate times the largest
     # multiplier (if any) is negative or overflows where a product does
-    top = fam.multipliers if fam.members is not None \
+    top = fam.multipliers if len(fam.rate_functions) > 1 \
         else fam.multipliers.max(initial=0.0, keepdims=True)[:fam.count]
     with np.errstate(all="ignore"):  # a non-finite value is rejected below
         grid = np.concatenate([fam.values(tb) for tb in blocks]) * top

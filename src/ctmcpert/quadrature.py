@@ -7,6 +7,7 @@ profiles, catastrophe floors) can be integrated with the same code.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -20,8 +21,10 @@ SIMPSON_START = 2048
 SIMPSON_CAP = 2**20
 #: default number of samples per period for grid suprema and profiles
 ANALYSIS_GRID = 4096
-
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(32)
+#: relative agreement of two Simpson estimates that accepts the finer
+SIMPSON_TOL = 1e-10
+#: golden-section iterations refining a running-integral peak
+GOLDEN_ITERS = 80
 
 
 def _simpson_sum(vals: np.ndarray, h: float) -> float:
@@ -30,14 +33,14 @@ def _simpson_sum(vals: np.ndarray, h: float) -> float:
     )
 
 
-def adaptive_simpson(f: VecFn, a: float, b: float, tol: float = 1e-10,
-                     start: int = SIMPSON_START, cap: int = SIMPSON_CAP) -> float:
+def adaptive_simpson(f: VecFn, a: float, b: float, start: int = SIMPSON_START,
+                     cap: int = SIMPSON_CAP) -> float:
     """Composite Simpson integral of ``f`` over [a, b] with interval doubling.
 
     The subinterval count doubles until two successive estimates agree to
-    ``tol`` (relative to max(1, |I|)) or ``cap`` subintervals are reached;
-    at the cap the last estimate is returned.  Previously evaluated nodes
-    are reused across doublings.
+    ``SIMPSON_TOL`` (relative to max(1, |I|)) or ``cap`` subintervals are
+    reached; at the cap the last estimate is returned.  Previously
+    evaluated nodes are reused across doublings.
     """
     if b <= a:
         raise ValueError(f"empty integration interval [{a}, {b}]")
@@ -54,10 +57,18 @@ def adaptive_simpson(f: VecFn, a: float, b: float, tol: float = 1e-10,
         m *= 2
         vals = merged
         new_est = _simpson_sum(vals, (b - a) / m)
-        if abs(new_est - est) <= tol * max(1.0, abs(new_est)):
+        if abs(new_est - est) <= SIMPSON_TOL * max(1.0, abs(new_est)):
             return new_est
         est = new_est
     return est
+
+
+@functools.cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 32 Gauss-Legendre nodes and weights, computed on first use: a
+    process that never integrates loads neither numpy.polynomial nor the
+    eigenvalue solver behind them."""
+    return np.polynomial.legendre.leggauss(32)
 
 
 def gauss_integral(f: VecFn, a: float, b: float) -> float:
@@ -65,19 +76,19 @@ def gauss_integral(f: VecFn, a: float, b: float) -> float:
     smooth integrands."""
     if b == a:
         return 0.0
+    nodes, weights = _gauss_rule()
     half = 0.5 * (b - a)
-    xs = 0.5 * (a + b) + half * _GAUSS_NODES
-    return half * float(np.dot(_GAUSS_WEIGHTS, np.asarray(f(xs), dtype=float)))
+    xs = 0.5 * (a + b) + half * nodes
+    return half * float(np.dot(weights, np.asarray(f(xs), dtype=float)))
 
 
-def _golden_max(fn: Callable[[float], float], a: float, b: float,
-                iters: int = 80) -> float:
+def _golden_max(fn: Callable[[float], float], a: float, b: float) -> float:
     """Maximum of a unimodal scalar function on [a, b] by golden section."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
@@ -89,18 +100,18 @@ def _golden_max(fn: Callable[[float], float], a: float, b: float,
     return max(f1, f2)
 
 
-def simpson_on_grid(vals: np.ndarray, width: float, tol: float = 1e-10) -> float | None:
+def simpson_on_grid(vals: np.ndarray, width: float) -> float | None:
     """Simpson integral from values on a uniform grid (even subinterval
     count), cross-checked against the half-resolution estimate; ``None``
-    when the two disagree beyond ``tol`` and the caller should fall back
-    to adaptive quadrature.
+    when the two disagree beyond ``SIMPSON_TOL`` (relative to max(1, |I|))
+    and the caller should fall back to adaptive quadrature.
     """
     m = len(vals) - 1
     if m % 4:
         raise ValueError("grid must have a subinterval count divisible by 4")
     fine = _simpson_sum(vals, width / m)
     coarse = _simpson_sum(vals[::2], 2.0 * width / m)
-    if abs(fine - coarse) <= tol * max(1.0, abs(fine)):
+    if abs(fine - coarse) <= SIMPSON_TOL * max(1.0, abs(fine)):
         return fine
     return None
 

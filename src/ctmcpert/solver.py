@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -48,6 +48,8 @@ from .rates import RateFunction
 SUM_TOL = 1e-8
 #: tolerated nonnegativity undershoot at recorded samples
 NEG_TOL = -1e-10
+#: largest residual ||A p||_inf accepted from a stationary solve
+STATIONARY_TOL = 1e-12
 #: largest chain whose ergodicity coefficient is measured (one integration
 #: per state)
 ERGODICITY_CAP = 512
@@ -242,7 +244,7 @@ def march(*lanes: Lane):
 
     The k1 of a step is the previous step's A(t + h) y.  When some lanes
     stop, the others go on in a workspace rebuilt for their columns and
-    k1.  A time-invariant set of chains uses one table for every stage.
+    k1.
     """
     lanes = [lane for lane in lanes if lane.segments != 0]
     if not lanes:
@@ -251,9 +253,7 @@ def march(*lanes: Lane):
     ws.matvec(ws.tables([[lane.t0] for lane in lanes])[0], 0, ws.k[0])
     s = 0  # steps taken
     while lanes:
-        fixed = all(c.time_invariant for lane in lanes for c in lane.chains)
-        stages = repeat((ws.tables([[lane.t0] for lane in lanes])[0],) * 2) \
-            if fixed else ws.stages(s)
+        stages = ws.stages(s)
         stopped = []
         while not stopped:
             event = min((lane.done + 1) * lane.steps for lane in lanes)
@@ -531,9 +531,9 @@ def perturbation_distance(chain: Chain, perturbed: Chain, p0,
     return distance_curve(traj, traj.states.shape[2] - 1, horizon, period)
 
 
-def stationary_distribution(chain: Chain, tol: float = 1e-12) -> np.ndarray:
+def stationary_distribution(chain: Chain) -> np.ndarray:
     """Stationary vector of a time-homogeneous chain by one direct solve;
-    the residual ||A p||_inf must fall below ``tol``.
+    the residual ||A p||_inf must fall below ``STATIONARY_TOL``.
 
     With p_0 fixed to 1, rows 1..n of A p = 0 are the banded system
     A[1:, 1:] x = -A[1:, 0]: a catastrophe row sits in the dropped row 0
@@ -601,8 +601,9 @@ def stationary_distribution(chain: Chain, tol: float = 1e-12) -> np.ndarray:
         raise SolverError("no stationary vector: the mass of state 0 is "
                           "below the floating-point range")
     residual = float(np.abs(g.matvec(p)).max())
-    if not residual < tol:
-        raise SolverError(f"stationary residual {residual} above {tol}")
+    if not residual < STATIONARY_TOL:
+        raise SolverError(
+            f"stationary residual {residual} above {STATIONARY_TOL}")
     _check_columns(p, 0.0)
     return p
 
@@ -614,29 +615,27 @@ class ProbeResult:
     recursion_residuals: tuple[float, ...]
 
 
-def mass_arrival_probe(eps: float, levels, birth: float = 1.0,
-                       death: float = 4.0, tol: float = 1e-12) -> ProbeResult:
-    """Stationary head probabilities of the mass-arrival-perturbed walk
-    across truncation levels.
+def mass_arrival_probe(eps: float, levels) -> ProbeResult:
+    """Stationary head probabilities of the mass-arrival-perturbed walk,
+    births at rate 1 and deaths at rate 4, across truncation levels.
 
     For each level the truncated stationary vector must satisfy the flow
-    balance death * p[k+1] = birth * p[k] + p[0] * eps / (k+1) at interior
-    states; a violation indicates a builder bug.  A strictly decreasing
-    head probability across levels is the truncation signature of a chain
-    with no stationary law on the countable space.
+    balance 4 p[k+1] = p[k] + p[0] * eps / (k+1) at interior states; a
+    violation indicates a builder bug.  A strictly decreasing head
+    probability across levels is the truncation signature of a chain with
+    no stationary law on the countable space.
     """
     p0s = []
     residuals = []
     for n in levels:
-        base = birth_death_chain(RateFunction.constant(birth),
-                                 RateFunction.constant(death), size=n + 1,
+        base = birth_death_chain(RateFunction.constant(1.0),
+                                 RateFunction.constant(4.0), size=n + 1,
                                  validation_grid=16)
         chain: MassArrivalChain = perturb(base, Perturbation("mass-arrival",
                                                              eps=eps))
-        p = stationary_distribution(chain, tol=tol)
+        p = stationary_distribution(chain)
         ks = np.arange(1, n - 1)
-        resid = np.abs(death * p[ks + 1] - birth * p[ks]
-                       - p[0] * eps / (ks + 1))
+        resid = np.abs(4.0 * p[ks + 1] - p[ks] - p[0] * eps / (ks + 1))
         p0s.append(float(p[0]))
         residuals.append(float(resid.max()))
     return ProbeResult(levels=tuple(int(n) for n in levels),

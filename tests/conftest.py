@@ -101,8 +101,7 @@ def random_chain(rng, kind, n, rate=random_rate):
 
 def family_at(fam, t):
     """A rate family at one time: multipliers times the scalar rate."""
-    fns = fam.members if fam.members is not None else (fam.shared,) * fam.count
-    return fam.multipliers * np.array([f(t) for f in fns])
+    return fam.multipliers * np.array([f(t) for f in fam.rate_functions])
 
 
 def dense_generator(chain, t):
@@ -174,7 +173,7 @@ def random_weights(rng, n):
         return WeightSequence.unit(n)
     if r < 0.67:
         return WeightSequence.geometric(float(rng.uniform(1.0, 2.0)), n)
-    return WeightSequence.explicit(1.0 + np.cumsum(rng.uniform(0.0, 1.0, n)))
+    return WeightSequence(1.0 + np.cumsum(rng.uniform(0.0, 1.0, n)))
 
 
 @pytest.fixture(scope="session")

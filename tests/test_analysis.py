@@ -41,14 +41,14 @@ def test_weight_sequence_basics():
 
 def test_weight_sequence_validation():
     with pytest.raises(ValueError, match="nondecreasing"):
-        WeightSequence.explicit([2.0, 1.0])
+        WeightSequence([2.0, 1.0])
     with pytest.raises(ValueError, match="positive"):
-        WeightSequence.explicit([0.0, 1.0])
+        WeightSequence([0.0, 1.0])
     with pytest.raises(ValueError, match="delta"):
         WeightSequence.geometric(0.5, 3)
     for bad in ([1.0, np.nan, 2.0], [1.0, 2.0, np.inf]):
         with pytest.raises(ValueError, match="finite"):
-            WeightSequence.explicit(bad)
+            WeightSequence(bad)
     for delta in (np.nan, np.inf):
         # a single weight is delta ** 0 = 1 whatever delta is
         for n in (1, 3):

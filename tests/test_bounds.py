@@ -334,7 +334,8 @@ def _materialised_gaps(spec, draws, w, grid):
             if structural:
                 red = grid_sup(red, column_stats(reduced_block(diff, tb, w),
                                                  rates=False)[1])
-                forc = grid_sup(forc, w.weighted_norm(g.forcing(head=True)))
+                head = g.forcing()[:, :max(0, *g.offsets)]
+                forc = grid_sup(forc, w.weighted_norm(head))
             gen = grid_sup(gen, column_stats(g, rates=False)[1])
     if not structural:
         red = forc = math.nan

@@ -86,13 +86,6 @@ def test_parse_rejects_duplicates_and_strays():
         parse_scenario_text("[weights]\nkind = unit\n")
 
 
-def test_round_trip_canonical_form():
-    scn = parse_scenario_text(SMALL, name="small")
-    again = parse_scenario_text(scn.canonical(), name="small")
-    assert again.sections == scn.sections
-    assert again.canonical() == scn.canonical()
-
-
 def test_table_rate_in_scenario():
     text = """
 [chain]
@@ -103,8 +96,8 @@ birth = table: [(0,1),(0.5,2)]
 death = "3"
 """
     spec = build_chain(parse_scenario_text(text))
-    assert spec.births.shared(0.25) == 1.0
-    assert spec.births.shared(0.75) == 2.0
+    assert spec.births.rate_functions[0](0.25) == 1.0
+    assert spec.births.rate_functions[0](0.75) == 2.0
 
 
 def test_build_weights_variants():
@@ -496,6 +489,48 @@ def test_main_exit_codes(small_scn, tmp_path, capsys):
         assert main(["--out", out, "--grid", "256", "analyze",
                      str(path)]) == EXIT_VALIDATION
         assert "weights" in capsys.readouterr().err
+
+
+def test_keys_the_mode_or_kind_does_not_read(tmp_path, capsys):
+    # a [perturbation] or [weights] key that the chosen mode or weights
+    # kind does not read is bad input, as an unread [chain] key is
+    out = str(tmp_path / "out")
+    chain = ("[chain]\nkind = birth-death\nstates = 4\nperiod = 1\n"
+             "birth = \"1+0.5*sin(2*pi*t)\"\ndeath = \"2\"\n"
+             "death_mult = k\n")
+    pert = "[perturbation]\nmode = {}\nepsilon = 0.01\n"
+    cases = [(pert.format(mode) + extra, "perturbation", key)
+             for mode in ("multiplicative", "mass-arrival", "rate-offsets",
+                          "none")
+             for extra, key in (('birth = "5"\n', "birth"),
+                                ("death_mult = 7\n", "death_mult"),
+                                ('arrival_3 = "2"\n', "arrival_3"))]
+    cases += [(pert.format(mode) + f"{key} = 4\n", "perturbation", key)
+              for mode in ("multiplicative", "mass-arrival", "none")
+              for key in ("draws", "seed")]
+    cases.append((pert.format("explicit") + 'birth = "1.01"\ndeath = "2"\n'
+                  "draws = 4\n", "perturbation", "draws"))
+    cases += [("[weights]\nkind = unit\ndelta = 3\n", "weights", "delta"),
+              ("[weights]\nkind = unit\nvalues = 1, 2, 3\n", "weights",
+               "values"),
+              ("[weights]\nkind = geometric\ndelta = 2\nvalues = 1, 2, 3\n",
+               "weights", "values"),
+              ("[weights]\nkind = explicit\nvalues = 1, 2, 3\ndelta = 2\n",
+               "weights", "delta")]
+    path = tmp_path / "unread.scn"
+    for text, section, key in cases:
+        path.write_text(chain + text)
+        assert main(["--out", out, "--grid", "256", "bounds",
+                     str(path)]) == EXIT_PARSE, text
+        assert f"[{section}] key {key!r}" in capsys.readouterr().err, text
+    # the keys each mode and kind reads are accepted
+    for text in (pert.format("rate-offsets") + "draws = 2\nseed = 3\n",
+                 pert.format("explicit") + 'birth = "1.01"\ndeath = "2"\n',
+                 "[weights]\nkind = geometric\ndelta = 2\n",
+                 "[weights]\nkind = explicit\nvalues = 1, 2, 3\n"):
+        path.write_text(chain + text)
+        assert main(["--out", out, "--grid", "256", "bounds",
+                     str(path)]) == EXIT_OK, text
 
 
 def test_outputs_flags(tmp_path, capsys):

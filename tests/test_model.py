@@ -389,6 +389,19 @@ def test_batch_rate_takes_one_multiplier():
     assert np.all(a[np.arange(1, 5), np.arange(4)] == 5.0)
 
 
+def test_rate_family_errors():
+    with pytest.raises(ValueError, match="either shared or members"):
+        rate_family(multipliers=[1.0, 2.0])
+    with pytest.raises(ValueError, match="count is required"):
+        rate_family(shared=ONE)
+    # one member for three multipliers is not read as a shared family
+    for members in ([ONE], [ONE, FOUR]):
+        with pytest.raises(ValueError, match="member count"):
+            rate_family(members=members, multipliers=[1.0, 2.0, 3.0])
+    assert rate_family(members=[ONE], multipliers=[2.0]).count == 1
+    assert rate_family(shared=ONE, multipliers=[1.0, 2.0, 3.0]).count == 3
+
+
 def test_perturbation_validation():
     with pytest.raises(ValueError, match="mode"):
         Perturbation("wobble", eps=0.1)
@@ -496,9 +509,7 @@ def test_family_check_without_products():
         shift = float(rng.uniform(-2.0, 0.5))
         fns = [parse_rate(f"{f.canonical()}+({shift})", period=1.0)
                for f in fam.rate_functions]
-        fam = rate_family(shared=fns[0], multipliers=fam.multipliers) \
-            if fam.shared is not None else rate_family(
-                members=fns, multipliers=fam.multipliers)
+        fam = replace(fam, rate_functions=fns)
         assert _family_check_message(fam, blocks) == \
             _family_check_of_products(fam, ts)
 

@@ -408,14 +408,12 @@ def build_weights(scn: Scenario, n: int) -> analysis.WeightSequence:
     raise ScenarioError(f"unknown weights kind {kind!r}", "weights", "kind")
 
 
-def scenario_perturbations(scn: Scenario, spec: model.ChainSpec,
-                           seed: int | None = None) -> list[tuple[str, model.Chain]]:
-    """The perturbed chains a scenario asks for (several for seeded
-    draws, one otherwise).  A key the mode does not read is an error: rate
-    keys outside ``explicit``, ``draws`` and ``seed`` outside
-    ``rate-offsets``."""
+def perturbation_mode(scn: Scenario) -> str:
+    """The ``[perturbation]`` mode, "none" without the section.  A key the
+    mode does not read is an error: rate keys outside ``explicit``,
+    ``draws`` and ``seed`` outside ``rate-offsets``."""
     if not scn.has("perturbation"):
-        return []
+        return "none"
     mode = scn.get("perturbation", "mode", "none")
     if mode not in _PERT_MODES:
         raise ScenarioError(f"unknown perturbation mode {mode!r}",
@@ -427,6 +425,14 @@ def scenario_perturbations(scn: Scenario, spec: model.ChainSpec,
     if unread:
         raise ScenarioError(f"mode {mode} does not read this key",
                             "perturbation", unread[0])
+    return mode
+
+
+def scenario_perturbations(scn: Scenario, spec: model.ChainSpec,
+                           seed: int | None = None) -> list[tuple[str, model.Chain]]:
+    """The perturbed chains a scenario asks for (several for seeded
+    draws, one otherwise), its keys checked by ``perturbation_mode``."""
+    mode = perturbation_mode(scn)
     if mode == "none":
         return []
     eps = _decode_epsilon(scn)
@@ -534,6 +540,7 @@ def run_pipeline(scn: Scenario, out_dir: Path, stage: str,
     solve = {key: _decode_positive(scn, "solve", key)
              for key in ("t_end", "step", "stride", "tolerance", "horizon")}
     outputs = {key: _decode_bool(scn, "outputs", key) for key in _OUTPUT_KEYS}
+    perturbation_mode(scn)  # checked at every stage, read from "bounds" on
     rep = Report()
     rep.put("scenario.name", scn.name)
     spec = build_chain(scn)
@@ -594,8 +601,14 @@ def run_pipeline(scn: Scenario, out_dir: Path, stage: str,
 def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
                  result, out_dir, step_override, solve, outputs):
     """Integrate the extreme states and every perturbed draw, and search
-    the limiting regime, in one march; ``solve`` holds the decoded [solve]
-    keys, None where absent, and ``outputs`` the [outputs] flags."""
+    the limiting regime; ``solve`` holds the decoded [solve] keys, None
+    where absent, and ``outputs`` the [outputs] flags.
+
+    When the run samples every period boundary (the sampling interval
+    divides the period), the search reads the extreme columns at those
+    samples and marches only past ``t_end``, if the horizon lies beyond
+    it.  Otherwise it marches from 0 on the period clock, alongside the
+    run."""
     period = spec.period if spec.period is not None else 1.0
     t_end = solve["t_end"] or 10 * period
     step = step_override if step_override is not None else solve["step"]
@@ -611,9 +624,15 @@ def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
                          solver.delta_state(spec.size, spec.n)], axis=1)
     run = solver.RunLane(spec, extremes, 0.0, t_end, step=step,
                          stride=stride, draws=[chain for _, chain in draws])
+    lanes, columns = [run], None
+    per_period = round(period / run.seg_dt)
+    if per_period >= 1 and abs(per_period * run.seg_dt - period) \
+            <= 1e-12 * period:  # every boundary sampled, to rounding
+        solver.march(run)
+        lanes, columns = [], run.states[::per_period, :, :2]
     search = solver.RegimeLane(spec, tolerance=tol, max_horizon=horizon,
-                               step=step)
-    solver.march(run, search)
+                               step=step, columns=columns)
+    solver.march(*lanes, search)
     traj = run.trajectory()
     dists = np.abs(traj.states[:, :, 0] - traj.states[:, :, 1]).sum(axis=1)
     boundary = np.isclose(traj.times % period, 0.0, atol=1e-9) \

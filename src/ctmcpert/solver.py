@@ -17,8 +17,11 @@ sharing a step rule.  ``integrate`` (``RunLane``: samples at every
 stride; perturbed chains add one column each), the limiting-regime search
 (``RegimeLane``: the extreme states on the period clock, stopped at the
 first period boundary where they meet) and ``ergodicity_coefficient`` are
-single-lane uses of it; a run of the command-line tool marches its run
-lane and its regime lane together.
+single-lane uses of it.  A regime search can start from the extreme
+columns that a run has sampled at the period boundaries, and marches only
+past the last of them; a run of the command-line tool does so whenever
+its sampling interval divides the period, and otherwise marches its run
+lane and a regime lane from 0 together.
 The march holds the columns of all lanes as the rows of one workspace,
 states innermost.  The column-stacked multipliers M are built once per
 march (and when lanes stop); each block of steps multiplies them by the
@@ -97,12 +100,14 @@ class Lane:
 
     ``chains[i]`` advances ``widths[i]`` of the columns of ``y`` (states
     by columns).  The clock starts at ``t0`` and runs in segments of
-    length ``seg_dt``, each of ``steps`` steps of size ``h``; segment i
-    starts at ``t0 + i*seg_dt`` and its nodes are that start plus
-    multiples of ``h``.  ``segments`` bounds the number of segments (None:
+    length ``seg_dt``, each of ``steps`` steps of size ``h``; segment k
+    starts at ``t0 + k*seg_dt`` and its nodes are that start plus
+    multiples of ``h``.  A march takes the lane from the start of segment
+    ``k0`` on.  ``segments`` bounds the number of segments marched (None:
     the callback alone stops the lane).  After each segment ``march``
     writes the lane's columns back to ``y`` and calls
-    ``segment_end(i)``; a false return stops the lane.
+    ``segment_end(i)``, i counted from 0 in this march; a false return
+    stops the lane.
     """
 
     def __init__(self, chains, widths, y: np.ndarray, t0: float, h: float,
@@ -112,6 +117,7 @@ class Lane:
         self.y = y
         self.t0, self.h, self.steps, self.seg_dt = t0, h, steps, seg_dt
         self.segments = segments
+        self.k0 = 0  # the first segment marched
         self.done = 0  # segments completed
 
     def segment_end(self, i: int) -> bool:
@@ -119,9 +125,9 @@ class Lane:
 
     def stage_times(self, first: int, count: int) -> np.ndarray:
         """The mid times, then the end times, of the lane's steps first,
-        ..., first+count-1."""
+        ..., first+count-1 of the march."""
         i, j = np.divmod(np.arange(first, first + count), self.steps)
-        t = (self.t0 + i * self.seg_dt) + j * self.h
+        t = (self.t0 + (self.k0 + i) * self.seg_dt) + j * self.h
         return np.concatenate((t + 0.5 * self.h, t + self.h))
 
 
@@ -250,7 +256,8 @@ def march(*lanes: Lane):
     if not lanes:
         return
     ws = _Workspace(lanes, np.concatenate([lane.y for lane in lanes], 1).T)
-    ws.matvec(ws.tables([[lane.t0] for lane in lanes])[0], 0, ws.k[0])
+    ws.matvec(ws.tables([[lane.t0 + lane.k0 * lane.seg_dt]
+                         for lane in lanes])[0], 0, ws.k[0])
     s = 0  # steps taken
     while lanes:
         stages = ws.stages(s)
@@ -406,47 +413,63 @@ class RegimeReport:
 
 class RegimeLane(Lane):
     """The lane of the limiting-regime search: the two extreme states on
-    the period clock, one segment per period, stopped at the first period
-    boundary where their l1 distance is below ``tolerance`` or when the
-    next boundary lies beyond ``max_horizon``; ``report()`` is the result
-    once marched."""
+    the period clock, stopped at the first period boundary k*T (k >= 1)
+    where their l1 distance is below ``tolerance``, or when the next
+    boundary lies beyond ``max_horizon``; ``report()`` is the result once
+    marched.
+
+    ``columns`` holds the extreme columns at the boundaries 0, T, ...,
+    K*T, each (states, 2), as a run on another clock has computed them;
+    by default only the delta states at 0.  They are read in order, and
+    the lane marches on from the last boundary read, one segment per
+    period, only if neither stop has come."""
 
     def __init__(self, chain: Chain, tolerance: float, max_horizon: float,
-                 step: float | None = None):
+                 step: float | None = None, columns=None):
         period = chain.period if chain.period is not None else 1.0
         h = _checked_step(chain, step)
         steps = math.ceil(period / h)
-        y = np.stack([delta_state(chain.size, 0),
-                      delta_state(chain.size, chain.n)], axis=1)
+        if columns is None:
+            columns = [np.stack([delta_state(chain.size, 0),
+                                 delta_state(chain.size, chain.n)], axis=1)]
         self.limit_t = max_horizon * (1 + 1e-12)
-        super().__init__((chain,), (2,), y, 0.0, period / steps, steps,
-                         period, None if period <= self.limit_t else 0)
         self.tolerance, self.max_horizon = tolerance, max_horizon
-        self.times = [0.0]
-        self.dists = [float(np.abs(y[:, 0] - y[:, 1]).sum())]
-        self.horizon = None
+        self.times, self.dists, self.horizon = [], [], None
+        super().__init__((chain,), (2,), None, 0.0, period / steps, steps,
+                         period)
+        for k, y in enumerate(columns):
+            self.y, self.k0 = y, k
+            if not self._boundary(k):
+                self.segments = 0
+                break
 
-    def segment_end(self, i):
-        t = (i + 1) * self.seg_dt
+    def _boundary(self, k: int) -> bool:
+        """Record the distance of ``y`` at boundary k; whether to go on."""
+        t = k * self.seg_dt
         _check_columns(self.y, t)
         dist = float(np.abs(self.y[:, 0] - self.y[:, 1]).sum())
         self.times.append(t)
         self.dists.append(dist)
-        if dist < self.tolerance:
+        if k > 0 and dist < self.tolerance:
             self.horizon = t
             return False
-        return (i + 2) * self.seg_dt <= self.limit_t
+        return (k + 1) * self.seg_dt <= self.limit_t
+
+    def segment_end(self, i):
+        return self._boundary(self.k0 + i + 1)
 
     def report(self) -> RegimeReport:
         """The regime found, its limit period sampled 200 times by a
-        second march; raises SolverError if none was found."""
+        second march of the lower extreme; raises SolverError if none was
+        found."""
         if self.horizon is None:
             raise SolverError(
                 f"horizon {self.max_horizon} exhausted: distance still "
                 f"{self.dists[-1]} (tolerance {self.tolerance})")
         chain, period = self.chains[0], self.seg_dt
-        limit = integrate(chain, self.y, self.horizon, self.horizon + period,
-                          step=self.h, stride=period / 200)
+        limit = integrate(chain, self.y[:, :1], self.horizon,
+                          self.horizon + period, step=self.h,
+                          stride=period / 200)
         phi = limit.states[:, :, 0] @ np.arange(chain.size)
         return RegimeReport(
             transient_horizon=self.horizon,

@@ -533,6 +533,29 @@ def test_keys_the_mode_or_kind_does_not_read(tmp_path, capsys):
                      str(path)]) == EXIT_OK, text
 
 
+def test_analyze_checks_perturbation_keys(tmp_path, capsys, monkeypatch):
+    # analyze reads no draws, but an unknown mode or a key the mode does
+    # not read exits 2 as under bounds, without building a perturbed chain
+    out = str(tmp_path / "out")
+    chain = ("[chain]\nkind = birth-death\nstates = 4\nperiod = 1\n"
+             "birth = \"1+0.5*sin(2*pi*t)\"\ndeath = \"2\"\n")
+    path = tmp_path / "analyze.scn"
+    for text, key in (("mode = wobble\n", "mode"),
+                      ("mode = multiplicative\nseed = 3\n", "seed"),
+                      ("mode = none\nbirth = \"5\"\n", "birth"),
+                      ("mode = rate-offsets\ndeath_mult = 7\n", "death_mult")):
+        path.write_text(chain + "[perturbation]\nepsilon = 0.01\n" + text)
+        for command in ("analyze", "bounds"):
+            assert main(["--out", out, "--grid", "256", command,
+                         str(path)]) == EXIT_PARSE, (command, text)
+            assert f"[perturbation] key {key!r}" in capsys.readouterr().err
+    monkeypatch.setattr("ctmcpert.model.perturb", None)  # no draw is built
+    path.write_text(chain + "[perturbation]\nmode = rate-offsets\n"
+                    "epsilon = 0.01\ndraws = 2\nseed = 3\n")
+    assert main(["--out", out, "--grid", "256", "analyze",
+                 str(path)]) == EXIT_OK
+
+
 def test_outputs_flags(tmp_path, capsys):
     # every accepted spelling of true and false, in any case; an absent
     # key is false
@@ -568,51 +591,109 @@ def test_truncated_key_has_no_effect(small_scn, tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
+def _regime_entries(lane):
+    """The regime.* entries a run reports for a marched search."""
+    try:
+        regime = lane.report()
+    except solver.SolverError as exc:
+        return {"regime.error": str(exc)}
+    return {"regime.transient_horizon": regime.transient_horizon,
+            "regime.phi_min": float(regime.phi_values.min()),
+            "regime.phi_max": float(regime.phi_values.max())}
+
+
+def _error_distance(message):
+    """The message of an exhausted search with its distance cut out, and
+    that distance."""
+    head, rest = message.split("still ")
+    number, tail = rest.split(" ", 1)
+    return head + tail, float(number)
+
+
+def _close_entries(got, want, rel):
+    """Regime entries equal to ``rel`` relative, the distance in the
+    message of an exhausted search included."""
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        got_value = got[key]
+        if key == "regime.error":
+            (got_text, got_value), (text, value) = map(
+                _error_distance, (got_value, value))
+            assert got_text == text
+        assert abs(got_value - value) <= rel * abs(value), key
+
+
 def test_run_solves_once(tmp_path, monkeypatch):
-    # the extreme states, every draw and the regime search advance in one
-    # march, each lane on its own clock; the limit period is a second march
-    # only when a horizon is found
+    # the extreme states and every draw advance in one march on the
+    # sampling clock; when its samples land on every period boundary the
+    # regime search reads them and marches on from the last one only if
+    # the horizon lies past t_end; when a boundary falls between samples,
+    # the search marches from 0 alongside the run; the limit period is
+    # one more march only when a horizon is found
     spans = []
     march = solver.march
 
     def counted(*lanes):
-        spans.append([(type(lane).__name__, len(lane.chains), lane.t0)
-                      for lane in lanes])
+        spans.append([(type(lane).__name__, len(lane.chains), lane.t0,
+                       lane.k0) for lane in lanes if lane.segments != 0])
         return march(*lanes)
 
-    for horizon, found in ((2, None), (8, 7.0)):
+    run4 = ("RunLane", 4, 0.0, 0)
+    for t_end, stride, horizon, marches in (
+            (8, 0.125, 8, [[run4], [("RunLane", 1, 7.0, 0)]]),
+            (2, 0.125, 2, [[run4]]),
+            (2, 0.125, 8, [[run4], [("RegimeLane", 1, 0.0, 2)],
+                           [("RunLane", 1, 7.0, 0)]]),
+            (2, 0.3, 8, [[run4, ("RegimeLane", 1, 0.0, 0)],
+                         [("RunLane", 1, 7.0, 0)]])):
         text = SMALL.replace("draws = 2", "draws = 3").replace(
-            "t_end = 8", "t_end = 2").replace("horizon = 8",
-                                              f"horizon = {horizon}")
+            "t_end = 8", f"t_end = {t_end}").replace(
+            "stride = 0.125", f"stride = {stride}").replace(
+            "horizon = 8", f"horizon = {horizon}")
         scn = parse_scenario_text(text, name="once")
         spans.clear()
         monkeypatch.setattr(solver, "march", counted)
         result = run_pipeline(scn, tmp_path, "run", grid=256)
         monkeypatch.undo()
+        assert [s for s in spans if s] == marches, (t_end, stride, horizon)
         entries = result.report.entries
-        assert spans[0] == [("RunLane", 4, 0.0), ("RegimeLane", 1, 0.0)]
-        if found is None:
-            assert "exhausted" in entries["regime.error"]
-            assert len(spans) == 1
-        else:
-            assert entries["regime.transient_horizon"] == found
-            assert spans[1:] == [[("RunLane", 1, found)]]
+        got = {k: v for k, v in entries.items() if k.startswith("regime.")}
         assert entries["empirical.draws"] == 3
-    spec = build_chain(scn)
-    regime = solver.limiting_regime(spec, tolerance=1e-6, max_horizon=8.0)
-    assert entries["regime.phi_max"] == float(regime.phi_values.max())
-    draws = scenario_perturbations(scn, spec)
+        # the oracle on the run's clock: a search fed the boundary columns
+        # of a solo integrate, or from 0 when the stride misses a boundary
+        spec = build_chain(scn)
+        draws = [chain for _, chain in scenario_perturbations(scn, spec)]
+        extremes = np.stack([delta_state(spec.size, 0),
+                             delta_state(spec.size, spec.n)], axis=1)
+        traj = solver.integrate(spec, extremes, 0.0, t_end, stride=stride,
+                                draws=draws)
+        columns = None if stride == 0.3 else traj.states[::8, :, :2]
+        lane = solver.RegimeLane(spec, 1e-6, float(horizon), columns=columns)
+        solver.march(lane)
+        assert got == _regime_entries(lane)
+        # and a standalone search on the period clock, to rounding; bit
+        # for bit when the search marches from 0
+        regime = solver.RegimeLane(spec, 1e-6, float(horizon))
+        solver.march(regime)
+        want = _regime_entries(regime)
+        if columns is None:
+            assert got == want
+        _close_entries(got, want, 1e-12)
+        if horizon == 8:
+            assert got["regime.transient_horizon"] == 7.0
+        else:
+            assert "exhausted" in got["regime.error"]
     worst = 0.0
-    for label, chain in draws:
+    for label, chain in scenario_perturbations(scn, spec):
         curve = solver.perturbation_distance(
             spec, chain, delta_state(spec.size, 0), horizon=2.0, period=1.0,
-            stride=0.125)
+            stride=0.3)
         rows = np.loadtxt(tmp_path / f"once_distance_{label}.csv",
                           delimiter=",", skiprows=1)
         assert np.array_equal(rows[:, 0], curve.times)
         assert np.array_equal(rows[:, 1], curve.dists)
         worst = max(worst, curve.final_sup)
-    assert result.report.entries["empirical.final_period_sup"] == worst
+    assert entries["empirical.final_period_sup"] == worst
 
 
 def test_catastrophe_perturbation_bounds(tmp_path, capsys):

@@ -421,6 +421,77 @@ def test_regime_lane_shorter_than_a_period():
         lane.report()
 
 
+class _Kept(RegimeLane):
+    """A regime lane that keeps its columns at every period boundary."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.kept = [self.y.copy()]
+
+    def segment_end(self, i):
+        self.kept.append(self.y.copy())
+        return super().segment_end(i)
+
+
+def test_regime_lane_reads_given_boundaries():
+    # a search given the columns at the boundaries 0, ..., K*T reads their
+    # distances, stops on them when it can and otherwise marches on from
+    # K*T on the nodes k*T + j*h of a search from 0; its horizon, boundary
+    # times and fed distances are those of the search from 0, and what it
+    # marches agrees with it to rounding
+    base, _ = _draw_cases()[0]
+    step = 0.25 / base.l_bound
+    probe = RegimeLane(base, 0.0, 4.0, step=step)
+    march(probe)
+    d = probe.dists
+    for tol, horizon in ((0.0, 4.0), (0.5 * (d[2] + d[3]), 6.0)):
+        solo = _Kept(base, tol, horizon, step=step)
+        march(solo)
+        assert (solo.horizon is None) == (tol == 0.0)
+        for k in range(len(solo.kept)):
+            fed = RegimeLane(base, tol, horizon, step=step,
+                             columns=solo.kept[:k + 1])
+            assert fed.times == solo.times[:k + 1]
+            assert fed.dists == solo.dists[:k + 1]
+            marched = fed.segments != 0
+            assert marched == (k < len(solo.kept) - 1)
+            if marched:
+                assert np.array_equal(
+                    fed.stage_times(0, 3 * fed.steps),
+                    solo.stage_times(k * solo.steps, 3 * solo.steps))
+            march(fed)
+            assert fed.done == len(solo.kept) - 1 - k
+            assert fed.times == solo.times
+            assert fed.horizon == solo.horizon
+            assert np.allclose(fed.dists, solo.dists, rtol=1e-12, atol=0)
+            assert np.abs(fed.y - solo.y).max() <= 1e-12
+    # columns past a stop are not read
+    fed = RegimeLane(base, tol, 6.0, step=step, columns=solo.kept * 2)
+    assert fed.segments == 0 and fed.times == solo.times
+    # the horizon is one period at least, whatever the tolerance
+    lane = RegimeLane(base, 3.0, 6.0, step=step)
+    march(lane)
+    assert lane.horizon == 1.0 and lane.done == 1
+
+
+def test_limit_period_marches_the_lower_extreme_alone():
+    # the limit period reads column 0 only; it is bit for bit column 0 of
+    # a march of both extremes (its mean, a product over another memory
+    # layout, to rounding)
+    base, _ = _draw_cases()[0]
+    lane = RegimeLane(base, 1e-2, 6.0)
+    march(lane)
+    got = lane.report()
+    both = integrate(base, lane.y, lane.horizon, lane.horizon + lane.seg_dt,
+                     step=lane.h, stride=lane.seg_dt / 200)
+    assert got.limit.states.shape[2] == 1
+    assert np.array_equal(got.limit.times, both.times)
+    assert np.array_equal(got.limit.states[:, :, 0], both.states[:, :, 0])
+    assert np.allclose(got.phi_values,
+                       both.states[:, :, 0] @ np.arange(base.size),
+                       rtol=1e-14, atol=0)
+
+
 class _Recorder(Lane):
     """A lane that keeps its columns at every segment end and stops after
     ``stop`` segments (None: after ``segments``)."""

@@ -604,11 +604,17 @@ def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
     the limiting regime; ``solve`` holds the decoded [solve] keys, None
     where absent, and ``outputs`` the [outputs] flags.
 
-    When the run samples every period boundary (the sampling interval
-    divides the period), the search reads the extreme columns at those
-    samples and marches only past ``t_end``, if the horizon lies beyond
-    it.  Otherwise it marches from 0 on the period clock, alongside the
-    run."""
+    The run is marched first.  The search reads the extreme columns at
+    the run's samples on period boundaries: at every boundary up to
+    ``t_end`` when the sampling interval divides the period, at 0 alone
+    otherwise.  It marches on from the last boundary read, on the period
+    clock, only if it has neither met the tolerance nor run out of
+    horizon.  When it reads boundaries past 0, the ``regime.*`` keys come
+    from the run's step, the smallest that the chain and every draw
+    allow, shrunk to land on each sample; that step is never coarser than
+    the search's own, but it depends on the stride and on the draws (so on
+    ``[perturbation]`` and the seed), and the keys move with it by the
+    error of the method."""
     period = spec.period if spec.period is not None else 1.0
     t_end = solve["t_end"] or 10 * period
     step = step_override if step_override is not None else solve["step"]
@@ -624,19 +630,19 @@ def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
                          solver.delta_state(spec.size, spec.n)], axis=1)
     run = solver.RunLane(spec, extremes, 0.0, t_end, step=step,
                          stride=stride, draws=[chain for _, chain in draws])
-    lanes, columns = [run], None
-    per_period = round(period / run.seg_dt)
-    if per_period >= 1 and abs(per_period * run.seg_dt - period) \
-            <= 1e-12 * period:  # every boundary sampled, to rounding
-        solver.march(run)
-        lanes, columns = [], run.states[::per_period, :, :2]
-    search = solver.RegimeLane(spec, tolerance=tol, max_horizon=horizon,
-                               step=step, columns=columns)
-    solver.march(*lanes, search)
+    solver.march(run)
     traj = run.trajectory()
     dists = np.abs(traj.states[:, :, 0] - traj.states[:, :, 1]).sum(axis=1)
-    boundary = np.isclose(traj.times % period, 0.0, atol=1e-9) \
-        | np.isclose(traj.times % period, period, atol=1e-9)
+    # the samples on a period boundary, for the envelope and the search
+    k = np.rint(traj.times / period)
+    boundary = np.isclose(traj.times, k * period, rtol=1e-12,
+                          atol=1e-12 * period)
+    columns = traj.states[boundary][:, :, :2]
+    if not np.array_equal(k[boundary], np.arange(len(columns))):
+        columns = columns[:1]  # a boundary falls between samples
+    search = solver.RegimeLane(spec, tolerance=tol, max_horizon=horizon,
+                               step=step, columns=columns)
+    solver.march(search)
     rep.put("empirical.extreme_final_dist", float(dists[-1]))
     decay_ok = True
     if uniform_cert is not None and uniform_cert.certified:

@@ -19,9 +19,8 @@ stride; perturbed chains add one column each), the limiting-regime search
 first period boundary where they meet) and ``ergodicity_coefficient`` are
 single-lane uses of it.  A regime search can start from the extreme
 columns that a run has sampled at the period boundaries, and marches only
-past the last of them; a run of the command-line tool does so whenever
-its sampling interval divides the period, and otherwise marches its run
-lane and a regime lane from 0 together.
+past the last of them; a run of the command-line tool marches its run
+lane, then a regime lane fed its boundary samples.
 The march holds the columns of all lanes as the rows of one workspace,
 states innermost.  The column-stacked multipliers M are built once per
 march (and when lanes stop); each block of steps multiplies them by the

@@ -625,11 +625,11 @@ def _close_entries(got, want, rel):
 
 def test_run_solves_once(tmp_path, monkeypatch):
     # the extreme states and every draw advance in one march on the
-    # sampling clock; when its samples land on every period boundary the
-    # regime search reads them and marches on from the last one only if
-    # the horizon lies past t_end; when a boundary falls between samples,
-    # the search marches from 0 alongside the run; the limit period is
-    # one more march only when a horizon is found
+    # sampling clock; the regime search then reads them at every period
+    # boundary the run samples and marches on from the last one only if
+    # the horizon lies past t_end; when a boundary falls between samples
+    # it reads the start alone and marches from 0; the limit period is one
+    # more march only when a horizon is found
     spans = []
     march = solver.march
 
@@ -644,8 +644,9 @@ def test_run_solves_once(tmp_path, monkeypatch):
             (2, 0.125, 2, [[run4]]),
             (2, 0.125, 8, [[run4], [("RegimeLane", 1, 0.0, 2)],
                            [("RunLane", 1, 7.0, 0)]]),
-            (2, 0.3, 8, [[run4, ("RegimeLane", 1, 0.0, 0)],
+            (2, 0.3, 8, [[run4], [("RegimeLane", 1, 0.0, 0)],
                          [("RunLane", 1, 7.0, 0)]])):
+        setting = (t_end, stride, horizon)
         text = SMALL.replace("draws = 2", "draws = 3").replace(
             "t_end = 8", f"t_end = {t_end}").replace(
             "stride = 0.125", f"stride = {stride}").replace(
@@ -655,7 +656,7 @@ def test_run_solves_once(tmp_path, monkeypatch):
         monkeypatch.setattr(solver, "march", counted)
         result = run_pipeline(scn, tmp_path, "run", grid=256)
         monkeypatch.undo()
-        assert [s for s in spans if s] == marches, (t_end, stride, horizon)
+        assert [s for s in spans if s] == marches, setting
         entries = result.report.entries
         got = {k: v for k, v in entries.items() if k.startswith("regime.")}
         assert entries["empirical.draws"] == 3
@@ -670,30 +671,31 @@ def test_run_solves_once(tmp_path, monkeypatch):
         columns = None if stride == 0.3 else traj.states[::8, :, :2]
         lane = solver.RegimeLane(spec, 1e-6, float(horizon), columns=columns)
         solver.march(lane)
-        assert got == _regime_entries(lane)
+        assert got == _regime_entries(lane), setting
         # and a standalone search on the period clock, to rounding; bit
         # for bit when the search marches from 0
         regime = solver.RegimeLane(spec, 1e-6, float(horizon))
         solver.march(regime)
         want = _regime_entries(regime)
         if columns is None:
-            assert got == want
+            assert got == want, setting
         _close_entries(got, want, 1e-12)
         if horizon == 8:
             assert got["regime.transient_horizon"] == 7.0
         else:
             assert "exhausted" in got["regime.error"]
-    worst = 0.0
-    for label, chain in scenario_perturbations(scn, spec):
-        curve = solver.perturbation_distance(
-            spec, chain, delta_state(spec.size, 0), horizon=2.0, period=1.0,
-            stride=0.3)
-        rows = np.loadtxt(tmp_path / f"once_distance_{label}.csv",
-                          delimiter=",", skiprows=1)
-        assert np.array_equal(rows[:, 0], curve.times)
-        assert np.array_equal(rows[:, 1], curve.dists)
-        worst = max(worst, curve.final_sup)
-    assert entries["empirical.final_period_sup"] == worst
+        # the draws' distance curves, each bit for bit a run of its draw
+        worst = 0.0
+        for label, chain in scenario_perturbations(scn, spec):
+            curve = solver.perturbation_distance(
+                spec, chain, delta_state(spec.size, 0), horizon=float(t_end),
+                period=1.0, stride=stride)
+            rows = np.loadtxt(tmp_path / f"once_distance_{label}.csv",
+                              delimiter=",", skiprows=1)
+            assert np.array_equal(rows[:, 0], curve.times), setting
+            assert np.array_equal(rows[:, 1], curve.dists), setting
+            worst = max(worst, curve.final_sup)
+        assert entries["empirical.final_period_sup"] == worst, setting
 
 
 def test_catastrophe_perturbation_bounds(tmp_path, capsys):

@@ -114,11 +114,14 @@ def rate_family(shared: RateFunction | None = None,
 # time blocks
 
 #: time nodes per block of the vectorised formulas.  A block is one
-#: (T, K, n+1) table for K offsets, as is the march's stage buffer, so this
-#: bounds their memory.  Measured at n = 300, the benchmark's peak resident
-#: set read 40.4, 41.6, 43.4 and 46.3 MB on certify-sweep and 41.8, 45.1,
-#: 49.9 and 58.9 MB on loss-verify with 16-, 64-, 128- and 256-node blocks;
-#: 16-node blocks took more CPU time per operation on both.
+#: (T, K, n+1) table for K offsets, so this bounds their memory.  Measured
+#: at n = 300, the benchmark's peak resident set read 40.4, 41.6, 43.4 and
+#: 46.3 MB on certify-sweep and 41.8, 45.1, 49.9 and 58.9 MB on loss-verify
+#: with 16-, 64-, 128- and 256-node blocks (the march's stage buffer then
+#: as long); 16-node blocks took more CPU time per operation on both.  The
+#: march's buffer now holds NODE_BLOCK // 2 nodes, 16 steps of two: on
+#: loss-verify's 4 columns of 302 it is (32, 3, 4, 302), 0.89 MiB against
+#: 1.77 MiB at 64 nodes.
 NODE_BLOCK = 64
 
 #: ``fn.values(ts)``, a pole at a node being inf there without a warning

@@ -7,26 +7,22 @@ Probability mass is conserved by construction (columns of A sum to zero),
 so conservation is asserted, never enforced; a violation indicates a
 generator bug and raises.
 
-One engine, ``march``, does all the stepping.  Its columns come in
-lanes: a ``Lane`` is a set of chains, each on some state columns, with
-its own clock (start, step, steps per segment and segment length) and a
-callback at each segment end that records what the lane needs and says
-whether it goes on.  Every lane advances one step per step of the loop,
-on its own clock, so lanes with different steps share the loop without
-sharing a step rule.  ``integrate`` (``RunLane``: samples at every
-stride; perturbed chains add one column each), the limiting-regime search
-(``RegimeLane``: the extreme states on the period clock, stopped at the
-first period boundary where they meet) and ``ergodicity_coefficient`` are
-single-lane uses of it.  A regime search can start from the extreme
-columns that a run has sampled at the period boundaries, and marches only
-past the last of them; a run of the command-line tool marches its run
-lane, then a regime lane fed its boundary samples.
-The march holds the columns of all lanes as the rows of one workspace,
-states innermost.  The column-stacked multipliers M are built once per
-march (and when lanes stop); each block of steps multiplies them by the
-chains' rate values on their lanes' nodes into one table of stages, and
-each step works in place.  Columns never mix: each is bit for bit a run
-of its chain alone on its lane's clock, by ``GeneratorBands.matvec``.
+One engine, ``march``, does all the stepping.  It marches one ``Lane``:
+a set of chains, each on some state columns, that share one clock
+(start, step, steps per segment and segment length), with a callback at
+each segment end that records what the lane needs and says whether it
+goes on.  ``integrate`` (``RunLane``: samples at every stride; perturbed
+chains add one column each), the limiting-regime search (``RegimeLane``:
+the extreme states on the period clock, stopped at the first period
+boundary where they meet) and ``ergodicity_coefficient`` each march one.
+The march holds the lane's columns as the rows of one workspace, states
+innermost.  The column-stacked multipliers M are built once per march;
+each block of steps multiplies them by the chains' rate values on the
+block's nodes into one table of stages.  The workspace compiles each
+step of a block once, as a plan: a fixed list of ufunc calls on views of
+the stages and tables, which the march runs in place.  Columns never
+mix: each is bit for bit a run of its chain alone on the lane's clock,
+by ``GeneratorBands.matvec``.
 
 Stationary vectors of time-invariant chains are not marched:
 ``stationary_distribution`` solves A p = 0 directly, by elimination in
@@ -37,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -123,73 +118,129 @@ class Lane:
         return True
 
     def stage_times(self, first: int, count: int) -> np.ndarray:
-        """The mid times, then the end times, of the lane's steps first,
-        ..., first+count-1 of the march."""
+        """The stage times of the lane's steps first, ..., first+count-1
+        of the march, interleaved: each step's midpoint, then its end."""
         i, j = np.divmod(np.arange(first, first + count), self.steps)
         t = (self.t0 + (self.k0 + i) * self.seg_dt) + j * self.h
-        return np.concatenate((t + 0.5 * self.h, t + self.h))
+        return np.stack((t + 0.5 * self.h, t + self.h), axis=1).ravel()
+
+
+#: nodes per block of the march's stage tables, two per step
+STAGE_NODES = NODE_BLOCK // 2
+
+
+def _running_sum(a, axis, out):
+    """``np.add.accumulate`` called as a plan calls a ufunc."""
+    np.add.accumulate(a, axis, out=out)
 
 
 class _Workspace:
-    """The RK4 step of some lanes' columns, states innermost.  Row c of a
-    (C, L) stage holds column c's n+1 states between p zeros on either
-    side, p the widest offset.  A stage table, slot 0 the diagonal, is
-    V ⊙ M: the column-stacked multipliers M (a row a chain lacks being
-    zero, the catastrophe row last; a lone chain's broadcast over its
-    columns) times each chain's rate values at its lane's times.  The
-    band at offset k is the product of windows of its slot and of the
-    stage shifted by k, which read zeros outside them."""
+    """One lane's RK4 steps, states innermost.  Row c of a (C, L) stage
+    holds column c's n+1 states between p zeros on either side, p the
+    widest offset.  A stage table, slot 0 the diagonal, is V ⊙ M: the
+    column-stacked multipliers M (a row a chain lacks being zero, the
+    catastrophe row last; a lone chain's broadcast over its columns)
+    times each chain's rate values at the lane's times.  The band at
+    offset k is the product of windows of its slot and of the stage
+    shifted by k, which read zeros outside them.
 
-    def __init__(self, lanes, y: np.ndarray, k1=0.0):
-        self.lanes = lanes
-        tables = [c.rate_table for lane in lanes for c in lane.chains]
-        self.widths = [w for lane in lanes for w in lane.widths] \
-            if len(tables) > 1 else [1]
-        self.n, self.offsets = tables[0].n, merged_offsets(
-            [t.offsets for t in tables])
-        k, self.row0 = len(self.offsets), any(t.row0 for t in tables)
+    Step j of every block reads the tables at nodes 2j and 2j+1 (its
+    midpoint and end) by one plan, ``plans[j]``: ``(ufunc, a, b, out)``
+    entries on views made here, each run as ``ufunc(a, b, out)``.
+    ``start`` is k1 = A(t0) y from node 0."""
+
+    def __init__(self, lane: Lane):
+        self.chains = lane.chains
+        tables = [c.rate_table for c in self.chains]
+        self.widths = lane.widths if len(tables) > 1 else [1]
+        offsets = merged_offsets([t.offsets for t in tables])
+        k, row0 = len(offsets), any(t.row0 for t in tables)
         self.wide = any(t.wide for t in tables)
-        self.rows = [[self.offsets.index(o) for o in t.offsets]
-                     + [k] * t.row0 for t in tables]
-        n, p = self.n, max(map(abs, self.offsets))
+        self.rows = [[offsets.index(o) for o in t.offsets] + [k] * t.row0
+                     for t in tables]
+        n, p = tables[0].n, max(map(abs, offsets))
         self.states = slice(p, p + n + 1)
-        m = np.zeros((k + self.row0 + 1, len(tables), n + 1 + 2 * p))
+        m = np.zeros((k + row0 + 1, len(tables), n + 1 + 2 * p))
         for j, t in enumerate(tables):  # the mass-arrival columns last
             m[self.rows[j], j, self.states] = t.m
             m[-1, j, self.states] = 0.0 if t.col0 is None else t.col0
         self.m, col0 = np.split(np.repeat(m, self.widths, axis=1), [-1])
-        self.col0_sums = col0[0, :, p + 1:p + n + 1].sum(axis=1)
-        self.col0 = None if all(t.col0 is None for t in tables) else col0[0]
-        shape, size = (len(y), m.shape[-1]), len(y) * m.shape[-1]
+        col0 = None if all(t.col0 is None for t in tables) else col0[0]
+        self.col0_sums = None if col0 is None \
+            else col0[:, p + 1:p + n + 1].sum(axis=1)
+        cols = lane.y.shape[1]
+        shape, size = (cols, m.shape[-1]), cols * m.shape[-1]
         # y and the stage input with p zeros around, shifted by each offset
         flat = np.zeros((2, size + 2 * p))
-        self.windows = [[f[p - k:][:size].reshape(shape)
-                         for k in (0,) + self.offsets] for f in flat]
-        self.y, self.k = self.windows[0][0], np.zeros((4,) + shape)
-        self.y[:, self.states], self.k[0][:, self.states] = y, k1
-        # each lane's step in full rows, which multiply faster than a column
-        self.h = np.repeat([[lane.h] * shape[1] for lane in lanes],
-                           [sum(lane.widths) for lane in lanes], axis=0)
-        self.half, self.sixth = 0.5 * self.h, self.h / 6.0
-        self.tmp = np.empty(shape)
+        windows = [[f[p - k:][:size].reshape(shape)
+                    for k in (0,) + offsets] for f in flat]
+        self.y = y = windows[0][0]
+        y[:, self.states] = lane.y.T
+        # every view an entry holds is made once, here
+        ks = list(np.zeros((4,) + shape))
+        tmp, acc = np.empty(shape), np.empty((cols, n))
+        tail, sums = tmp[:, p + 1:p + n + 1], acc[:, -1]
+        heads = [k[:, p] for k in ks]
+        firsts = [w[0][:, p:p + 1] for w in windows]
+        h, half, sixth = lane.h, 0.5 * lane.h, lane.h / 6.0
         # the tables (p zeros after), per node its diagonal, bands and row0
         slots, size = len(m), self.m[0].size
-        flat = np.zeros(NODE_BLOCK * slots * size + p)
-        self.buf = flat[:-p].reshape((NODE_BLOCK, slots) + self.m.shape[1:])
-        self.nodes = [(self.buf[j, 0], [
+        flat = np.zeros(STAGE_NODES * slots * size + p)
+        self.buf = flat[:-p].reshape((STAGE_NODES, slots) + self.m.shape[1:])
+        nodes = [(self.buf[j, 0], [
             flat[(j * slots + i) * size - k:][:size].reshape(self.m.shape[1:])
-            for i, k in enumerate(self.offsets, 1)], self.buf[j, -1])
-            for j in range(NODE_BLOCK)]
+            for i, k in enumerate(offsets, 1)], self.buf[j, -1])
+            for j in range(STAGE_NODES)]
 
-    def tables(self, times) -> list:
-        """(diagonal, bands, row0) at each lane's ``times``, in buffers."""
-        v = np.zeros((len(times[0]), len(self.m), len(self.rows),
+        def matvec(node, x: int, i: int) -> list:
+            """k[i] = A x at ``node``; x 0 is y, 1 the stage input."""
+            (diag, bands, to_zero), (xs, *shifted), out = \
+                node, windows[x], ks[i]
+            ops = [(np.multiply, diag, xs, out)]
+            for band, window in zip(bands, shifted):
+                ops += [(np.multiply, band, window, tmp),
+                        (np.add, out, tmp, out)]
+            if row0:  # a running sum adds in state order
+                ops += [(np.multiply, to_zero, xs, tmp),
+                        (_running_sum, tail, 1, acc),
+                        (np.add, heads[i], sums, heads[i])]
+            if col0 is not None:
+                ops += [(np.multiply, col0, firsts[x], tmp),
+                        (np.add, out, tmp, out)]
+            return ops
+
+        def step(mid, end) -> list:
+            """One step of y, given k1 = A(t) y; k1 becomes A(t + h) y."""
+            k1, k2, k3, k4 = ks
+            z, ops = windows[1][0], []
+            for i, (k, a, c) in enumerate(((k1, mid, half), (k2, mid, half),
+                                           (k3, end, h)), 1):
+                ops += [(np.multiply, k, c, z), (np.add, z, y, z)]
+                ops += matvec(a, 1, i)
+            # y + h/6 (k1 + 2 k2 + 2 k3 + k4), added from the left
+            return ops + [
+                (np.multiply, k2, 2.0, k2), (np.add, k2, k1, k2),
+                (np.multiply, k3, 2.0, k3), (np.add, k2, k3, k2),
+                (np.add, k2, k4, k2), (np.multiply, k2, sixth, k2),
+                (np.add, y, k2, y)] + matvec(end, 0, 0)
+
+        # equal entries hold the same objects and are kept once: those
+        # that read no table serve every plan
+        shared = {}
+        self.start, *self.plans = [
+            tuple(shared.setdefault(tuple(map(id, op)), op) for op in ops)
+            for ops in [matvec(nodes[0], 0, 0)] + [
+                step(nodes[2 * j], nodes[2 * j + 1])
+                for j in range(STAGE_NODES // 2)]]
+
+    def tables(self, times: np.ndarray):
+        """Fill the first nodes with the stage tables at ``times``."""
+        v = np.zeros((len(times), len(self.m), len(self.rows),
                       self.m.shape[-1] if self.wide else 1))
-        chains = [(c, b) for lane, b in zip(self.lanes, map(TimeBlock, times))
-                  for c in lane.chains]  # a block per lane, for its chains
+        block = TimeBlock(times)
         cols = self.states if self.wide else slice(None)
-        for j, (chain, b) in enumerate(chains):
-            v[:, self.rows[j], j, cols] = chain.rate_table.values(b)
+        for j, chain in enumerate(self.chains):
+            v[:, self.rows[j], j, cols] = chain.rate_table.values(block)
         table = self.buf[:len(v)]
         # each product formed once, as by a multiply
         np.einsum("tkcl,kcl->tkcl", np.repeat(v, self.widths, axis=2),
@@ -198,89 +249,37 @@ class _Workspace:
         # the mass-arrival column, as in ``GeneratorBlock.column_sums``
         diag = np.sum(table[:, 1:], axis=1, out=table[:, 0])
         np.negative(diag, out=diag)
-        if self.col0 is not None:
+        if self.col0_sums is not None:
             diag[..., self.states.start] -= self.col0_sums
-        return self.nodes
-
-    def stages(self, first: int):
-        """The (mid, end) tables of the steps from ``first`` on, a block of
-        steps at a time; each block overwrites the last."""
-        last = min((lane.segments * lane.steps for lane in self.lanes
-                    if lane.segments is not None), default=math.inf)
-        while first < last:
-            count = min(NODE_BLOCK // 2, last - first)
-            table = self.tables([lane.stage_times(first, count)
-                                 for lane in self.lanes])
-            for j in range(count):
-                yield table[j], table[count + j]
-            first += count
-
-    def matvec(self, a, x: int, out: np.ndarray):
-        """out = A x for the stage table ``a``; x 0 is y, 1 the stage input."""
-        (diag, bands, row0), (xs, *windows) = a, self.windows[x]
-        np.multiply(diag, xs, out=out)
-        for band, window in zip(bands, windows):
-            out += np.multiply(band, window, out=self.tmp)
-        p = self.states.start
-        if self.row0:  # a running sum adds in state order
-            tail = np.multiply(row0, xs, out=self.tmp)[:, p + 1:p + self.n + 1]
-            out[:, p] += np.add.accumulate(tail, axis=1)[:, -1]
-        if self.col0 is not None:
-            out += self.col0 * xs[:, p:p + 1]
-
-    def step(self, a_mid, a_end):
-        """One step of y, given k1 = A(t) y; k1 becomes A(t + h) y."""
-        y, z, h, half = self.y, self.windows[1][0], self.h, self.half
-        k1, k2, k3, k4 = self.k
-        for k, a, c, out in ((k1, a_mid, half, k2), (k2, a_mid, half, k3),
-                             (k3, a_end, h, k4)):
-            np.add(np.multiply(k, c, out=z), y, out=z)
-            self.matvec(a, 1, out)
-        # y + h/6 (k1 + 2 k2 + 2 k3 + k4), added from the left
-        np.add(np.multiply(k2, 2.0, out=k2), k1, out=k2)
-        np.add(k2, np.multiply(k3, 2.0, out=k3), out=k2)
-        y += np.multiply(np.add(k2, k4, out=k2), self.sixth, out=k2)
-        self.matvec(a_end, 0, k1)
 
 
-def march(*lanes: Lane):
-    """Advance every lane's columns together, one RK4 step of each lane's
-    own size per step of the loop, until every lane has stopped.
+def march(lane: Lane):
+    """Advance the lane's columns, one RK4 step at a time, until it stops.
 
-    The k1 of a step is the previous step's A(t + h) y.  When some lanes
-    stop, the others go on in a workspace rebuilt for their columns and
-    k1.
+    Each block of steps fills its stage tables, then runs one plan per
+    step; the k1 of a step is the previous step's A(t + h) y.
     """
-    lanes = [lane for lane in lanes if lane.segments != 0]
-    if not lanes:
+    if lane.segments == 0:
         return
-    ws = _Workspace(lanes, np.concatenate([lane.y for lane in lanes], 1).T)
-    ws.matvec(ws.tables([[lane.t0 + lane.k0 * lane.seg_dt]
-                         for lane in lanes])[0], 0, ws.k[0])
+    ws = _Workspace(lane)
+    ws.tables([lane.t0 + lane.k0 * lane.seg_dt])
+    for f, a, b, out in ws.start:
+        f(a, b, out)
+    last = lane.segments * lane.steps if lane.segments else math.inf
     s = 0  # steps taken
-    while lanes:
-        stages = ws.stages(s)
-        stopped = []
-        while not stopped:
-            event = min((lane.done + 1) * lane.steps for lane in lanes)
-            for a_mid, a_end in islice(stages, event - s):
-                ws.step(a_mid, a_end)
-            s = event
-            col = 0
-            for lane in lanes:
-                width = lane.y.shape[1]
-                if (lane.done + 1) * lane.steps == s:
-                    lane.y = ws.y[col:col + width, ws.states].T.copy()
-                    lane.done += 1
-                    if not lane.segment_end(lane.done - 1) \
-                            or lane.done == lane.segments:
-                        stopped.append(lane)
-                col += width
-        kept = np.concatenate([np.full(lane.y.shape[1], lane not in stopped)
-                               for lane in lanes]), ws.states
-        lanes = [lane for lane in lanes if lane not in stopped]
-        if lanes:  # ``kept``: the states of the columns that go on
-            ws = _Workspace(lanes, ws.y[kept], ws.k[0][kept])
+    while True:
+        count = min(len(ws.plans), last - s)
+        ws.tables(lane.stage_times(s, count))
+        for plan in ws.plans[:count]:
+            for f, a, b, out in plan:
+                f(a, b, out)
+            s += 1
+            if s % lane.steps == 0:
+                lane.y = ws.y[:, ws.states].T.copy()
+                lane.done += 1
+                if not lane.segment_end(lane.done - 1) \
+                        or lane.done == lane.segments:
+                    return
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ from ctmcpert import (Perturbation, RateFunction, SolverError, batch_chain,
                       perturbation_distance, rate_family,
                       stationary_distribution, write_mean_csv,
                       write_states_csv)
-from ctmcpert.solver import (Lane, RegimeLane, RunLane, default_step,
-                             march)
+from ctmcpert.solver import Lane, RegimeLane, default_step, march
 
 ONE = RateFunction.constant(1.0)
 FOUR = RateFunction.constant(4.0)
@@ -354,9 +353,9 @@ def test_draw_columns_match_separate_runs():
 
 
 def _regime_settings(chain, step):
-    """(t_end, horizon, tolerance) triples: the regime found before t_end,
-    found after t_end, and the horizon exhausted before t_end; tolerances
-    sit between neighbouring boundary distances of a solo search."""
+    """(horizon, tolerance) pairs: the regime found at the second and at
+    the fourth boundary, and the horizon exhausted; tolerances sit
+    between neighbouring boundary distances of a search from 0."""
     probe = RegimeLane(chain, 0.0, 6.0, step=step)
     march(probe)
     d = probe.dists
@@ -364,52 +363,34 @@ def _regime_settings(chain, step):
     def between(k):
         return 0.5 * (d[k - 1] + d[k])
 
-    return [(3.5, 6.0, between(2)), (1.5, 6.0, between(4)),
-            (3.5, 2.5, between(4))]
+    return [(6.0, between(2)), (6.0, between(4)), (2.5, between(4))]
 
 
-def test_lanes_match_solo_runs():
-    # a run lane and a regime lane marched together give bit for bit the
-    # numbers of a solo integrate and a solo limiting_regime, each on its
-    # own clock, whichever lane stops first; the regime columns agree with
-    # the dense oracle
+def test_regime_lane_matches_dense_oracle():
+    # a regime lane stops at the first period boundary where the extremes
+    # meet, or when its horizon runs out; its columns there agree with the
+    # dense oracle, on every generator layout
     cols = np.stack([delta_state(12, 0), delta_state(12, 11)], axis=1)
     seen = set()
     for base, draws in _draw_cases():
         step = 0.25 / max(c.l_bound for c in [base] + draws)
-        for t_end, horizon, tol in _regime_settings(base, step):
-            run = RunLane(base, cols, 0.0, t_end, step=step, stride=0.3,
-                          draws=draws)
+        for horizon, tol in _regime_settings(base, step):
             search = RegimeLane(base, tol, horizon, step=step)
-            assert run.h != search.h  # two clocks
-            march(run, search)
-            fused = run.trajectory()
-            solo = integrate(base, cols, 0.0, t_end, step=step, stride=0.3,
-                             draws=draws)
-            assert np.array_equal(fused.times, solo.times)
-            assert np.array_equal(fused.states, solo.states)
-            try:
-                want = limiting_regime(base, tol, horizon, step=step)
-            except SolverError as exc:
-                with pytest.raises(SolverError) as got:
+            march(search)
+            if search.horizon is None:
+                with pytest.raises(SolverError, match="exhausted"):
                     search.report()
-                assert str(got.value) == str(exc)
+                assert min(search.dists[1:]) >= tol
                 seen.add("exhausted")
             else:
-                got = search.report()
-                assert got.transient_horizon == want.transient_horizon
-                seen.add("before t_end" if got.transient_horizon < t_end
-                         else "after t_end")
-                for name in ("boundary_times", "boundary_dists", "phi_times",
-                             "phi_values"):
-                    assert np.array_equal(getattr(got, name),
-                                          getattr(want, name)), name
-                assert np.array_equal(got.limit.states, want.limit.states)
+                assert search.horizon == search.times[-1]
+                assert search.dists[-1] < tol <= min(search.dists[1:-1])
+                seen.add("found")
             end = search.times[-1]
             steps = round(end / search.seg_dt) * search.steps
             dense = dense_rk4(_dense_matrix(base), cols, 0.0, end, steps)
             assert np.abs(search.y - dense).max() <= 1e-12
-    assert seen == {"before t_end", "after t_end", "exhausted"}
+    assert seen == {"found", "exhausted"}
 
 
 def test_regime_lane_shorter_than_a_period():
@@ -506,15 +487,16 @@ class _Recorder(Lane):
         return self.stop is None or i + 1 < self.stop
 
 
-def _reference_columns(chain, y, lane):
+def _reference_columns(chain, y, lane, segments):
     """One column of ``lane`` stepped alone, slice by slice: k1 reuses the
     previous step's end slice, the other stages read ``bands_at`` at the
-    lane's stage times.  The column at every segment end."""
+    lane's stage times.  The column at each of ``segments`` segment
+    ends."""
     h, seen = lane.h, []
-    a_t = chain.bands_at(lane.t0)
-    for i in range(len(lane.seen)):
+    a_t = chain.bands_at(lane.t0 + lane.k0 * lane.seg_dt)
+    for i in range(segments):
         for j in range(lane.steps):
-            t = (lane.t0 + i * lane.seg_dt) + j * h
+            t = (lane.t0 + (lane.k0 + i) * lane.seg_dt) + j * h
             a_mid, a_end = chain.bands_at(t + 0.5 * h), chain.bands_at(t + h)
             k1 = a_t.matvec(y)
             k2 = a_mid.matvec(y + 0.5 * h * k1)
@@ -526,26 +508,26 @@ def _reference_columns(chain, y, lane):
     return seen
 
 
-def _assert_matches_reference(lane, y0):
+def _assert_matches_reference(lane, y0, seen):
+    """Every column of ``seen``, the lane's columns at its segment ends
+    from ``y0``, is bit for bit its reference column."""
     col = 0
     for chain, width in zip(lane.chains, lane.widths):
         for c in range(col, col + width):
-            want = _reference_columns(chain, y0[:, c], lane)
-            for got, ref in zip(lane.seen, want):
+            want = _reference_columns(chain, y0[:, c], lane, len(seen))
+            for got, ref in zip(seen, want):
                 assert np.array_equal(got[:, c], ref), (chain.kind, c)
         col += width
 
 
 def test_march_matches_per_step_reference():
     # every column of a march is bit for bit a plain RK4 loop over
-    # single-time slices on its lane's clock: every generator layout, two
-    # lanes on different clocks, a lane that stops early (alone, with the
-    # draws, or next to them), and a time-invariant chain
-    def lane(chains, y, *clock, stop=None):
-        more = len(chains) - 1
-        y = np.concatenate([y] + [y[:, :1]] * more, axis=1)
-        return _Recorder(chains, (2,) + (1,) * more, y, *clock, stop=stop), y
-
+    # single-time slices on its lane's clock: every generator layout, a
+    # lone chain and one with its draws, a lane that starts at a later
+    # segment and stops early, a march of three 23-step segments over five
+    # blocks of stage tables (segment ends inside blocks, a partial last
+    # block), a regime lane going on from a fed boundary, and a
+    # time-invariant chain
     def check(base, draws, step):
         size = base.size
         cols = np.stack([delta_state(size, 0), delta_state(size, size - 1)],
@@ -554,20 +536,18 @@ def test_march_matches_per_step_reference():
         # ramp starts empty, so that state 0 shows a stage's every bit
         spread = np.stack([np.full(size, 1 / size),
                            np.arange(size) * 2 / (size * size - size)], axis=1)
-        # the draws on the lane that goes on, then on the one that stops
-        # first, whose columns may hold the widest offset; each lane alone
-        # (the early one a lone chain), then both together
-        for run_draws, early_draws, picks in (
-                (draws, [], ([0], [1], [0, 1])), ([], draws, ([0, 1],))):
-            for pick in picks:
-                group = [lane([base] + run_draws, spread, 0.0, step, 5, 3),
-                         lane([base] + early_draws, cols, 0.1, 0.7 * step,
-                              4, 6, stop=2)]
-                group = [group[i] for i in pick]
-                march(*(run for run, _ in group))
-                for run, y0 in group:
-                    assert len(run.seen) == (3 if run.stop is None else 2)
-                    _assert_matches_reference(run, y0)
+        for chains in ([base] + draws, [base]):
+            more = len(chains) - 1
+            for y, clock, k0, stop in ((spread, (0.0, step, 5, 3), 0, None),
+                                       (cols, (0.1, 0.7 * step, 4, 6), 1, 2),
+                                       (spread, (0.0, step, 23, 3), 0, None)):
+                y = np.concatenate([y] + [y[:, :1]] * more, axis=1)
+                lane = _Recorder(chains, (2,) + (1,) * more, y, *clock,
+                                 stop=stop)
+                lane.k0 = k0
+                march(lane)
+                assert len(lane.seen) == (3 if stop is None else 2)
+                _assert_matches_reference(lane, y, lane.seen)
 
     for base, draws in _draw_cases():
         check(base, draws, 0.25 / max(c.l_bound for c in [base] + draws))
@@ -583,3 +563,12 @@ def test_march_matches_per_step_reference():
     drawn = perturb(flat, Perturbation("mass-arrival", eps=0.5))
     assert flat.time_invariant and drawn.time_invariant
     check(flat, [drawn], 0.02)
+    # a regime lane fed the boundaries 0 and T marches on from T, over
+    # two periods of 23 steps
+    for base, _ in _draw_cases()[::2]:  # a row0 chain among them
+        solo = _Kept(base, 0.0, 3.0, step=1 / 23)
+        march(solo)
+        fed = _Kept(base, 0.0, 3.0, step=1 / 23, columns=solo.kept[:2])
+        march(fed)
+        assert fed.k0 == 1 and fed.steps == 23 and len(fed.kept) == 3
+        _assert_matches_reference(fed, solo.kept[1], fed.kept[1:])

@@ -628,10 +628,8 @@ def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
     draws = perturbed if bound_report is not None else []
     extremes = np.stack([solver.delta_state(spec.size, 0),
                          solver.delta_state(spec.size, spec.n)], axis=1)
-    run = solver.RunLane(spec, extremes, 0.0, t_end, step=step,
-                         stride=stride, draws=[chain for _, chain in draws])
-    solver.march(run)
-    traj = run.trajectory()
+    traj = solver.integrate(spec, extremes, 0.0, t_end, step=step,
+                            stride=stride, draws=[chain for _, chain in draws])
     dists = np.abs(traj.states[:, :, 0] - traj.states[:, :, 1]).sum(axis=1)
     # the samples on a period boundary, for the envelope and the search
     k = np.rint(traj.times / period)
@@ -679,11 +677,8 @@ def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
             curve = solver.distance_curve(traj, 2 + i, t_end, period)
             worst_sup = max(worst_sup, curve.final_sup)
             if outputs["distance"]:
-                path = out_dir / f"{stem}_distance_{label}.csv"
-                with open(path, "w") as fh:
-                    fh.write("t,dist\n")
-                    for t, v in zip(curve.times, curve.dists):
-                        fh.write(f"{t:.17g},{v:.17g}\n")
+                solver.write_csv(out_dir / f"{stem}_distance_{label}.csv",
+                                 ["t", "dist"], [curve.times, curve.dists])
         rep.put("empirical.draws", len(draws))
         rep.put("empirical.final_period_sup", worst_sup)
         rep.put("empirical.bound", best)
@@ -752,11 +747,8 @@ def reproduce(target: str, out_dir: Path, grid: int = ANALYSIS_GRID,
         rep.put("scaling.stationary_distance", shift)
         rep.put("scaling.invariant", shift < 1e-8)
         out_dir.mkdir(parents=True, exist_ok=True)
-        table = out_dir / "counterexample_p0.csv"
-        with open(table, "w") as fh:
-            fh.write("level,p0\n")
-            for level, p0 in zip(probe.levels, probe.p0_values):
-                fh.write(f"{level},{p0:.17g}\n")
+        solver.write_csv(out_dir / "counterexample_p0.csv", ["level", "p0"],
+                         [probe.levels, probe.p0_values])
         result = PipelineResult(report=rep)
         if not drops or max(probe.recursion_residuals) > 1e-6:
             result.exit_code = EXIT_VIOLATION

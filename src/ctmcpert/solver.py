@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .model import (NODE_BLOCK, Chain, MassArrivalChain, Perturbation,
                     TimeBlock, birth_death_chain, merged_offsets, perturb)
@@ -47,6 +46,8 @@ SUM_TOL = 1e-8
 NEG_TOL = -1e-10
 #: largest residual ||A p||_inf accepted from a stationary solve
 STATIONARY_TOL = 1e-12
+_BELOW_RANGE = ("no stationary vector: the mass of state 0 is below the "
+                "floating-point range")
 #: largest chain whose ergodicity coefficient is measured (one integration
 #: per state)
 ERGODICITY_CAP = 512
@@ -316,8 +317,7 @@ def _as_columns(p0, size: int) -> np.ndarray:
 
 class RunLane(Lane):
     """The lane of ``integrate``: one segment per output sample, the step
-    shrunk so that an integer number of steps lands on every sample time;
-    ``trajectory()`` is the result once marched."""
+    shrunk so that an integer number of steps lands on every sample time."""
 
     def __init__(self, chain: Chain, p0, t0: float, t1: float,
                  step: float | None = None, stride: float | None = None,
@@ -355,10 +355,6 @@ class RunLane(Lane):
         _check_columns(self.y, t)
         return True
 
-    def trajectory(self) -> Trajectory:
-        states = self.states[:, :, 0] if self.single else self.states
-        return Trajectory(times=self.times, states=states, step=self.h)
-
 
 def integrate(chain: Chain, p0, t0: float, t1: float, step: float | None = None,
               stride: float | None = None, draws=()) -> Trajectory:
@@ -374,7 +370,8 @@ def integrate(chain: Chain, p0, t0: float, t1: float, step: float | None = None,
     """
     lane = RunLane(chain, p0, t0, t1, step, stride, draws)
     march(lane)
-    return lane.trajectory()
+    states = lane.states[:, :, 0] if lane.single else lane.states
+    return Trajectory(times=lane.times, states=states, step=lane.h)
 
 
 def delta_state(size: int, k: int) -> np.ndarray:
@@ -402,10 +399,7 @@ class RegimeReport:
     """
 
     transient_horizon: float
-    boundary_times: np.ndarray
-    boundary_dists: np.ndarray
     limit: Trajectory
-    phi_times: np.ndarray
     phi_values: np.ndarray
 
 
@@ -432,7 +426,7 @@ class RegimeLane(Lane):
                                  delta_state(chain.size, chain.n)], axis=1)]
         self.limit_t = max_horizon * (1 + 1e-12)
         self.tolerance, self.max_horizon = tolerance, max_horizon
-        self.times, self.dists, self.horizon = [], [], None
+        self.dists, self.horizon = [], None
         super().__init__((chain,), (2,), None, 0.0, period / steps, steps,
                          period)
         for k, y in enumerate(columns):
@@ -446,7 +440,6 @@ class RegimeLane(Lane):
         t = k * self.seg_dt
         _check_columns(self.y, t)
         dist = float(np.abs(self.y[:, 0] - self.y[:, 1]).sum())
-        self.times.append(t)
         self.dists.append(dist)
         if k > 0 and dist < self.tolerance:
             self.horizon = t
@@ -469,14 +462,8 @@ class RegimeLane(Lane):
                           self.horizon + period, step=self.h,
                           stride=period / 200)
         phi = limit.states[:, :, 0] @ np.arange(chain.size)
-        return RegimeReport(
-            transient_horizon=self.horizon,
-            boundary_times=np.array(self.times),
-            boundary_dists=np.array(self.dists),
-            limit=limit,
-            phi_times=limit.times,
-            phi_values=phi,
-        )
+        return RegimeReport(transient_horizon=self.horizon, limit=limit,
+                            phi_values=phi)
 
 
 def limiting_regime(chain: Chain, tolerance: float, max_horizon: float,
@@ -552,6 +539,16 @@ def perturbation_distance(chain: Chain, perturbed: Chain, p0,
     return distance_curve(traj, traj.states.shape[2] - 1, horizon, period)
 
 
+def _reaching_zero(g) -> np.ndarray:
+    """Which states reach state 0 along the nonzero pattern of ``g``."""
+    flows, reach = g.dense() != 0, np.arange(g.n + 1) == 0
+    front = reach  # flows[k, i]: state i jumps to state k
+    while front.any():
+        front = flows[front].any(axis=0) & ~reach
+        reach = reach | front
+    return reach
+
+
 def stationary_distribution(chain: Chain) -> np.ndarray:
     """Stationary vector of a time-homogeneous chain by one direct solve;
     the residual ||A p||_inf must fall below ``STATIONARY_TOL``.
@@ -564,11 +561,14 @@ def stationary_distribution(chain: Chain) -> np.ndarray:
     flow into row 0 included (Grassmann, Taksar and Heyman, Oper. Res.
     1985), as elimination keeps the column sums of A at zero; every other
     operation adds terms of one sign, so no step cancels and each entry,
-    however small, has a small relative error.
+    however small, has a small relative error.  A step touches lo + lo*hi
+    + hi scalars, lo and hi the bands below and above the diagonal, so it
+    runs on Python floats: numpy's cost per call would exceed its work.
 
     A zero pivot means that its state never reaches state 0, so state 0
-    is not recurrent (a births-only chain, say): SolverError.  So is a
-    p_0 below the floating-point range relative to another state.
+    is not recurrent (a births-only chain, say), or that its flow into
+    state 0 underflowed: SolverError.  So is a p_0 below the
+    floating-point range relative to another state.
     """
     if not chain.time_invariant:
         raise SolverError("stationary solve requires time-invariant rates")
@@ -586,41 +586,43 @@ def stationary_distribution(chain: Chain) -> np.ndarray:
             band[k:n, lo - k] += row[1:n + 1 - k]
         else:
             band[:n + k, lo - k] += row[1 - k:]
-    rhs = np.concatenate((-block.forcing()[0], np.zeros(lo)))
+    rhs = np.concatenate((-block.forcing()[0], np.zeros(lo))).tolist()
     # A[0, c], the flow into the dropped row, with hi zeros past the end
     to_zero = np.concatenate((block.direct_to_zero()[0], np.zeros(hi)))
-    # step j reads column j below the diagonal, below[j, r - 1] =
-    # band[j + r, lo - r], and updates the block update[j, r - 1, c - 1] =
-    # band[j + r, lo - r + c], r = 1..lo, c = 1..hi; both run along the
-    # anti-diagonals of the band storage, so they are strided views of it
-    w = lo + hi + 1
-    flat, step = band.ravel(), band.itemsize
-    below = as_strided(flat[w + lo - 1:], (n, lo), (w * step, (w - 1) * step))
-    update = as_strided(flat[w + lo:], (n, lo, hi),
-                        (w * step, (w - 1) * step, step))
+    to_zero, band = to_zero.tolist(), band.tolist()
     for j in range(n):
-        column = below[j]
-        pivot = -(to_zero[j] + column.sum())
+        # step j reads column j below the diagonal, band[j + r][lo - r],
+        # and updates band[j + r][lo - r + c], r = 1..lo, c = 1..hi
+        row, lower = band[j], band[j + 1:j + lo + 1]
+        column = [below[lo - r] for r, below in enumerate(lower, 1)]
+        pivot = -(to_zero[j] + sum(column))
         if pivot == 0:
+            if _reaching_zero(g)[j + 1]:
+                raise SolverError(_BELOW_RANGE)
             raise SolverError(f"no stationary vector: state {j + 1} never "
                               f"reaches state 0, so state 0 is not recurrent")
-        band[j, lo] = pivot
-        factors = column / pivot
-        right = band[j, lo + 1:]
-        update[j] -= factors[:, None] * right
-        rhs[j + 1:j + lo + 1] -= factors * rhs[j]
-        to_zero[j + 1:j + hi + 1] -= to_zero[j] / pivot * right
-    # back substitution, with hi zeros past state n
-    x = np.zeros(n + hi)
+        row[lo] = pivot
+        right = row[lo + 1:]
+        for r, (below, a) in enumerate(zip(lower, column), 1):
+            factor = a / pivot
+            for c, b in enumerate(right, lo - r + 1):
+                below[c] -= factor * b
+            rhs[j + r] -= factor * rhs[j]
+        factor = to_zero[j] / pivot
+        for c, b in enumerate(right, j + 1):
+            to_zero[c] -= factor * b
+    # back substitution (hi zeros past state n), summed left to right
+    x = [0.0] * (n + hi)
+    for j in range(n - 1, -1, -1):
+        row, dot = band[j], 0.0
+        for c in range(1, hi + 1):
+            dot += row[lo + c] * x[j + c]
+        x[j] = (rhs[j] - dot) / row[lo]
+    p = np.array([1.0] + x[:n])
     with np.errstate(all="ignore"):
-        for j in range(n - 1, -1, -1):
-            x[j] = (rhs[j] - band[j, lo + 1:] @ x[j + 1:j + hi + 1]) \
-                / band[j, lo]
-        p = np.concatenate(([1.0], x[:n]))
         p /= p.sum()
     if not np.all(np.isfinite(p)):
-        raise SolverError("no stationary vector: the mass of state 0 is "
-                          "below the floating-point range")
+        raise SolverError(_BELOW_RANGE)
     residual = float(np.abs(g.matvec(p)).max())
     if not residual < STATIONARY_TOL:
         raise SolverError(
@@ -671,20 +673,23 @@ def _format(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def write_csv(path, header, columns):
+    """Equally long ``columns`` under ``header``, each value by ``_format``."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(map(_format, row)) + "\n")
+
+
 def write_states_csv(traj: Trajectory, path, column: int | None = None):
     """One row per sample: t, p_0, ..., p_n."""
     states = traj.states if traj.states.ndim == 2 else traj.states[:, :, column or 0]
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(f"p_{i}" for i in range(states.shape[1])) + "\n")
-        for t, row in zip(traj.times, states):
-            fh.write(_format(t) + "," + ",".join(_format(v) for v in row) + "\n")
+    write_csv(path, ["t"] + [f"p_{i}" for i in range(states.shape[1])],
+              [traj.times, *states.T])
 
 
 def write_mean_csv(traj: Trajectory, path, column: int | None = None):
     """One row per sample: t, mean."""
     states = traj.states if traj.states.ndim == 2 else traj.states[:, :, column or 0]
-    means = states @ np.arange(states.shape[1])
-    with open(path, "w") as fh:
-        fh.write("t,mean\n")
-        for t, v in zip(traj.times, means):
-            fh.write(_format(t) + "," + _format(v) + "\n")
+    write_csv(path, ["t", "mean"],
+              [traj.times, states @ np.arange(states.shape[1])])

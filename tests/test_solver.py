@@ -93,7 +93,10 @@ def test_limiting_regime_geometric_law():
     geo /= geo.sum()
     final = rep.limit.states[-1, :, 0]
     assert np.abs(final - geo).max() < 1e-7
-    assert rep.boundary_dists[-1] < 1e-6
+    lane = RegimeLane(spec, 1e-6, 60.0)
+    march(lane)
+    assert lane.horizon == rep.transient_horizon
+    assert lane.dists[-1] < 1e-6
     assert 0 <= rep.phi_values.min() <= rep.phi_values.max() <= 100
 
 
@@ -206,6 +209,18 @@ def test_stationary_distribution_needs_recurrent_state_zero():
     # births only: state 0 is transient and all mass ends in state n
     spec = birth_death_chain(ONE, ZERO, size=10, validation_grid=16)
     with pytest.raises(SolverError, match="not recurrent"):
+        stationary_distribution(spec)
+
+
+@pytest.mark.parametrize("size", [312, 330])
+def test_stationary_distribution_below_range_is_not_transience(size):
+    # births 10, deaths 1: every state reaches state 0 by deaths, but p_0
+    # is about 10^-(size-1) relative to p_n.  At 312 states the solve
+    # overflows; at 330 the top state's flow into state 0 underflows to a
+    # zero pivot.  Neither is a transient state 0
+    spec = birth_death_chain(RateFunction.constant(10.0), ONE, size=size,
+                             validation_grid=16)
+    with pytest.raises(SolverError, match="below the floating-point range"):
         stationary_distribution(spec)
 
 
@@ -366,6 +381,11 @@ def _regime_settings(chain, step):
     return [(6.0, between(2)), (6.0, between(4)), (2.5, between(4))]
 
 
+def _last_boundary(lane):
+    """The period boundary of a regime lane's last recorded distance."""
+    return (len(lane.dists) - 1) * lane.seg_dt
+
+
 def test_regime_lane_matches_dense_oracle():
     # a regime lane stops at the first period boundary where the extremes
     # meet, or when its horizon runs out; its columns there agree with the
@@ -383,10 +403,10 @@ def test_regime_lane_matches_dense_oracle():
                 assert min(search.dists[1:]) >= tol
                 seen.add("exhausted")
             else:
-                assert search.horizon == search.times[-1]
+                assert search.horizon == _last_boundary(search)
                 assert search.dists[-1] < tol <= min(search.dists[1:-1])
                 seen.add("found")
-            end = search.times[-1]
+            end = _last_boundary(search)
             steps = round(end / search.seg_dt) * search.steps
             dense = dense_rk4(_dense_matrix(base), cols, 0.0, end, steps)
             assert np.abs(search.y - dense).max() <= 1e-12
@@ -432,7 +452,6 @@ def test_regime_lane_reads_given_boundaries():
         for k in range(len(solo.kept)):
             fed = RegimeLane(base, tol, horizon, step=step,
                              columns=solo.kept[:k + 1])
-            assert fed.times == solo.times[:k + 1]
             assert fed.dists == solo.dists[:k + 1]
             marched = fed.segments != 0
             assert marched == (k < len(solo.kept) - 1)
@@ -442,13 +461,13 @@ def test_regime_lane_reads_given_boundaries():
                     solo.stage_times(k * solo.steps, 3 * solo.steps))
             march(fed)
             assert fed.done == len(solo.kept) - 1 - k
-            assert fed.times == solo.times
+            assert len(fed.dists) == len(solo.dists)
             assert fed.horizon == solo.horizon
             assert np.allclose(fed.dists, solo.dists, rtol=1e-12, atol=0)
             assert np.abs(fed.y - solo.y).max() <= 1e-12
     # columns past a stop are not read
     fed = RegimeLane(base, tol, 6.0, step=step, columns=solo.kept * 2)
-    assert fed.segments == 0 and fed.times == solo.times
+    assert fed.segments == 0 and fed.dists == solo.dists
     # the horizon is one period at least, whatever the tolerance
     lane = RegimeLane(base, 3.0, 6.0, step=step)
     march(lane)

@@ -25,10 +25,9 @@ from .model import (ChainSpec, ChainValidationError, MassArrivalChain,
 from .rates import (RateEvalError, RateFunction, RateSyntaxError, eval_rate,
                     parse_rate, periodic_mean)
 from .solver import (DistanceCurve, ProbeResult, RegimeReport, SolverError,
-                     Trajectory, delta_state, distance_curve,
-                     ergodicity_coefficient, integrate, limiting_regime,
-                     mass_arrival_probe, mean_state, perturbation_distance,
-                     stationary_distribution, write_mean_csv,
-                     write_states_csv)
+                     Trajectory, delta_state, distance_curve, integrate,
+                     limiting_regime, mass_arrival_probe, mean_state,
+                     perturbation_distance, stationary_distribution,
+                     write_mean_csv, write_states_csv)
 
 __version__ = "0.1.0"

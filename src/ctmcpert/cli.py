@@ -638,9 +638,8 @@ def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
     columns = traj.states[boundary][:, :, :2]
     if not np.array_equal(k[boundary], np.arange(len(columns))):
         columns = columns[:1]  # a boundary falls between samples
-    search = solver.RegimeLane(spec, tolerance=tol, max_horizon=horizon,
-                               step=step, columns=columns)
-    solver.march(search)
+    search = solver.regime_search(spec, tolerance=tol, max_horizon=horizon,
+                                  step=step, columns=columns)
     rep.put("empirical.extreme_final_dist", float(dists[-1]))
     decay_ok = True
     if uniform_cert is not None and uniform_cert.certified:

@@ -7,22 +7,21 @@ Probability mass is conserved by construction (columns of A sum to zero),
 so conservation is asserted, never enforced; a violation indicates a
 generator bug and raises.
 
-One engine, ``march``, does all the stepping.  It marches one ``Lane``:
-a set of chains, each on some state columns, that share one clock
-(start, step, steps per segment and segment length), with a callback at
-each segment end that records what the lane needs and says whether it
-goes on.  ``integrate`` (``RunLane``: samples at every stride; perturbed
-chains add one column each), the limiting-regime search (``RegimeLane``:
-the extreme states on the period clock, stopped at the first period
-boundary where they meet) and ``ergodicity_coefficient`` each march one.
-The march holds the lane's columns as the rows of one workspace, states
+One engine, ``march``, does all the stepping.  It is a generator: it
+advances a set of chains, each on some state columns, on one ``Clock``
+(start, step, steps per segment and segment length), and yields the
+columns at each segment end; its caller reads them and decides whether to
+take the next.  ``integrate`` samples at every segment end (perturbed
+chains add one column each); ``regime_search`` marches the extreme states
+on the period clock and stops at the first period boundary where they
+meet.  A march holds its columns as the rows of one workspace, states
 innermost.  The column-stacked multipliers M are built once per march;
 each block of steps multiplies them by the chains' rate values on the
-block's nodes into one table of stages.  The workspace compiles each
-step of a block once, as a plan: a fixed list of ufunc calls on views of
-the stages and tables, which the march runs in place.  Columns never
-mix: each is bit for bit a run of its chain alone on the lane's clock,
-by ``GeneratorBands.matvec``.
+block's nodes into one table of stages.  The workspace compiles each step
+of a block once, as a plan: a fixed list of ufunc calls on views of the
+stages and tables, which the march runs in place.  Columns never mix:
+each is bit for bit a run of its chain alone on the march's clock, by
+``GeneratorBands.matvec``.
 
 Stationary vectors of time-invariant chains are not marched:
 ``stationary_distribution`` solves A p = 0 directly, by elimination in
@@ -48,9 +47,6 @@ NEG_TOL = -1e-10
 STATIONARY_TOL = 1e-12
 _BELOW_RANGE = ("no stationary vector: the mass of state 0 is below the "
                 "floating-point range")
-#: largest chain whose ergodicity coefficient is measured (one integration
-#: per state)
-ERGODICITY_CAP = 512
 
 
 class SolverError(RuntimeError):
@@ -90,39 +86,23 @@ def _check_columns(y: np.ndarray, t: float):
 # ---------------------------------------------------------------------------
 # the stepping engine
 
-class Lane:
-    """State columns on one clock.
+@dataclass(frozen=True)
+class Clock:
+    """Segments of length ``seg_dt``, each of ``steps`` steps of size
+    ``h``; segment k starts at ``t0 + k*seg_dt`` and its nodes are that
+    start plus multiples of ``h``."""
 
-    ``chains[i]`` advances ``widths[i]`` of the columns of ``y`` (states
-    by columns).  The clock starts at ``t0`` and runs in segments of
-    length ``seg_dt``, each of ``steps`` steps of size ``h``; segment k
-    starts at ``t0 + k*seg_dt`` and its nodes are that start plus
-    multiples of ``h``.  A march takes the lane from the start of segment
-    ``k0`` on.  ``segments`` bounds the number of segments marched (None:
-    the callback alone stops the lane).  After each segment ``march``
-    writes the lane's columns back to ``y`` and calls
-    ``segment_end(i)``, i counted from 0 in this march; a false return
-    stops the lane.
-    """
+    t0: float
+    h: float
+    steps: int
+    seg_dt: float
 
-    def __init__(self, chains, widths, y: np.ndarray, t0: float, h: float,
-                 steps: int, seg_dt: float, segments: int | None = None):
-        self.chains = tuple(chains)
-        self.widths = tuple(widths)
-        self.y = y
-        self.t0, self.h, self.steps, self.seg_dt = t0, h, steps, seg_dt
-        self.segments = segments
-        self.k0 = 0  # the first segment marched
-        self.done = 0  # segments completed
-
-    def segment_end(self, i: int) -> bool:
-        return True
-
-    def stage_times(self, first: int, count: int) -> np.ndarray:
-        """The stage times of the lane's steps first, ..., first+count-1
-        of the march, interleaved: each step's midpoint, then its end."""
+    def stage_times(self, k0: int, first: int, count: int) -> np.ndarray:
+        """The stage times of steps first, ..., first+count-1 of a march
+        from the start of segment ``k0``, interleaved: each step's
+        midpoint, then its end."""
         i, j = np.divmod(np.arange(first, first + count), self.steps)
-        t = (self.t0 + (self.k0 + i) * self.seg_dt) + j * self.h
+        t = (self.t0 + (k0 + i) * self.seg_dt) + j * self.h
         return np.stack((t + 0.5 * self.h, t + self.h), axis=1).ravel()
 
 
@@ -136,12 +116,14 @@ def _running_sum(a, axis, out):
 
 
 class _Workspace:
-    """One lane's RK4 steps, states innermost.  Row c of a (C, L) stage
+    """The RK4 steps of one march, states innermost.  ``chains[i]``
+    advances ``widths[i]`` of the columns of ``y`` (states by columns),
+    which the workspace copies in.  Row c of a (C, L) stage
     holds column c's n+1 states between p zeros on either side, p the
     widest offset.  A stage table, slot 0 the diagonal, is V ⊙ M: the
     column-stacked multipliers M (a row a chain lacks being zero, the
     catastrophe row last; a lone chain's broadcast over its columns)
-    times each chain's rate values at the lane's times.  The band at
+    times each chain's rate values at the march's times.  The band at
     offset k is the product of windows of its slot and of the stage
     shifted by k, which read zeros outside them.
 
@@ -150,10 +132,10 @@ class _Workspace:
     entries on views made here, each run as ``ufunc(a, b, out)``.
     ``start`` is k1 = A(t0) y from node 0."""
 
-    def __init__(self, lane: Lane):
-        self.chains = lane.chains
-        tables = [c.rate_table for c in self.chains]
-        self.widths = lane.widths if len(tables) > 1 else [1]
+    def __init__(self, chains, widths, y: np.ndarray, h: float):
+        self.chains = chains
+        tables = [c.rate_table for c in chains]
+        self.widths = widths if len(tables) > 1 else [1]
         offsets = merged_offsets([t.offsets for t in tables])
         k, row0 = len(offsets), any(t.row0 for t in tables)
         self.wide = any(t.wide for t in tables)
@@ -169,21 +151,21 @@ class _Workspace:
         col0 = None if all(t.col0 is None for t in tables) else col0[0]
         self.col0_sums = None if col0 is None \
             else col0[:, p + 1:p + n + 1].sum(axis=1)
-        cols = lane.y.shape[1]
+        cols = y.shape[1]
         shape, size = (cols, m.shape[-1]), cols * m.shape[-1]
         # y and the stage input with p zeros around, shifted by each offset
         flat = np.zeros((2, size + 2 * p))
         windows = [[f[p - k:][:size].reshape(shape)
                     for k in (0,) + offsets] for f in flat]
+        windows[0][0][:, self.states] = y.T
         self.y = y = windows[0][0]
-        y[:, self.states] = lane.y.T
         # every view an entry holds is made once, here
         ks = list(np.zeros((4,) + shape))
         tmp, acc = np.empty(shape), np.empty((cols, n))
         tail, sums = tmp[:, p + 1:p + n + 1], acc[:, -1]
         heads = [k[:, p] for k in ks]
         firsts = [w[0][:, p:p + 1] for w in windows]
-        h, half, sixth = lane.h, 0.5 * lane.h, lane.h / 6.0
+        half, sixth = 0.5 * h, h / 6.0
         # the tables (p zeros after), per node its diagonal, bands and row0
         slots, size = len(m), self.m[0].size
         flat = np.zeros(STAGE_NODES * slots * size + p)
@@ -254,33 +236,33 @@ class _Workspace:
             diag[..., self.states.start] -= self.col0_sums
 
 
-def march(lane: Lane):
-    """Advance the lane's columns, one RK4 step at a time, until it stops.
+def march(chains, widths, y: np.ndarray, clock: Clock, k0: int = 0,
+          segments: int | None = None):
+    """Advance the columns of ``y`` from the start of segment ``k0`` of
+    ``clock``, one RK4 step at a time, and yield them (states by columns,
+    a fresh array) at each segment end; ``chains[i]`` advances
+    ``widths[i]`` of them.  ``segments`` bounds the segments marched
+    (None: the caller stops the march), so the last block fills the stage
+    tables of its steps only.  ``y`` is never written.
 
     Each block of steps fills its stage tables, then runs one plan per
     step; the k1 of a step is the previous step's A(t + h) y.
     """
-    if lane.segments == 0:
-        return
-    ws = _Workspace(lane)
-    ws.tables([lane.t0 + lane.k0 * lane.seg_dt])
+    ws = _Workspace(chains, widths, y, clock.h)
+    ws.tables([clock.t0 + k0 * clock.seg_dt])
     for f, a, b, out in ws.start:
         f(a, b, out)
-    last = lane.segments * lane.steps if lane.segments else math.inf
+    last = segments * clock.steps if segments is not None else math.inf
     s = 0  # steps taken
-    while True:
+    while s < last:
         count = min(len(ws.plans), last - s)
-        ws.tables(lane.stage_times(s, count))
+        ws.tables(clock.stage_times(k0, s, count))
         for plan in ws.plans[:count]:
             for f, a, b, out in plan:
                 f(a, b, out)
             s += 1
-            if s % lane.steps == 0:
-                lane.y = ws.y[:, ws.states].T.copy()
-                lane.done += 1
-                if not lane.segment_end(lane.done - 1) \
-                        or lane.done == lane.segments:
-                    return
+            if s % clock.steps == 0:
+                yield ws.y[:, ws.states].T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -315,47 +297,6 @@ def _as_columns(p0, size: int) -> np.ndarray:
     return y
 
 
-class RunLane(Lane):
-    """The lane of ``integrate``: one segment per output sample, the step
-    shrunk so that an integer number of steps lands on every sample time."""
-
-    def __init__(self, chain: Chain, p0, t0: float, t1: float,
-                 step: float | None = None, stride: float | None = None,
-                 draws=()):
-        if t1 <= t0:
-            raise ValueError("need t1 > t0")
-        draws = tuple(draws)
-        if any(d.size != chain.size for d in draws):
-            raise ValueError("chains must share the state space")
-        h = min(_checked_step(c, step) for c in (chain,) + draws)
-        self.single = np.ndim(p0) == 1 and not draws
-        y = _as_columns(p0, chain.size)
-        widths = (y.shape[1],) + (1,) * len(draws)
-        y = np.concatenate([y] + [y[:, :1]] * len(draws), axis=1)
-
-        span = t1 - t0
-        if stride is None:
-            stride = span / min(512, max(1, round(span / h)))
-        stride = min(stride, span)
-        n_samples = max(1, round(span / stride))
-        sample_dt = span / n_samples
-        steps_per_sample = max(1, math.ceil(sample_dt / h))
-        super().__init__((chain,) + draws, widths, y, t0,
-                         sample_dt / steps_per_sample, steps_per_sample,
-                         sample_dt, n_samples)
-        self.times = np.empty(n_samples + 1)
-        self.states = np.empty((n_samples + 1,) + y.shape)
-        self.times[0] = t0
-        self.states[0] = y
-
-    def segment_end(self, i):
-        t = (self.t0 + i * self.seg_dt) + self.seg_dt
-        self.times[i + 1] = t
-        self.states[i + 1] = self.y
-        _check_columns(self.y, t)
-        return True
-
-
 def integrate(chain: Chain, p0, t0: float, t1: float, step: float | None = None,
               stride: float | None = None, draws=()) -> Trajectory:
     """Integrate from one or several initial probability vectors.
@@ -366,12 +307,38 @@ def integrate(chain: Chain, p0, t0: float, t1: float, step: float | None = None,
     smallest that every chain's guard allows.  ``stride`` is the output
     sampling interval (defaults to ~512 samples); samples always include
     both endpoints.  The step is shrunk so that an integer number of steps
-    lands exactly on every sample time.
+    lands exactly on every sample time: one segment per sample.
     """
-    lane = RunLane(chain, p0, t0, t1, step, stride, draws)
-    march(lane)
-    states = lane.states[:, :, 0] if lane.single else lane.states
-    return Trajectory(times=lane.times, states=states, step=lane.h)
+    if t1 <= t0:
+        raise ValueError("need t1 > t0")
+    draws = tuple(draws)
+    if any(d.size != chain.size for d in draws):
+        raise ValueError("chains must share the state space")
+    h = min(_checked_step(c, step) for c in (chain,) + draws)
+    y = _as_columns(p0, chain.size)
+    widths = (y.shape[1],) + (1,) * len(draws)
+    y = np.concatenate([y] + [y[:, :1]] * len(draws), axis=1)
+
+    span = t1 - t0
+    if stride is None:
+        stride = span / min(512, max(1, round(span / h)))
+    stride = min(stride, span)
+    n_samples = max(1, round(span / stride))
+    sample_dt = span / n_samples
+    steps_per_sample = max(1, math.ceil(sample_dt / h))
+    clock = Clock(t0, sample_dt / steps_per_sample, steps_per_sample,
+                  sample_dt)
+    times = np.empty(n_samples + 1)
+    states = np.empty((n_samples + 1,) + y.shape)
+    times[0], states[0] = t0, y
+    for i, cols in enumerate(march((chain,) + draws, widths, y, clock,
+                                   segments=n_samples)):
+        t = (t0 + i * sample_dt) + sample_dt
+        times[i + 1], states[i + 1] = t, cols
+        _check_columns(cols, t)
+    if np.ndim(p0) == 1 and not draws:
+        states = states[:, :, 0]
+    return Trajectory(times=times, states=states, step=clock.h)
 
 
 def delta_state(size: int, k: int) -> np.ndarray:
@@ -403,67 +370,78 @@ class RegimeReport:
     phi_values: np.ndarray
 
 
-class RegimeLane(Lane):
-    """The lane of the limiting-regime search: the two extreme states on
-    the period clock, stopped at the first period boundary k*T (k >= 1)
-    where their l1 distance is below ``tolerance``, or when the next
-    boundary lies beyond ``max_horizon``; ``report()`` is the result once
-    marched.
+@dataclass(frozen=True)
+class RegimeSearch:
+    """What ``regime_search`` found: the distance between the extreme
+    columns at each period boundary 0, T, ... it read, the first boundary
+    k*T (k >= 1) where that distance fell below ``tolerance`` (None if the
+    horizon ran out first) and the extreme columns ``y`` there, on the
+    period clock ``clock``."""
 
-    ``columns`` holds the extreme columns at the boundaries 0, T, ...,
-    K*T, each (states, 2), as a run on another clock has computed them;
-    by default only the delta states at 0.  They are read in order, and
-    the lane marches on from the last boundary read, one segment per
-    period, only if neither stop has come."""
-
-    def __init__(self, chain: Chain, tolerance: float, max_horizon: float,
-                 step: float | None = None, columns=None):
-        period = chain.period if chain.period is not None else 1.0
-        h = _checked_step(chain, step)
-        steps = math.ceil(period / h)
-        if columns is None:
-            columns = [np.stack([delta_state(chain.size, 0),
-                                 delta_state(chain.size, chain.n)], axis=1)]
-        self.limit_t = max_horizon * (1 + 1e-12)
-        self.tolerance, self.max_horizon = tolerance, max_horizon
-        self.dists, self.horizon = [], None
-        super().__init__((chain,), (2,), None, 0.0, period / steps, steps,
-                         period)
-        for k, y in enumerate(columns):
-            self.y, self.k0 = y, k
-            if not self._boundary(k):
-                self.segments = 0
-                break
-
-    def _boundary(self, k: int) -> bool:
-        """Record the distance of ``y`` at boundary k; whether to go on."""
-        t = k * self.seg_dt
-        _check_columns(self.y, t)
-        dist = float(np.abs(self.y[:, 0] - self.y[:, 1]).sum())
-        self.dists.append(dist)
-        if k > 0 and dist < self.tolerance:
-            self.horizon = t
-            return False
-        return (k + 1) * self.seg_dt <= self.limit_t
-
-    def segment_end(self, i):
-        return self._boundary(self.k0 + i + 1)
+    chain: Chain
+    tolerance: float
+    max_horizon: float
+    clock: Clock
+    dists: tuple[float, ...]
+    horizon: float | None
+    y: np.ndarray
 
     def report(self) -> RegimeReport:
         """The regime found, its limit period sampled 200 times by a
-        second march of the lower extreme; raises SolverError if none was
+        march of the lower extreme; raises SolverError if none was
         found."""
         if self.horizon is None:
             raise SolverError(
                 f"horizon {self.max_horizon} exhausted: distance still "
                 f"{self.dists[-1]} (tolerance {self.tolerance})")
-        chain, period = self.chains[0], self.seg_dt
-        limit = integrate(chain, self.y[:, :1], self.horizon,
-                          self.horizon + period, step=self.h,
+        period = self.clock.seg_dt
+        limit = integrate(self.chain, self.y[:, :1], self.horizon,
+                          self.horizon + period, step=self.clock.h,
                           stride=period / 200)
-        phi = limit.states[:, :, 0] @ np.arange(chain.size)
+        phi = limit.states[:, :, 0] @ np.arange(self.chain.size)
         return RegimeReport(transient_horizon=self.horizon, limit=limit,
                             phi_values=phi)
+
+
+def regime_search(chain: Chain, tolerance: float, max_horizon: float,
+                  step: float | None = None, columns=None) -> RegimeSearch:
+    """March the two extreme states on the period clock until the first
+    period boundary k*T (k >= 1) where their l1 distance is below
+    ``tolerance``, or until the next boundary lies beyond ``max_horizon``.
+
+    ``columns`` holds the extreme columns at the boundaries 0, T, ...,
+    K*T, each (states, 2), as a run on another clock has computed them;
+    by default only the delta states at 0.  They are read in order, and
+    the search marches on from the last boundary read, one segment per
+    period, only if neither stop has come.
+    """
+    period = chain.period if chain.period is not None else 1.0
+    h = _checked_step(chain, step)
+    steps = math.ceil(period / h)
+    clock = Clock(0.0, period / steps, steps, period)
+    if columns is None:
+        columns = [np.stack([delta_state(chain.size, 0),
+                             delta_state(chain.size, chain.n)], axis=1)]
+    limit_t = max_horizon * (1 + 1e-12)
+    dists = []
+
+    def stops(k: int, y: np.ndarray) -> bool:
+        """Record the distance of ``y`` at boundary k; whether to stop."""
+        _check_columns(y, k * period)
+        dists.append(float(np.abs(y[:, 0] - y[:, 1]).sum()))
+        return (k > 0 and dists[-1] < tolerance) \
+            or (k + 1) * period > limit_t
+
+    for k, y in enumerate(columns):
+        if stops(k, y):
+            break
+    else:  # march on from the last boundary read
+        for k, y in enumerate(march((chain,), (2,), y, clock, k0=k), k + 1):
+            if stops(k, y):
+                break
+    found = k > 0 and dists[-1] < tolerance
+    return RegimeSearch(chain, tolerance, max_horizon, clock, tuple(dists),
+                        k * period if found else None, y)
 
 
 def limiting_regime(chain: Chain, tolerance: float, max_horizon: float,
@@ -471,38 +449,11 @@ def limiting_regime(chain: Chain, tolerance: float, max_horizon: float,
     """Detect the limiting regime by comparing the extreme-initial-state
     trajectories at period boundaries; the limit period is sampled 200
     times."""
-    lane = RegimeLane(chain, tolerance, max_horizon, step)
-    march(lane)
-    return lane.report()
+    return regime_search(chain, tolerance, max_horizon, step).report()
 
 
 # ---------------------------------------------------------------------------
 # empirical measurements
-
-def ergodicity_coefficient(chain: Chain, s: float, t: float,
-                           step: float | None = None) -> float:
-    """Half the largest l1 distance between rows of the transition matrix
-    over [s, t], measured by integrating every basis vector."""
-    if chain.size > ERGODICITY_CAP:
-        raise SolverError(f"dimension {chain.size} above the cap "
-                          f"{ERGODICITY_CAP} ({chain.size} integrations "
-                          f"needed)")
-    if t < s:
-        raise ValueError("need t >= s")
-    if t == s:
-        return 1.0 if chain.size > 1 else 0.0
-    h = _checked_step(chain, step)
-    steps = math.ceil((t - s) / h)
-    lane = Lane((chain,), (chain.size,), np.eye(chain.size), s,
-                (t - s) / steps, steps, t - s, segments=1)
-    march(lane)
-    y = lane.y
-    worst = 0.0
-    for i in range(chain.size - 1):
-        diffs = np.abs(y[:, i + 1:] - y[:, i:i + 1]).sum(axis=0)
-        worst = max(worst, float(diffs.max()))
-    return 0.5 * worst
-
 
 @dataclass(frozen=True)
 class DistanceCurve:

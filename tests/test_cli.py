@@ -591,10 +591,10 @@ def test_truncated_key_has_no_effect(small_scn, tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
-def _regime_entries(lane):
-    """The regime.* entries a run reports for a marched search."""
+def _regime_entries(search):
+    """The regime.* entries a run reports for a search."""
     try:
-        regime = lane.report()
+        regime = search.report()
     except solver.SolverError as exc:
         return {"regime.error": str(exc)}
     return {"regime.transient_horizon": regime.transient_horizon,
@@ -633,20 +633,18 @@ def test_run_solves_once(tmp_path, monkeypatch):
     spans = []
     march = solver.march
 
-    def counted(lane):
-        if lane.segments != 0:
-            spans.append((type(lane).__name__, len(lane.chains), lane.t0,
-                          lane.k0))
-        return march(lane)
+    def counted(chains, widths, y, clock, k0=0, segments=None):
+        spans.append((len(chains), clock.t0, k0, segments))
+        return march(chains, widths, y, clock, k0, segments)
 
-    run4 = ("RunLane", 4, 0.0, 0)
+    # (chains, start, first segment, segments: None for the search), with
+    # one segment per sample in a run and 200 in the limit period
+    limit = (1, 7.0, 0, 200)
     for t_end, stride, horizon, marches in (
-            (8, 0.125, 8, [run4, ("RunLane", 1, 7.0, 0)]),
-            (2, 0.125, 2, [run4]),
-            (2, 0.125, 8, [run4, ("RegimeLane", 1, 0.0, 2),
-                           ("RunLane", 1, 7.0, 0)]),
-            (2, 0.3, 8, [run4, ("RegimeLane", 1, 0.0, 0),
-                         ("RunLane", 1, 7.0, 0)])):
+            (8, 0.125, 8, [(4, 0.0, 0, 64), limit]),
+            (2, 0.125, 2, [(4, 0.0, 0, 16)]),
+            (2, 0.125, 8, [(4, 0.0, 0, 16), (1, 0.0, 2, None), limit]),
+            (2, 0.3, 8, [(4, 0.0, 0, 7), (1, 0.0, 0, None), limit])):
         setting = (t_end, stride, horizon)
         text = SMALL.replace("draws = 2", "draws = 3").replace(
             "t_end = 8", f"t_end = {t_end}").replace(
@@ -670,14 +668,13 @@ def test_run_solves_once(tmp_path, monkeypatch):
         traj = solver.integrate(spec, extremes, 0.0, t_end, stride=stride,
                                 draws=draws)
         columns = None if stride == 0.3 else traj.states[::8, :, :2]
-        lane = solver.RegimeLane(spec, 1e-6, float(horizon), columns=columns)
-        solver.march(lane)
-        assert got == _regime_entries(lane), setting
+        search = solver.regime_search(spec, 1e-6, float(horizon),
+                                      columns=columns)
+        assert got == _regime_entries(search), setting
         # and a standalone search on the period clock, to rounding; bit
         # for bit when the search marches from 0
-        regime = solver.RegimeLane(spec, 1e-6, float(horizon))
-        solver.march(regime)
-        want = _regime_entries(regime)
+        want = _regime_entries(solver.regime_search(spec, 1e-6,
+                                                    float(horizon)))
         if columns is None:
             assert got == want, setting
         _close_entries(got, want, 1e-12)

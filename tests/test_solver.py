@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -7,12 +8,12 @@ from conftest import (dense_generator, dense_rk4, random_batches,
                       random_chain, random_family)
 from ctmcpert import (Perturbation, RateFunction, SolverError, batch_chain,
                       birth_death_chain, catastrophe_chain, delta_state,
-                      ergodicity_coefficient, integrate, limiting_regime,
-                      mass_arrival_probe, mean_state, parse_rate, perturb,
-                      perturbation_distance, rate_family,
-                      stationary_distribution, write_mean_csv,
+                      integrate, limiting_regime, mass_arrival_probe,
+                      mean_state, parse_rate, perturb, perturbation_distance,
+                      rate_family, stationary_distribution, write_mean_csv,
                       write_states_csv)
-from ctmcpert.solver import Lane, RegimeLane, default_step, march
+from ctmcpert import solver
+from ctmcpert.solver import Clock, default_step, march, regime_search
 
 ONE = RateFunction.constant(1.0)
 FOUR = RateFunction.constant(4.0)
@@ -93,10 +94,9 @@ def test_limiting_regime_geometric_law():
     geo /= geo.sum()
     final = rep.limit.states[-1, :, 0]
     assert np.abs(final - geo).max() < 1e-7
-    lane = RegimeLane(spec, 1e-6, 60.0)
-    march(lane)
-    assert lane.horizon == rep.transient_horizon
-    assert lane.dists[-1] < 1e-6
+    search = regime_search(spec, 1e-6, 60.0)
+    assert search.horizon == rep.transient_horizon
+    assert search.dists[-1] < 1e-6
     assert 0 <= rep.phi_values.min() <= rep.phi_values.max() <= 100
 
 
@@ -107,19 +107,11 @@ def test_limiting_regime_horizon_exhausted():
         limiting_regime(spec, tolerance=1e-6, max_horizon=5.0)
 
 
-def test_ergodicity_coefficient():
-    spec = two_state(1.0, 2.0)
-    assert ergodicity_coefficient(spec, 0.3, 0.3) == 1.0
-    for dt in (0.25, 0.8):
-        beta = ergodicity_coefficient(spec, 0.0, dt, step=1e-3)
-        assert beta == pytest.approx(math.exp(-3.0 * dt), abs=1e-9)
-    big = birth_death_chain(ONE, FOUR, size=600, validation_grid=16)
-    with pytest.raises(SolverError, match="cap"):
-        ergodicity_coefficient(big, 0.0, 1.0)
-
-
 def test_ergodicity_coefficient_under_envelope():
-    # certified chain: the measured coefficient stays below c/2 e^{-b dt}
+    # certified chain: the ergodicity coefficient of the transition matrix
+    # over [0, dt], half the largest l1 distance between two of its
+    # columns (integrated from the identity by the dense oracle), stays
+    # below c/2 e^{-b dt}
     from ctmcpert import WeightSequence, uniform_from_weighted, \
         weighted_certificate
     spec = birth_death_chain(ONE.with_period(1.0), FOUR.with_period(1.0),
@@ -128,7 +120,10 @@ def test_ergodicity_coefficient_under_envelope():
     cert = weighted_certificate(spec, w, grid=256)
     uc = uniform_from_weighted(cert, w)
     for dt in (0.5, 1.5, 3.0):
-        beta = ergodicity_coefficient(spec, 0.0, dt, step=5e-3)
+        p = dense_rk4(_dense_matrix(spec), np.eye(12), 0.0, dt,
+                      math.ceil(dt / 5e-3))
+        beta = 0.5 * max(np.abs(p - p[:, i:i + 1]).sum(axis=0).max()
+                         for i in range(12))
         envelope = min(1.0, 0.5 * uc.amplitude * math.exp(-uc.rate * dt))
         assert beta <= envelope * (1 + 1e-6)
 
@@ -367,13 +362,43 @@ def test_draw_columns_match_separate_runs():
         integrate(base, cols, 0.0, 0.5, draws=[two_state()])
 
 
+def _recording(monkeypatch):
+    """Record every march that the solver starts from now on, as its k0
+    and the list of the columns it has yielded."""
+    marches, plain = [], solver.march
+
+    def recorded(chains, widths, y, clock, k0=0, segments=None):
+        seen = []
+        marches.append((k0, seen))
+
+        def each():
+            for cols in plain(chains, widths, y, clock, k0, segments):
+                seen.append(cols)
+                yield cols
+        return each()
+
+    monkeypatch.setattr(solver, "march", recorded)
+    return marches
+
+
+def _extremes(size):
+    return np.stack([delta_state(size, 0), delta_state(size, size - 1)],
+                    axis=1)
+
+
+def _boundaries(chain, clock, count):
+    """The extreme columns at the first ``count`` period boundaries of a
+    march from 0 on ``clock``."""
+    start = _extremes(chain.size)
+    return [start] + list(islice(march((chain,), (2,), start, clock),
+                                 count - 1))
+
+
 def _regime_settings(chain, step):
     """(horizon, tolerance) pairs: the regime found at the second and at
     the fourth boundary, and the horizon exhausted; tolerances sit
     between neighbouring boundary distances of a search from 0."""
-    probe = RegimeLane(chain, 0.0, 6.0, step=step)
-    march(probe)
-    d = probe.dists
+    d = regime_search(chain, 0.0, 6.0, step=step).dists
 
     def between(k):
         return 0.5 * (d[k - 1] + d[k])
@@ -381,22 +406,21 @@ def _regime_settings(chain, step):
     return [(6.0, between(2)), (6.0, between(4)), (2.5, between(4))]
 
 
-def _last_boundary(lane):
-    """The period boundary of a regime lane's last recorded distance."""
-    return (len(lane.dists) - 1) * lane.seg_dt
+def _last_boundary(search):
+    """The period boundary of a search's last recorded distance."""
+    return (len(search.dists) - 1) * search.clock.seg_dt
 
 
 def test_regime_lane_matches_dense_oracle():
-    # a regime lane stops at the first period boundary where the extremes
-    # meet, or when its horizon runs out; its columns there agree with the
-    # dense oracle, on every generator layout
-    cols = np.stack([delta_state(12, 0), delta_state(12, 11)], axis=1)
+    # a regime search stops at the first period boundary where the
+    # extremes meet, or when its horizon runs out; its columns there agree
+    # with the dense oracle, on every generator layout
+    cols = _extremes(12)
     seen = set()
     for base, draws in _draw_cases():
         step = 0.25 / max(c.l_bound for c in [base] + draws)
         for horizon, tol in _regime_settings(base, step):
-            search = RegimeLane(base, tol, horizon, step=step)
-            march(search)
+            search = regime_search(base, tol, horizon, step=step)
             if search.horizon is None:
                 with pytest.raises(SolverError, match="exhausted"):
                     search.report()
@@ -407,34 +431,22 @@ def test_regime_lane_matches_dense_oracle():
                 assert search.dists[-1] < tol <= min(search.dists[1:-1])
                 seen.add("found")
             end = _last_boundary(search)
-            steps = round(end / search.seg_dt) * search.steps
+            steps = round(end / search.clock.seg_dt) * search.clock.steps
             dense = dense_rk4(_dense_matrix(base), cols, 0.0, end, steps)
             assert np.abs(search.y - dense).max() <= 1e-12
     assert seen == {"found", "exhausted"}
 
 
-def test_regime_lane_shorter_than_a_period():
-    # a horizon below one period leaves the lane no segment to march
-    lane = RegimeLane(two_state(), 1e-6, 0.5)  # period 1 (undeclared)
-    march(lane)
-    assert lane.done == 0 and lane.dists == [2.0]
+def test_regime_lane_shorter_than_a_period(monkeypatch):
+    # a horizon below one period leaves the search no segment to march
+    marches = _recording(monkeypatch)
+    search = regime_search(two_state(), 1e-6, 0.5)  # period 1 (undeclared)
+    assert marches == [] and search.dists == (2.0,)
     with pytest.raises(SolverError, match="horizon 0.5 exhausted"):
-        lane.report()
+        search.report()
 
 
-class _Kept(RegimeLane):
-    """A regime lane that keeps its columns at every period boundary."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.kept = [self.y.copy()]
-
-    def segment_end(self, i):
-        self.kept.append(self.y.copy())
-        return super().segment_end(i)
-
-
-def test_regime_lane_reads_given_boundaries():
+def test_regime_lane_reads_given_boundaries(monkeypatch):
     # a search given the columns at the boundaries 0, ..., K*T reads their
     # distances, stops on them when it can and otherwise marches on from
     # K*T on the nodes k*T + j*h of a search from 0; its horizon, boundary
@@ -442,36 +454,41 @@ def test_regime_lane_reads_given_boundaries():
     # marches agrees with it to rounding
     base, _ = _draw_cases()[0]
     step = 0.25 / base.l_bound
-    probe = RegimeLane(base, 0.0, 4.0, step=step)
-    march(probe)
-    d = probe.dists
+    d = regime_search(base, 0.0, 4.0, step=step).dists
+    marches = _recording(monkeypatch)
     for tol, horizon in ((0.0, 4.0), (0.5 * (d[2] + d[3]), 6.0)):
-        solo = _Kept(base, tol, horizon, step=step)
-        march(solo)
+        solo = regime_search(base, tol, horizon, step=step)
         assert (solo.horizon is None) == (tol == 0.0)
-        for k in range(len(solo.kept)):
-            fed = RegimeLane(base, tol, horizon, step=step,
-                             columns=solo.kept[:k + 1])
-            assert fed.dists == solo.dists[:k + 1]
-            marched = fed.segments != 0
-            assert marched == (k < len(solo.kept) - 1)
-            if marched:
+        clock = solo.clock
+        kept = _boundaries(base, clock, len(solo.dists))
+        assert np.array_equal(kept[-1], solo.y)
+        for k in range(len(kept)):
+            marches.clear()
+            fed = regime_search(base, tol, horizon, step=step,
+                                columns=kept[:k + 1])
+            assert fed.dists[:k + 1] == solo.dists[:k + 1]
+            # fed columns that stop the search call no march
+            if k < len(kept) - 1:
+                [(k0, marched)] = marches
+                assert k0 == k and len(marched) == len(kept) - 1 - k
                 assert np.array_equal(
-                    fed.stage_times(0, 3 * fed.steps),
-                    solo.stage_times(k * solo.steps, 3 * solo.steps))
-            march(fed)
-            assert fed.done == len(solo.kept) - 1 - k
+                    fed.clock.stage_times(k, 0, 3 * clock.steps),
+                    clock.stage_times(0, k * clock.steps, 3 * clock.steps))
+            else:
+                assert marches == []
             assert len(fed.dists) == len(solo.dists)
             assert fed.horizon == solo.horizon
             assert np.allclose(fed.dists, solo.dists, rtol=1e-12, atol=0)
             assert np.abs(fed.y - solo.y).max() <= 1e-12
     # columns past a stop are not read
-    fed = RegimeLane(base, tol, 6.0, step=step, columns=solo.kept * 2)
-    assert fed.segments == 0 and fed.dists == solo.dists
+    marches.clear()
+    fed = regime_search(base, tol, 6.0, step=step, columns=kept * 2)
+    assert marches == [] and fed.dists == solo.dists
     # the horizon is one period at least, whatever the tolerance
-    lane = RegimeLane(base, 3.0, 6.0, step=step)
-    march(lane)
-    assert lane.horizon == 1.0 and lane.done == 1
+    marches.clear()
+    search = regime_search(base, 3.0, 6.0, step=step)
+    assert search.horizon == 1.0
+    assert [(k0, len(marched)) for k0, marched in marches] == [(0, 1)]
 
 
 def test_limit_period_marches_the_lower_extreme_alone():
@@ -479,11 +496,11 @@ def test_limit_period_marches_the_lower_extreme_alone():
     # a march of both extremes (its mean, a product over another memory
     # layout, to rounding)
     base, _ = _draw_cases()[0]
-    lane = RegimeLane(base, 1e-2, 6.0)
-    march(lane)
-    got = lane.report()
-    both = integrate(base, lane.y, lane.horizon, lane.horizon + lane.seg_dt,
-                     step=lane.h, stride=lane.seg_dt / 200)
+    search = regime_search(base, 1e-2, 6.0)
+    got = search.report()
+    period = search.clock.seg_dt
+    both = integrate(base, search.y, search.horizon, search.horizon + period,
+                     step=search.clock.h, stride=period / 200)
     assert got.limit.states.shape[2] == 1
     assert np.array_equal(got.limit.times, both.times)
     assert np.array_equal(got.limit.states[:, :, 0], both.states[:, :, 0])
@@ -492,30 +509,16 @@ def test_limit_period_marches_the_lower_extreme_alone():
                        rtol=1e-14, atol=0)
 
 
-class _Recorder(Lane):
-    """A lane that keeps its columns at every segment end and stops after
-    ``stop`` segments (None: after ``segments``)."""
-
-    def __init__(self, chains, widths, y, t0, h, steps, segments, stop=None):
-        super().__init__(chains, widths, y, t0, h, steps, steps * h,
-                         segments)
-        self.stop, self.seen = stop, []
-
-    def segment_end(self, i):
-        self.seen.append(self.y.copy())
-        return self.stop is None or i + 1 < self.stop
-
-
-def _reference_columns(chain, y, lane, segments):
-    """One column of ``lane`` stepped alone, slice by slice: k1 reuses the
-    previous step's end slice, the other stages read ``bands_at`` at the
-    lane's stage times.  The column at each of ``segments`` segment
-    ends."""
-    h, seen = lane.h, []
-    a_t = chain.bands_at(lane.t0 + lane.k0 * lane.seg_dt)
+def _reference_columns(chain, y, clock, k0, segments):
+    """One column stepped alone on ``clock`` from the start of segment
+    ``k0``, slice by slice: k1 reuses the previous step's end slice, the
+    other stages read ``bands_at`` at the clock's stage times.  The column
+    at each of ``segments`` segment ends."""
+    h, seen = clock.h, []
+    a_t = chain.bands_at(clock.t0 + k0 * clock.seg_dt)
     for i in range(segments):
-        for j in range(lane.steps):
-            t = (lane.t0 + (lane.k0 + i) * lane.seg_dt) + j * h
+        for j in range(clock.steps):
+            t = (clock.t0 + (k0 + i) * clock.seg_dt) + j * h
             a_mid, a_end = chain.bands_at(t + 0.5 * h), chain.bands_at(t + h)
             k1 = a_t.matvec(y)
             k2 = a_mid.matvec(y + 0.5 * h * k1)
@@ -527,46 +530,45 @@ def _reference_columns(chain, y, lane, segments):
     return seen
 
 
-def _assert_matches_reference(lane, y0, seen):
-    """Every column of ``seen``, the lane's columns at its segment ends
-    from ``y0``, is bit for bit its reference column."""
+def _assert_matches_reference(seen, chains, widths, y0, clock, k0=0):
+    """Every column of ``seen``, the columns that a march of ``chains``
+    from ``y0`` yielded, is bit for bit its reference column."""
     col = 0
-    for chain, width in zip(lane.chains, lane.widths):
+    for chain, width in zip(chains, widths):
         for c in range(col, col + width):
-            want = _reference_columns(chain, y0[:, c], lane, len(seen))
+            want = _reference_columns(chain, y0[:, c], clock, k0, len(seen))
             for got, ref in zip(seen, want):
                 assert np.array_equal(got[:, c], ref), (chain.kind, c)
         col += width
 
 
-def test_march_matches_per_step_reference():
+def test_march_matches_per_step_reference(monkeypatch):
     # every column of a march is bit for bit a plain RK4 loop over
-    # single-time slices on its lane's clock: every generator layout, a
-    # lone chain and one with its draws, a lane that starts at a later
-    # segment and stops early, a march of three 23-step segments over five
-    # blocks of stage tables (segment ends inside blocks, a partial last
-    # block), a regime lane going on from a fed boundary, and a
-    # time-invariant chain
+    # single-time slices on its clock: every generator layout, a lone
+    # chain and one with its draws, a march that starts at a later
+    # segment and that its caller stops early, a march of three 23-step
+    # segments over five blocks of stage tables (segment ends inside
+    # blocks, a partial last block), a regime search going on from a fed
+    # boundary, and a time-invariant chain
     def check(base, draws, step):
         size = base.size
-        cols = np.stack([delta_state(size, 0), delta_state(size, size - 1)],
-                        axis=1)
         # spread columns, so that a sum over the states has many terms; the
         # ramp starts empty, so that state 0 shows a stage's every bit
         spread = np.stack([np.full(size, 1 / size),
                            np.arange(size) * 2 / (size * size - size)], axis=1)
         for chains in ([base] + draws, [base]):
             more = len(chains) - 1
-            for y, clock, k0, stop in ((spread, (0.0, step, 5, 3), 0, None),
-                                       (cols, (0.1, 0.7 * step, 4, 6), 1, 2),
-                                       (spread, (0.0, step, 23, 3), 0, None)):
+            widths = (2,) + (1,) * more
+            for y, (t0, h, steps, segments), k0, stop in (
+                    (spread, (0.0, step, 5, 3), 0, None),
+                    (_extremes(size), (0.1, 0.7 * step, 4, 6), 1, 2),
+                    (spread, (0.0, step, 23, 3), 0, None)):
                 y = np.concatenate([y] + [y[:, :1]] * more, axis=1)
-                lane = _Recorder(chains, (2,) + (1,) * more, y, *clock,
-                                 stop=stop)
-                lane.k0 = k0
-                march(lane)
-                assert len(lane.seen) == (3 if stop is None else 2)
-                _assert_matches_reference(lane, y, lane.seen)
+                clock = Clock(t0, h, steps, steps * h)
+                seen = list(islice(march(chains, widths, y, clock, k0,
+                                         segments), stop))
+                assert len(seen) == (3 if stop is None else 2)
+                _assert_matches_reference(seen, chains, widths, y, clock, k0)
 
     for base, draws in _draw_cases():
         check(base, draws, 0.25 / max(c.l_bound for c in [base] + draws))
@@ -582,12 +584,37 @@ def test_march_matches_per_step_reference():
     drawn = perturb(flat, Perturbation("mass-arrival", eps=0.5))
     assert flat.time_invariant and drawn.time_invariant
     check(flat, [drawn], 0.02)
-    # a regime lane fed the boundaries 0 and T marches on from T, over
+    # a regime search fed the boundaries 0 and T marches on from T, over
     # two periods of 23 steps
+    marches = _recording(monkeypatch)
+    clock = Clock(0.0, 1 / 23, 23, 1.0)
     for base, _ in _draw_cases()[::2]:  # a row0 chain among them
-        solo = _Kept(base, 0.0, 3.0, step=1 / 23)
-        march(solo)
-        fed = _Kept(base, 0.0, 3.0, step=1 / 23, columns=solo.kept[:2])
-        march(fed)
-        assert fed.k0 == 1 and fed.steps == 23 and len(fed.kept) == 3
-        _assert_matches_reference(fed, solo.kept[1], fed.kept[1:])
+        kept = _boundaries(base, clock, 2)
+        marches.clear()
+        fed = regime_search(base, 0.0, 3.0, step=1 / 23, columns=kept)
+        [(k0, marched)] = marches
+        assert k0 == 1 and fed.clock == clock and len(marched) == 2
+        assert np.array_equal(fed.y, marched[-1])
+        _assert_matches_reference(marched, (base,), (2,), kept[1], fed.clock,
+                                  k0)
+
+
+def test_march_stopped_early_changes_no_numbers():
+    # a march that its caller stops inside a block of stage tables yields,
+    # bit for bit, the columns of a march bounded to as many segments, and
+    # no march writes the columns it was given
+    for base, draws in _draw_cases():
+        chains, widths = [base] + draws, (2,) + (1,) * len(draws)
+        y = np.concatenate([_extremes(12)] + [_extremes(12)[:, :1]]
+                           * len(draws), axis=1)
+        given = y.copy()
+        step = 0.25 / max(c.l_bound for c in chains)
+        clock = Clock(0.0, step, 5, 5 * step)
+        for k0, stop in ((0, 1), (0, 3), (2, 5)):
+            assert stop * clock.steps % (solver.STAGE_NODES // 2) != 0
+            free = list(islice(march(chains, widths, y, clock, k0), stop))
+            bounded = list(march(chains, widths, y, clock, k0, stop))
+            assert len(free) == len(bounded) == stop
+            for got, want in zip(free, bounded):
+                assert np.array_equal(got, want)
+            assert np.array_equal(y, given)

@@ -119,10 +119,16 @@ def rate_family(shared: RateFunction | None = None,
 #: 46.3 MB on certify-sweep and 41.8, 45.1, 49.9 and 58.9 MB on loss-verify
 #: with 16-, 64-, 128- and 256-node blocks (the march's stage buffer then
 #: as long); 16-node blocks took more CPU time per operation on both.  The
-#: march's buffer now holds NODE_BLOCK // 2 nodes, 16 steps of two: on
-#: loss-verify's 4 columns of 302 it is (32, 3, 4, 302), 0.89 MiB against
-#: 1.77 MiB at 64 nodes.
+#: march's buffers now hold NODE_BLOCK // 2 nodes, 16 steps of two: on
+#: loss-verify's 4 columns of 302, (32, 2, 4, 302) for the bands and
+#: (32, 4, 302) for the diagonal, 0.89 MiB in all against 1.77 MiB at 64
+#: nodes.
 NODE_BLOCK = 64
+#: time nodes per evaluation of a rate function: ``time_blocks`` and the
+#: march evaluate each function once per run of RATE_NODES nodes (a wide
+#: table's march once per block, its V being as large as a table) and cut
+#: the values into blocks
+RATE_NODES = 1024
 
 #: ``fn.values(ts)``, a pole at a node being inf there without a warning
 _node_values = np.errstate(divide="ignore", invalid="ignore",
@@ -136,11 +142,16 @@ class TimeBlock:
     evaluator ``values`` (whose value at a node does not depend on the
     other nodes), and the values are shared by every chain built from that
     function (a base chain and its perturbed draws differ only in
-    multipliers).
+    multipliers).  A block cut from a ``parent`` at ``start`` evaluates
+    nothing: its values are slices of the parent's, the same numbers by
+    that property.
     """
 
-    def __init__(self, ts):
+    def __init__(self, ts, parent: "TimeBlock | None" = None,
+                 start: int = 0):
         self.ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        self._parent = parent
+        self._at = slice(start, start + len(self.ts))
         self._values: dict[int, tuple[RateFunction, np.ndarray]] = {}
 
     def __len__(self) -> int:
@@ -149,14 +160,20 @@ class TimeBlock:
     def rate(self, fn: RateFunction) -> np.ndarray:
         hit = self._values.get(id(fn))
         if hit is None:  # the function is kept so that its id stays unique
-            hit = self._values[id(fn)] = (fn, _node_values(fn, self.ts))
+            values = _node_values(fn, self.ts) if self._parent is None \
+                else self._parent.rate(fn)[self._at]
+            hit = self._values[id(fn)] = (fn, values)
         return hit[1]
 
 
 def time_blocks(ts: np.ndarray):
-    """The nodes ``ts`` as consecutive blocks of at most NODE_BLOCK."""
-    for i in range(0, len(ts), NODE_BLOCK):
-        yield TimeBlock(ts[i:i + NODE_BLOCK])
+    """The nodes ``ts`` as consecutive blocks of at most NODE_BLOCK, cut
+    from one parent block per run of RATE_NODES: each rate function is
+    evaluated once per run."""
+    for i in range(0, len(ts), RATE_NODES):
+        run = TimeBlock(ts[i:i + RATE_NODES])
+        for j in range(0, len(run), NODE_BLOCK):
+            yield TimeBlock(run.ts[j:j + NODE_BLOCK], run, j)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@ take the next.  ``integrate`` samples at every segment end (perturbed
 chains add one column each); ``regime_search`` marches the extreme states
 on the period clock and stops at the first period boundary where they
 meet.  A march holds its columns as the rows of one workspace, states
-innermost.  The column-stacked multipliers M are built once per march;
-each block of steps multiplies them by the chains' rate values on the
-block's nodes into one table of stages.  The workspace compiles each step
-of a block once, as a plan: a fixed list of ufunc calls on views of the
-stages and tables, which the march runs in place.  Columns never mix:
+innermost.  The column-stacked multipliers M are built once per march,
+and the chains' rate values V once per run of ``RATE_NODES`` stage
+times; each block of steps multiplies M by its slice of V into one table
+of stages.  The workspace compiles each step of a block once, as a plan:
+a fixed list of ufunc calls on views of the stages and tables, which the
+march runs in place.  Columns never mix:
 each is bit for bit a run of its chain alone on the march's clock, by
 ``GeneratorBands.matvec``.
 
@@ -35,8 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (NODE_BLOCK, Chain, MassArrivalChain, Perturbation,
-                    TimeBlock, birth_death_chain, merged_offsets, perturb)
+from .model import (NODE_BLOCK, RATE_NODES, Chain, MassArrivalChain,
+                    Perturbation, TimeBlock, birth_death_chain,
+                    merged_offsets, perturb)
 from .rates import RateFunction
 
 #: conservation tolerance asserted at every recorded sample
@@ -45,6 +47,8 @@ SUM_TOL = 1e-8
 NEG_TOL = -1e-10
 #: largest residual ||A p||_inf accepted from a stationary solve
 STATIONARY_TOL = 1e-12
+#: most steps a march may take: ``Clock.stage_times`` indexes them in int64
+MAX_STEPS = 2 ** 62
 _BELOW_RANGE = ("no stationary vector: the mass of state 0 is below the "
                 "floating-point range")
 
@@ -69,6 +73,14 @@ def _checked_step(chain: Chain, step: float | None) -> float:
             f"step {step} violates the stability guard 1/(2L) = "
             f"{0.5 / chain.l_bound}")
     return step
+
+
+def _check_step_count(span: float, h: float):
+    """SolverError if steps of ``h`` over ``span`` are more than MAX_STEPS
+    (or span / h overflows)."""
+    if not span / h <= MAX_STEPS:
+        raise SolverError(f"step {h} is too small for the span {span}: "
+                          f"{span / h:.3g} steps, more than {MAX_STEPS}")
 
 
 def _check_columns(y: np.ndarray, t: float):
@@ -120,12 +132,13 @@ class _Workspace:
     advances ``widths[i]`` of the columns of ``y`` (states by columns),
     which the workspace copies in.  Row c of a (C, L) stage
     holds column c's n+1 states between p zeros on either side, p the
-    widest offset.  A stage table, slot 0 the diagonal, is V ⊙ M: the
-    column-stacked multipliers M (a row a chain lacks being zero, the
-    catastrophe row last; a lone chain's broadcast over its columns)
-    times each chain's rate values at the march's times.  The band at
-    offset k is the product of windows of its slot and of the stage
-    shifted by k, which read zeros outside them.
+    widest offset.  A stage table is V ⊙ M, its slots the bands and then
+    the catastrophe row: the column-stacked multipliers M (a row a chain
+    lacks being zero; a lone chain's broadcast over its columns) times V,
+    each chain's rate values at the march's times (``values``) repeated
+    over its columns.  The tables of a block lie in one buffer between p
+    zeros on either side, and their diagonals in another.  The band at offset k is the product of windows of its
+    slot and of the stage shifted by k, which read zeros outside them.
 
     Step j of every block reads the tables at nodes 2j and 2j+1 (its
     midpoint and end) by one plan, ``plans[j]``: ``(ufunc, a, b, out)``
@@ -166,14 +179,16 @@ class _Workspace:
         heads = [k[:, p] for k in ks]
         firsts = [w[0][:, p:p + 1] for w in windows]
         half, sixth = 0.5 * h, h / 6.0
-        # the tables (p zeros after), per node its diagonal, bands and row0
-        slots, size = len(m), self.m[0].size
-        flat = np.zeros(STAGE_NODES * slots * size + p)
-        self.buf = flat[:-p].reshape((STAGE_NODES, slots) + self.m.shape[1:])
-        nodes = [(self.buf[j, 0], [
-            flat[(j * slots + i) * size - k:][:size].reshape(self.m.shape[1:])
-            for i, k in enumerate(offsets, 1)], self.buf[j, -1])
-            for j in range(STAGE_NODES)]
+        # the tables (p zeros around), per node its bands and row0, and
+        # apart their diagonals
+        slots, size = len(self.m), self.m[0].size
+        flat = np.zeros(STAGE_NODES * slots * size + 2 * p)
+        self.buf = flat[p:-p].reshape((STAGE_NODES,) + self.m.shape)
+        self.diag = np.zeros((STAGE_NODES,) + self.m.shape[1:])
+        nodes = [(self.diag[j], [
+            flat[p + (j * slots + i) * size - k:][:size].reshape(
+                self.m.shape[1:]) for i, k in enumerate(offsets)],
+            self.buf[j, -1]) for j in range(STAGE_NODES)]
 
         def matvec(node, x: int, i: int) -> list:
             """k[i] = A x at ``node``; x 0 is y, 1 the stage input."""
@@ -216,21 +231,25 @@ class _Workspace:
                 step(nodes[2 * j], nodes[2 * j + 1])
                 for j in range(STAGE_NODES // 2)]]
 
-    def tables(self, times: np.ndarray):
-        """Fill the first nodes with the stage tables at ``times``."""
+    def values(self, times: np.ndarray) -> np.ndarray:
+        """V at ``times``, by one ``TimeBlock``: (T, slots, C, 1), or
+        (T, slots, C, L) for a wide table."""
         v = np.zeros((len(times), len(self.m), len(self.rows),
                       self.m.shape[-1] if self.wide else 1))
         block = TimeBlock(times)
         cols = self.states if self.wide else slice(None)
         for j, chain in enumerate(self.chains):
             v[:, self.rows[j], j, cols] = chain.rate_table.values(block)
-        table = self.buf[:len(v)]
+        return np.repeat(v, self.widths, axis=2)
+
+    def tables(self, v: np.ndarray):
+        """Fill the first ``len(v)`` nodes with the stage tables of V."""
+        table, diag = self.buf[:len(v)], self.diag[:len(v)]
         # each product formed once, as by a multiply
-        np.einsum("tkcl,kcl->tkcl", np.repeat(v, self.widths, axis=2),
-                  self.m, out=table[:, 1:])
+        np.einsum("tkcl,kcl->tkcl", v, self.m, out=table)
         # minus the column sums: each column's rows in table order, then
         # the mass-arrival column, as in ``GeneratorBlock.column_sums``
-        diag = np.sum(table[:, 1:], axis=1, out=table[:, 0])
+        np.sum(table, axis=1, out=diag)
         np.negative(diag, out=diag)
         if self.col0_sums is not None:
             diag[..., self.states.start] -= self.col0_sums
@@ -242,27 +261,33 @@ def march(chains, widths, y: np.ndarray, clock: Clock, k0: int = 0,
     ``clock``, one RK4 step at a time, and yield them (states by columns,
     a fresh array) at each segment end; ``chains[i]`` advances
     ``widths[i]`` of them.  ``segments`` bounds the segments marched
-    (None: the caller stops the march), so the last block fills the stage
-    tables of its steps only.  ``y`` is never written.
+    (None: the caller stops the march), so the last chunk of rate values
+    and the last block of stage tables cover its steps only.  ``y`` is
+    never written.
 
-    Each block of steps fills its stage tables, then runs one plan per
-    step; the k1 of a step is the previous step's A(t + h) y.
+    The rate values are evaluated for up to RATE_NODES // 2 steps at once
+    (a wide table's for one block).  Each block of steps fills its stage
+    tables from its slice of them, then runs one plan per step; the k1 of
+    a step is the previous step's A(t + h) y.
     """
     ws = _Workspace(chains, widths, y, clock.h)
-    ws.tables([clock.t0 + k0 * clock.seg_dt])
+    ws.tables(ws.values([clock.t0 + k0 * clock.seg_dt]))
     for f, a, b, out in ws.start:
         f(a, b, out)
     last = segments * clock.steps if segments is not None else math.inf
+    chunk = len(ws.plans) if ws.wide else RATE_NODES // 2
     s = 0  # steps taken
     while s < last:
-        count = min(len(ws.plans), last - s)
-        ws.tables(clock.stage_times(k0, s, count))
-        for plan in ws.plans[:count]:
-            for f, a, b, out in plan:
-                f(a, b, out)
-            s += 1
-            if s % clock.steps == 0:
-                yield ws.y[:, ws.states].T.copy()
+        v = ws.values(clock.stage_times(k0, s, min(chunk, last - s)))
+        for i in range(0, len(v), STAGE_NODES):
+            block = v[i:i + STAGE_NODES]
+            ws.tables(block)
+            for plan in ws.plans[:len(block) // 2]:
+                for f, a, b, out in plan:
+                    f(a, b, out)
+                s += 1
+                if s % clock.steps == 0:
+                    yield ws.y[:, ws.states].T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +345,7 @@ def integrate(chain: Chain, p0, t0: float, t1: float, step: float | None = None,
     y = np.concatenate([y] + [y[:, :1]] * len(draws), axis=1)
 
     span = t1 - t0
+    _check_step_count(span, h)
     if stride is None:
         stride = span / min(512, max(1, round(span / h)))
     stride = min(stride, span)
@@ -417,6 +443,7 @@ def regime_search(chain: Chain, tolerance: float, max_horizon: float,
     """
     period = chain.period if chain.period is not None else 1.0
     h = _checked_step(chain, step)
+    _check_step_count(period, h)
     steps = math.ceil(period / h)
     clock = Clock(0.0, period / steps, steps, period)
     if columns is None:

@@ -742,6 +742,19 @@ def test_step_and_seed_overrides(small_scn, tmp_path):
         two.report.entries["bounds.gaps.reduced"]
 
 
+def test_step_count_past_int64_exits_as_a_solver_error(tmp_path, capsys):
+    # rate offsets of 1e300 raise the draws' intensity bound, which shrinks
+    # the run's step to about 1e-303: more steps over t_end = 8 than a
+    # march can index is a solver error (exit code 3), not a traceback
+    path = tmp_path / "huge.scn"
+    path.write_text(SMALL.replace("epsilon = 0.01", "epsilon = 1e300"))
+    assert main(["--out", str(tmp_path), "--grid", "256", "run",
+                 str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: step ")
+    assert "is too small for the span 8.0" in err
+
+
 def test_machine_report_format(small_scn, tmp_path):
     scn = load_scenario(small_scn)
     result = run_pipeline(scn, tmp_path, "analyze", grid=256)

@@ -9,7 +9,9 @@ from ctmcpert import (ChainValidationError, MassArrivalChain, Perturbation,
                       batch_chain, batch_service_chain, birth_death_chain,
                       catastrophe_chain, parse_rate, perturb, rate_family)
 from ctmcpert.analysis import weighted_reduced_bands
-from ctmcpert.model import TimeBlock, _built, _validate_family, time_blocks
+from ctmcpert.model import (NODE_BLOCK, RATE_NODES, TimeBlock, _built,
+                            _validate_family, time_blocks)
+from ctmcpert.quadrature import doubled_grid
 from conftest import (dense_generator, random_chain, random_family, rich_rate,
                       weight_matrices)
 
@@ -233,6 +235,37 @@ def test_block_bands_equal_scalar_rates():
             off = a - np.diag(np.diag(a))
             assert np.array_equal(off, dense_generator(chain, float(t)))
             assert np.abs(a.sum(axis=0)).max() <= 1e-12 * max(1.0, off.max())
+
+
+def test_time_blocks_slice_one_evaluation_per_run(monkeypatch):
+    # over the doubled grid of 8193 nodes, every block's rate values are
+    # bit for bit, signed zeros included, those of the block's own nodes,
+    # though each function is evaluated once per run of RATE_NODES: an
+    # expression (-0.0 at t = 0), a step table, a constant, and a pole
+    # that is inf at node 4097/8192 without a warning
+    fns = [parse_rate("-t*exp(sin(2*pi*t))", period=1.0),
+           RateFunction.from_table([(0, 1), (0.25, 3.5), (0.7, 0.4)],
+                                   period=1.0),
+           TWO,
+           parse_rate("1+0.001/((t-0.5001220703125)*(t-0.5001220703125))")]
+    ts = doubled_grid(1.0, 4096)
+    calls, plain = [], RateFunction.values
+
+    def counted(fn, nodes):
+        calls.append(len(nodes))
+        return plain(fn, nodes)
+
+    monkeypatch.setattr(RateFunction, "values", counted)
+    blocks = list(time_blocks(ts))
+    assert [len(tb) for tb in blocks] == [NODE_BLOCK] * 128 + [1]
+    assert np.concatenate([tb.ts for tb in blocks]).tobytes() == ts.tobytes()
+    got = [[tb.rate(fn) for tb in blocks] for fn in fns]
+    assert calls == ([RATE_NODES] * 8 + [1]) * len(fns)
+    with np.errstate(divide="ignore"):
+        for fn, values in zip(fns, got):
+            for tb, v in zip(blocks, values):
+                assert v.tobytes() == plain(fn, tb.ts).tobytes()
+    assert np.signbit(got[0][0][0]) and got[3][64][1] == np.inf
 
 
 def _reduced_matrix(chain, t):

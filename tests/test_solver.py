@@ -67,6 +67,15 @@ def test_default_step_and_guard(loss_queue):
         integrate(loss_queue, delta_state(300, 0), 0.0, 1.0, step=0.01)
     with pytest.raises(SolverError, match="positive"):
         integrate(loss_queue, delta_state(300, 0), 0.0, 1.0, step=-1.0)
+    # a step so small that the march could not count its steps, or that
+    # the span over it overflows
+    for step in (1e-300, 5e-324):
+        with pytest.raises(SolverError, match=f"step {step} is too small "
+                                              f"for the span 2.0"):
+            integrate(loss_queue, delta_state(300, 0), 0.0, 2.0, step=step)
+        with pytest.raises(SolverError, match=f"step {step} is too small "
+                                              f"for the span 1.0"):
+            regime_search(loss_queue, 1e-6, 2.0, step=step)
 
 
 def test_initial_condition_validation():
@@ -548,8 +557,10 @@ def test_march_matches_per_step_reference(monkeypatch):
     # chain and one with its draws, a march that starts at a later
     # segment and that its caller stops early, a march of three 23-step
     # segments over five blocks of stage tables (segment ends inside
-    # blocks, a partial last block), a regime search going on from a fed
-    # boundary, and a time-invariant chain
+    # blocks, a partial last block), a march of 28 37-step segments over
+    # three chunks of rate values, 512 steps each but the last, and a
+    # march that its caller stops inside its second chunk, a regime
+    # search going on from a fed boundary, and a time-invariant chain
     def check(base, draws, step):
         size = base.size
         # spread columns, so that a sum over the states has many terms; the
@@ -562,14 +573,19 @@ def test_march_matches_per_step_reference(monkeypatch):
             for y, (t0, h, steps, segments), k0, stop in (
                     (spread, (0.0, step, 5, 3), 0, None),
                     (_extremes(size), (0.1, 0.7 * step, 4, 6), 1, 2),
-                    (spread, (0.0, step, 23, 3), 0, None)):
+                    (spread, (0.0, step, 23, 3), 0, None),
+                    (spread, (0.0, step, 37, 28), 0, None),
+                    (_extremes(size), (0.1, 0.7 * step, 37, None), 1, 15)):
                 y = np.concatenate([y] + [y[:, :1]] * more, axis=1)
                 clock = Clock(t0, h, steps, steps * h)
                 seen = list(islice(march(chains, widths, y, clock, k0,
                                          segments), stop))
-                assert len(seen) == (3 if stop is None else 2)
+                assert len(seen) == (segments if stop is None else stop)
                 _assert_matches_reference(seen, chains, widths, y, clock, k0)
 
+    # the long marches cross chunks of RATE_NODES // 2 steps
+    assert 37 * 28 > solver.RATE_NODES
+    assert solver.RATE_NODES // 2 < 37 * 15 < solver.RATE_NODES
     for base, draws in _draw_cases():
         check(base, draws, 0.25 / max(c.l_bound for c in [base] + draws))
     # catastrophe rows of many terms, where a pairwise sum is not a

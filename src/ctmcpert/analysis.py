@@ -177,17 +177,24 @@ def reduced_bands_block(g: GeneratorBlock,
 
 def reduced_block(table: RateTable, tb: TimeBlock, w: WeightSequence,
                   v: np.ndarray | None = None) -> GeneratorBlock:
-    """``reduced_bands_block(table.block(tb), w)`` as V ⊙ R, R reducing each
-    multiplier row alone (``table.block()``), cached on the table; ``v``
-    may give V, ``table.values(tb)``.  A wide table, whose rate values vary
-    along the states, does not factor."""
+    """``reduced_bands_block(table.block(tb), w)`` as V times R, R reducing
+    each multiplier row alone (``table.block()``), cached on the table;
+    ``v`` may give V, ``table.values(tb)``.  The table and its diagonal
+    are two BLAS products, (T, rows) by (rows, K'n) and by (rows, n), whose
+    fused multiply-adds may round an entry in its last bits differently
+    from a plain sum of products.  An inf rate times a zero of R is a nan
+    without a warning, as the rate values themselves are.  A wide table,
+    whose rate values vary along the states, does not factor."""
     if table.wide:
         return reduced_bands_block(table.block(tb), w)
     if w not in table.reduced:
         table.reduced[w] = reduced_bands_block(table.block(), w)
     r, v = table.reduced[w], (table.values(tb) if v is None else v)[:, :, 0]
-    return GeneratorBlock(r.n, r.offsets, np.einsum("tr,rkj->tkj", v, r.data),
-                          fixed_diag=np.einsum("tr,rj->tj", v, r.diag))
+    with np.errstate(invalid="ignore", over="ignore"):
+        data = v @ r.data.reshape(len(r.data), -1)
+        diag = v @ r.diag
+    return GeneratorBlock(r.n, r.offsets, data.reshape(len(v), *r.data.shape[1:]),
+                          fixed_diag=diag)
 
 
 def weighted_reduced_bands(chain: Chain, w: WeightSequence,

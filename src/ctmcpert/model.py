@@ -114,15 +114,16 @@ def rate_family(shared: RateFunction | None = None,
 # time blocks
 
 #: time nodes per block of the vectorised formulas.  A block is one
-#: (T, K, n+1) table for K offsets, so this bounds their memory.  Measured
-#: at n = 300, the benchmark's peak resident set read 40.4, 41.6, 43.4 and
-#: 46.3 MB on certify-sweep and 41.8, 45.1, 49.9 and 58.9 MB on loss-verify
-#: with 16-, 64-, 128- and 256-node blocks (the march's stage buffer then
-#: as long); 16-node blocks took more CPU time per operation on both.  The
-#: march's buffers now hold NODE_BLOCK // 2 nodes, 16 steps of two: on
+#: (T, K, n+1) table for K offsets, so this bounds their memory.  The
+#: march's buffers hold NODE_BLOCK // 2 nodes, 16 steps of two: on
 #: loss-verify's 4 columns of 302, (32, 2, 4, 302) for the bands and
-#: (32, 4, 302) for the diagonal, 0.89 MiB in all against 1.77 MiB at 64
-#: nodes.
+#: (32, 4, 302) for the diagonal, 0.89 MiB in all.  Measured at n = 300
+#: with the weighted reduced tables as BLAS products (5 s benchmark runs,
+#: two seeds), 16-, 64-, 128- and 256-node blocks read a peak resident set
+#: of 39.4, 40.4-40.5, 42.3-42.4 and 45.3 MB and an operation time of
+#: 0.19-0.20, 0.12, 0.14-0.15 and 0.16 s on certify-sweep, and 39.5,
+#: 40.5-40.7, 41.9 and 44.5-44.7 MB and 0.28-0.29, 0.26-0.27, 0.25-0.27
+#: and 0.30-0.31 s on loss-verify.
 NODE_BLOCK = 64
 #: time nodes per evaluation of a rate function: ``time_blocks`` and the
 #: march evaluate each function once per run of RATE_NODES nodes (a wide

@@ -63,12 +63,54 @@ def adaptive_simpson(f: VecFn, a: float, b: float, start: int = SIMPSON_START,
     return est
 
 
+#: the 32-node Gauss-Legendre rule's positive nodes, ascending, and their
+#: weights: ``numpy.polynomial.legendre.leggauss(32)`` to the last bit.
+#: That rule is exactly symmetric, so the negative half is their mirror.
+_GAUSS_NODES = (
+    0.048307665687738324,
+    0.1444719615827965,
+    0.23928736225213706,
+    0.33186860228212767,
+    0.42135127613063533,
+    0.5068999089322294,
+    0.5877157572407623,
+    0.6630442669302152,
+    0.7321821187402897,
+    0.7944837959679424,
+    0.84936761373257,
+    0.8963211557660521,
+    0.9349060759377397,
+    0.9647622555875064,
+    0.9856115115452684,
+    0.9972638618494816,
+)
+_GAUSS_WEIGHTS = (
+    0.09654008851472766,
+    0.09563872007927471,
+    0.09384439908080451,
+    0.09117387869576378,
+    0.08765209300440378,
+    0.08331192422694671,
+    0.07819389578707023,
+    0.07234579410884834,
+    0.06582222277636168,
+    0.058684093478535565,
+    0.05099805926237609,
+    0.042835898022226836,
+    0.034273862913021765,
+    0.025392065309262024,
+    0.016274394730905743,
+    0.007018610009470506,
+)
+
+
 @functools.cache
 def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The 32 Gauss-Legendre nodes and weights, computed on first use: a
-    process that never integrates loads neither numpy.polynomial nor the
-    eigenvalue solver behind them."""
-    return np.polynomial.legendre.leggauss(32)
+    """The 32 Gauss-Legendre nodes, ascending, and weights, mirrored from
+    the constants: no command loads numpy.polynomial or the eigenvalue
+    solver that computes them."""
+    x, w = np.array(_GAUSS_NODES), np.array(_GAUSS_WEIGHTS)
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
 def gauss_integral(f: VecFn, a: float, b: float) -> float:

@@ -49,6 +49,9 @@ NEG_TOL = -1e-10
 STATIONARY_TOL = 1e-12
 #: most steps a march may take: ``Clock.stage_times`` indexes them in int64
 MAX_STEPS = 2 ** 62
+#: most values ``integrate`` may keep, samples times states times columns:
+#: 2**25 float64s, 256 MiB, checked before the sample arrays are allocated
+MAX_SAMPLE_VALUES = 2 ** 25
 _BELOW_RANGE = ("no stationary vector: the mass of state 0 is below the "
                 "floating-point range")
 
@@ -349,7 +352,15 @@ def integrate(chain: Chain, p0, t0: float, t1: float, step: float | None = None,
     if stride is None:
         stride = span / min(512, max(1, round(span / h)))
     stride = min(stride, span)
-    n_samples = max(1, round(span / stride))
+    samples = span / stride + 1
+    if samples <= MAX_SAMPLE_VALUES:  # round() takes no inf
+        samples = max(1, round(span / stride)) + 1
+    if not samples * y.size <= MAX_SAMPLE_VALUES:
+        raise SolverError(
+            f"stride {stride} is too small for the span {span}: "
+            f"{samples:.3g} samples of {y.size} values, more than "
+            f"{MAX_SAMPLE_VALUES} values in all")
+    n_samples = samples - 1
     sample_dt = span / n_samples
     steps_per_sample = max(1, math.ceil(sample_dt / h))
     clock = Clock(t0, sample_dt / steps_per_sample, steps_per_sample,

@@ -6,14 +6,15 @@ import pytest
 
 from ctmcpert import (CertificateError, ChainSpec, MassArrivalChain,
                       Perturbation, RateFunction, WeightSequence,
-                      birth_death_chain, catastrophe_chain,
+                      batch_chain, birth_death_chain, catastrophe_chain,
                       catastrophe_uniform_certificate, parse_rate,
                       peak_deviation, perturb, rate_family,
                       uniform_from_weighted, weighted_certificate)
 from ctmcpert.analysis import (column_stats, decay_rate_fn,
                                reduced_bands_block, reduced_block,
                                weighted_reduced_bands)
-from ctmcpert.model import TimeBlock, difference
+from ctmcpert.model import TimeBlock, difference, time_blocks
+from ctmcpert.quadrature import doubled_grid
 from conftest import (dense_full, dense_rk4, expm_ode, family_at, log_norm,
                       random_chain, random_weights, rich_rate,
                       similarity_reduced, weight_matrices)
@@ -162,6 +163,44 @@ def test_reduced_block_from_reduced_multipliers():
                 assert np.abs(got.at(i).dense() - oracle).max() \
                     <= 1e-12 * max(1.0, np.abs(oracle).max())
     assert wide > 0
+
+
+def test_reduced_block_products_match_the_reduction(loss_queue, pair_queue):
+    # V times R, two BLAS products per block, agrees with the reduction of
+    # each block's table V ⊙ M to a few ulps of each row's largest entry,
+    # on the three 300-state studies and on the differences of their
+    # rate-offset draws
+    batch = batch_chain(
+        {1: parse_rate("1+sin(2*pi*t)", period=1.0),
+         2: parse_rate("0.5*(1+sin(2*pi*t))", period=1.0)},
+        {1: parse_rate("2+cos(2*pi*t)", period=1.0), 2: ONE}, size=300)
+    for spec, w in ((loss_queue, WeightSequence.unit(299)),
+                    (pair_queue, WeightSequence.geometric(1.5, 299)),
+                    (batch, WeightSequence.geometric(1.2, 299))):
+        draw = perturb(spec, Perturbation("rate-offsets", eps=0.01, seed=3))
+        for table in (spec.rate_table,
+                      difference(spec.rate_table, draw.rate_table)):
+            for tb in time_blocks(doubled_grid(1.0, 256)):
+                got = reduced_block(table, tb, w)
+                want = reduced_bands_block(table.block(tb), w)
+                assert got.offsets == want.offsets
+                for a, b in ((got.data, want.data), (got.diag, want.diag)):
+                    scale = np.abs(b).max(axis=-1, keepdims=True)
+                    assert np.all(np.abs(a - b) <= 8 * np.spacing(scale))
+
+
+def test_reduced_block_of_an_infinite_rate_is_not_finite():
+    # a birth rate that is finite on the validation grid and infinite at
+    # t = 4097/8192 makes every reduced entry there inf or nan (inf times a
+    # zero of R), without a warning: warnings fail the suite
+    birth = parse_rate("1+0.001/((t-0.5001220703125)*(t-0.5001220703125))",
+                       period=1.0)
+    spec = birth_death_chain(birth, rate_family(shared=FOUR, count=19),
+                             size=20)
+    got = reduced_block(spec.rate_table, TimeBlock([0.25, 0.5001220703125]),
+                        WeightSequence.unit(19))
+    for a in (got.data, got.diag):
+        assert np.isfinite(a[0]).all() and not np.isfinite(a[1]).any()
 
 
 def test_oracles_do_not_read_the_rate_table(monkeypatch):

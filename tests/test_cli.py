@@ -755,6 +755,19 @@ def test_step_count_past_int64_exits_as_a_solver_error(tmp_path, capsys):
     assert "is too small for the span 8.0" in err
 
 
+def test_tiny_stride_exits_as_a_solver_error(tmp_path, capsys):
+    # a stride of 1e-300 over t_end = 8 asks for 8e300 samples: a solver
+    # error (exit code 3) that names the stride, the span and the sample
+    # count, raised before any sample array is allocated
+    path = tmp_path / "tiny.scn"
+    path.write_text(SMALL.replace("stride = 0.125", "stride = 1e-300"))
+    assert main(["--out", str(tmp_path), "--grid", "256", "run",
+                 str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: stride 1e-300 is too small "
+                          "for the span 8.0: 8e+300 samples of 100 values")
+
+
 def test_machine_report_format(small_scn, tmp_path):
     scn = load_scenario(small_scn)
     result = run_pipeline(scn, tmp_path, "analyze", grid=256)

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ctmcpert.quadrature import (adaptive_simpson, gauss_integral,
-                                 peak_running_integral, simpson_on_grid)
+import ctmcpert
+from ctmcpert.quadrature import (_gauss_rule, adaptive_simpson,
+                                 gauss_integral, peak_running_integral,
+                                 simpson_on_grid)
 
 
 def test_adaptive_simpson_closed_forms():
@@ -23,6 +29,36 @@ def test_adaptive_simpson_step_function_hits_cap():
 def test_gauss_integral_exact_for_polynomials():
     assert gauss_integral(lambda t: t ** 7 - t, 0.0, 1.0) == pytest.approx(
         1 / 8 - 1 / 2, abs=1e-14)
+
+
+def test_gauss_rule_is_numpys_to_the_bit():
+    nodes, weights = _gauss_rule()
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(32)
+    assert nodes.tobytes() == want_nodes.tobytes()
+    assert weights.tobytes() == want_weights.tobytes()
+
+
+def test_bounds_loads_no_numpy_polynomial(tmp_path):
+    # the golden-section refinement integrates with the Gauss rule, which
+    # is constants: a bounds command imports neither numpy.polynomial nor
+    # the eigenvalue solver that leggauss calls
+    package = Path(ctmcpert.__file__).resolve().parent
+    scn = package / "scenarios" / "pair_arrivals.scn"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, numpy\n"
+            "eager = 'numpy.polynomial' in sys.modules\n"
+            "from ctmcpert.cli import main\n"
+            f"code = main(['--out', {str(tmp_path)!r}, 'bounds', {str(scn)!r}])\n"
+            "print(code, eager, 'numpy.polynomial' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300, check=True)
+    code, eager, loaded = done.stdout.split()[-3:]
+    assert code == "0"
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.polynomial with numpy")
+    assert loaded == "False"
 
 
 def test_simpson_on_grid_agreement():

@@ -78,6 +78,23 @@ def test_default_step_and_guard(loss_queue):
             regime_search(loss_queue, 1e-6, 2.0, step=step)
 
 
+def test_sample_values_are_bounded_before_the_march(monkeypatch):
+    # samples times states times columns may reach MAX_SAMPLE_VALUES and
+    # no more: 9 samples of 2 states by 2 columns are 36 values
+    spec, p0 = two_state(), np.eye(2)
+    monkeypatch.setattr(solver, "MAX_SAMPLE_VALUES", 36)
+    traj = integrate(spec, p0, 0.0, 1.0, stride=0.125)
+    assert traj.states.shape == (9, 2, 2)
+    monkeypatch.setattr(solver, "MAX_SAMPLE_VALUES", 35)
+    with pytest.raises(SolverError, match=r"stride 0\.125 is too small for "
+                                          r"the span 1\.0: 9 samples of 4 "
+                                          r"values, more than 35 values"):
+        integrate(spec, p0, 0.0, 1.0, stride=0.125)
+    # a span over the stride that overflows is refused before round()
+    with pytest.raises(SolverError, match="inf samples"):
+        integrate(spec, p0, 0.0, 1.0, stride=5e-324)
+
+
 def test_initial_condition_validation():
     spec = two_state()
     with pytest.raises(ValueError, match="probability"):

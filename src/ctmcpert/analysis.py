@@ -175,6 +175,14 @@ def reduced_bands_block(g: GeneratorBlock,
     return GeneratorBlock(n - 1, offsets, data, fixed_diag=diag)
 
 
+def reduced_rows(table: RateTable, w: WeightSequence) -> GeneratorBlock:
+    """R, ``reduced_bands_block`` of each multiplier row of a table alone
+    (``table.block()``), cached on the table by weight sequence."""
+    if w not in table.reduced:
+        table.reduced[w] = reduced_bands_block(table.block(), w)
+    return table.reduced[w]
+
+
 def reduced_block(table: RateTable, tb: TimeBlock, w: WeightSequence,
                   v: np.ndarray | None = None) -> GeneratorBlock:
     """``reduced_bands_block(table.block(tb), w)`` as V times R, R reducing
@@ -187,9 +195,7 @@ def reduced_block(table: RateTable, tb: TimeBlock, w: WeightSequence,
     whose rate values vary along the states, does not factor."""
     if table.wide:
         return reduced_bands_block(table.block(tb), w)
-    if w not in table.reduced:
-        table.reduced[w] = reduced_bands_block(table.block(), w)
-    r, v = table.reduced[w], (table.values(tb) if v is None else v)[:, :, 0]
+    r, v = reduced_rows(table, w), (table.values(tb) if v is None else v)[:, :, 0]
     with np.errstate(invalid="ignore", over="ignore"):
         data = v @ r.data.reshape(len(r.data), -1)
         diag = v @ r.diag

@@ -23,10 +23,11 @@ Subcommands:
 Exit codes: 0 success, 2 scenario parse error or bad option (a scenario
 file that cannot be read as UTF-8 text, a key the chain kind, the
 perturbation mode or the weights kind does not read, ``--grid`` not a
-positive even integer, ``--seed`` negative, ``--step`` not a positive
-finite number, a scenario number out of range, or an ``[outputs]`` value
-other than true/false, yes/no, on/off or 1/0), 3 validation error, 4 no
-feasible bound, 5 empirical violation of a reported bound.
+positive even integer up to ``MAX_GRID``, ``--seed`` negative, ``--step``
+not a positive finite number, a scenario number out of range, or an
+``[outputs]`` value other than true/false, yes/no, on/off or 1/0), 3
+validation error, 4 no feasible bound, 5 empirical violation of a
+reported bound.
 
 Reports are printed as human-readable text and written as a flat
 machine-readable ``key = value`` document with dot-namespaced keys.
@@ -57,6 +58,9 @@ EXIT_VIOLATION = 5
 
 #: slack applied when comparing a measured distance against a bound
 VERDICT_SLACK = 1e-6
+#: largest ``--grid``: its doubled grid of 2 * grid + 1 nodes takes 16 MiB
+#: per array of rate or decay values, and a certificate holds several
+MAX_GRID = 2 ** 20
 
 
 class ScenarioError(ValueError):
@@ -790,6 +794,10 @@ def main(argv=None) -> int:
     if args.grid <= 0 or args.grid % 2:
         sys.stderr.write(f"option error: --grid must be a positive even "
                          f"integer, got {args.grid}\n")
+        return EXIT_PARSE
+    if args.grid > MAX_GRID:
+        sys.stderr.write(f"option error: --grid must be at most {MAX_GRID}, "
+                         f"got {args.grid}\n")
         return EXIT_PARSE
     if args.seed is not None and args.seed < 0:
         sys.stderr.write(f"option error: --seed must be a non-negative "

@@ -34,6 +34,7 @@ difference of two chains is one table of multiplier differences
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -175,6 +176,94 @@ def time_blocks(ts: np.ndarray):
         run = TimeBlock(ts[i:i + RATE_NODES])
         for j in range(0, len(run), NODE_BLOCK):
             yield TimeBlock(run.ts[j:j + NODE_BLOCK], run, j)
+
+
+# ---------------------------------------------------------------------------
+# grid suprema by block bounds
+
+#: a block bound is inflated by this much of its triangle norm, the sum
+#: over rows of max |v_r| times the row's own norm, which exceeds the
+#: rounding of the box, of the bound and of the block's own values by
+#: orders of magnitude
+BOUND_SLACK = 1e-9
+
+
+def box_bound(value: np.ndarray, rad: np.ndarray, top: np.ndarray,
+              norms: np.ndarray, const: float = 0.0) -> np.ndarray:
+    """A bound, per box of rate values, on a norm of a linear map of V
+    (plus a constant): ``value`` is the norm at the boxes' midpoints, to
+    which the triangle inequality adds each row's radius ``rad`` times
+    its own norm ``norms``.  ``top`` (max |v_r| per box) and ``const``
+    give the triangle norm that BOUND_SLACK inflates."""
+    return value + (rad * norms).sum(axis=1) \
+        + BOUND_SLACK * ((top * norms).sum(axis=1) + const)
+
+
+def _boxes(blocks: Sequence[TimeBlock], table: RateTable):
+    """(lo, hi) of V over each block, (blocks, rows), by one min and one
+    max reduction over the values of each parent run of the blocks.  The
+    values are taken on a block of the run's nodes of its own, the same
+    numbers, so that a run keeps rate values only for blocks evaluated."""
+    lo, hi = [], []
+    for run, group in itertools.groupby(
+            blocks, lambda tb: tb if tb._parent is None else tb._parent):
+        v = table.values(TimeBlock(run.ts))[:, :, 0]
+        starts = [tb._at.start for tb in group]
+        lo.append(np.minimum.reduceat(v, starts))
+        hi.append(np.maximum.reduceat(v, starts))
+    return np.concatenate(lo), np.concatenate(hi)
+
+
+def block_suprema(blocks: Sequence[TimeBlock], tasks,
+                  count: int) -> list[float]:
+    """Grid suprema of ``count`` quantities over the blocks, each the
+    largest over ``tasks`` of its values at every node, as ``grid_sup``
+    folds them, evaluating only the blocks that can hold a supremum.
+
+    A task is (table, bound, evaluate): ``evaluate(tb)`` gives the
+    ``count`` arrays of a block's values, and ``bound(mid, rad, top)``
+    bounds them, (B, count), for blocks whose rate values V of ``table``
+    lie in boxes of midpoint ``mid`` (shaped as V, (B, rows, 1)), radius
+    ``rad`` and largest magnitude ``top`` (each (B, rows)), by
+    ``box_bound`` of each quantity.
+    The boxes are taken from every block's V; the bounds are computed for
+    at most NODE_BLOCK blocks at once, no more than one block's table.
+    A bound that is not finite, of a box that is not or of a wide table,
+    is none, and so is every bound of a grid of one or two blocks, where
+    bounding costs about what it saves.  Per quantity, the (block, task) pairs are then evaluated in
+    order of decreasing bound until the bound is no larger than the
+    running supremum, which every evaluation raises for every quantity:
+    a pair left out cannot raise any of them, so the suprema are those
+    of the full sweep, the same values folded in another order.
+    """
+    blocks = list(blocks)
+    bounds = np.full((len(blocks), len(tasks), count), np.inf)
+    boxes = {}  # by rate rows, which the draws of a chain share
+    for i, (table, bound, _) in enumerate(tasks):
+        if table.wide or len(blocks) <= 2:
+            continue
+        if table.families not in boxes:
+            boxes[table.families] = _boxes(blocks, table)
+        lo, hi = boxes[table.families]
+        with np.errstate(all="ignore"):  # a bad box's bound is none
+            rad = (hi - lo) / 2
+            mid, top = lo + rad, np.maximum(-lo, hi)
+            for j in range(0, len(blocks), NODE_BLOCK):
+                at = slice(j, j + NODE_BLOCK)
+                bounds[at, i] = bound(mid[at, :, None], rad[at], top[at])
+        bad = ~(np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1))
+        bounds[bad, i] = np.inf
+    bounds[~np.isfinite(bounds)] = np.inf
+    sups = [0.0] * count
+    for q in range(count):
+        while bounds.size:  # no draws: nothing to evaluate
+            b, i = divmod(int(bounds[:, :, q].argmax()), len(tasks))
+            if bounds[b, i, q] <= sups[q]:
+                break
+            bounds[b, i] = -np.inf  # evaluated: no bound of it is needed
+            sups = [grid_sup(sup, values) for sup, values
+                    in zip(sups, tasks[i][2](blocks[b]))]
+    return sups
 
 
 # ---------------------------------------------------------------------------
@@ -614,12 +703,27 @@ def _validate_family(name: str, fam: RateFamily, blocks):
         raise ChainValidationError(f"{name}: negative rate value at t={ts[i_t]}")
 
 
+def _block_diag(table: RateTable, tb: TimeBlock) -> tuple[np.ndarray]:
+    """|A_kk(t)| at a block's times, minus the column sums of V ⊙ M as one
+    contraction of V with M."""
+    return (np.abs(contract(table.values(tb), table.m)),)
+
+
 def _diag_sup(spec: ChainSpec, blocks) -> float:
-    """Grid supremum of |A_kk(t)|, minus the column sums of V ⊙ M as one
-    contraction of V with M per block, checked against the declared bound."""
-    table, sup = spec.rate_table, 0.0
-    for tb in blocks:
-        sup = grid_sup(sup, np.abs(contract(table.values(tb), table.m)))
+    """Grid supremum of |A_kk(t)| over the blocks, checked against the
+    declared bound.  ``block_suprema`` bounds each block by the value at
+    the midpoint of its box of rate values plus each row's radius times
+    its largest multiplier, and evaluates ``_block_diag`` only where that
+    bound reaches the running supremum: the full grid sweep's value."""
+    table = spec.rate_table
+    norms = np.abs(table.m).max(axis=1)
+
+    def bound(v, rad, top):
+        value = np.abs(contract(v, table.m)).max(axis=1)
+        return box_bound(value, rad, top, norms)[:, None]
+
+    sup, = block_suprema(blocks, [(table, bound,
+                                   lambda tb: _block_diag(table, tb))], 1)
     if spec.declared_bound is not None and sup > spec.declared_bound * (1 + 1e-12):
         raise ChainValidationError(
             f"declared intensity bound {spec.declared_bound} exceeded: "

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from ctmcpert import (InfeasibleBoundError, Perturbation, RateFunction,
                       uniform_limsup_bound, uniform_mean_limsup_bound,
                       weighted_certificate, weighted_feasible,
                       weighted_limsup_bound, weighted_mean_limsup_bound)
+from ctmcpert import bounds as bounds_module, model as model_module
 from ctmcpert.analysis import ErgodicityCertificate, column_stats, reduced_block
-from ctmcpert.quadrature import doubled_grid, grid_sup
+from ctmcpert.cli import main
+from ctmcpert.quadrature import ANALYSIS_GRID, doubled_grid, grid_sup
 from ctmcpert.model import difference, rate_family, time_blocks
 from conftest import (dense_full, dense_generator, random_chain,
                       random_family, random_weights, rich_rate,
@@ -342,9 +346,24 @@ def _materialised_gaps(spec, draws, w, grid):
     return np.array([red, forc, gen])
 
 
+def _assert_full_sweep(spec, draws, w, grid):
+    got = perturbation_gaps(spec, draws, w, grid=grid)
+    want = _materialised_gaps(spec, draws, w, grid)
+    assert np.array([got.reduced, got.forcing, got.generator]).tobytes() \
+        == want.tobytes()
+
+
+#: a spike of 1000 on a node of every grid below, k / 256 at k = 100,
+#: whose neighbouring blocks see only the rate 1 (item 7 of the roadmap)
+SPIKE = "1+1000*exp(-1e9*(t-0.390625)*(t-0.390625))"
+
+
 def test_contracted_suprema_equal_the_materialised_tables(loss_queue):
-    # the intensity bounds and the gaps are contracted from V and M; the
-    # tables V ⊙ M they replace give the same numbers bit for bit
+    # the intensity bounds and the gaps are contracted from V and M, and
+    # read only where a block's bound reaches the running supremum; the
+    # tables V ⊙ M of every block give the same numbers bit for bit.  At
+    # grid 16 the doubled grid is one block, at 256 nine, and so is the
+    # validation grid, twice the grid
     rng = np.random.default_rng(31)
     modes = [Perturbation("rate-offsets", eps=0.05, seed=4),
              Perturbation("multiplicative", eps=0.05),
@@ -355,31 +374,76 @@ def test_contracted_suprema_equal_the_materialised_tables(loss_queue):
         cases += [(spec, modes), (catastrophe_chain(spec, rich_rate(rng)), modes)]
     # a wide table: a member family with one rate function per state
     wide = birth_death_chain(random_family(rng, 9, rich_rate),
-                             [rich_rate(rng) for _ in range(9)], 10,
-                             validation_grid=32)
+                             [rich_rate(rng) for _ in range(9)], 10)
     assert wide.rate_table.wide
     cases.append((wide, modes))
-    for spec, perts in cases:
-        draws = [perturb(spec, pert) for pert in perts]
-        for chain in (spec, *draws[:2]):
-            assert chain.l_bound == _materialised_l_bound(chain)
-        w = random_weights(rng, spec.n)
-        for some in (draws[:1], draws[:2], draws):
-            got = perturbation_gaps(spec, some, w, grid=16)
-            want = _materialised_gaps(spec, some, w, 16)
-            assert np.array([got.reduced, got.forcing, got.generator]) \
-                .tobytes() == want.tobytes()
+    # a spike on one node: only its block can hold the suprema
+    spike = birth_death_chain(
+        rate_family(shared=parse_rate(SPIKE, period=1.0),
+                    multipliers=rng.uniform(0.5, 2.0, 9)),
+        random_family(rng, 9, rich_rate), 10)
+    cases.append((spike, modes))
     # an explicit draw whose single services share offset -1 with the
     # base's deaths: that difference is read from its table
-    spec = random_chain(rng, "birth-death", 9, rate=rich_rate)
-    other = batch_service_chain(spec.births, {1: rich_rate(rng)}, 10,
+    base = random_chain(rng, "birth-death", 9, rate=rich_rate)
+    other = batch_service_chain(base.births, {1: rich_rate(rng)}, 10,
                                 validation_grid=32)
-    assert difference(spec.rate_table, other.rate_table).at is not None
-    w = random_weights(rng, 9)
-    got = perturbation_gaps(spec, [other, perturb(spec, modes[0])], w, grid=16)
-    want = _materialised_gaps(spec, [other, perturb(spec, modes[0])], w, 16)
-    assert np.array([got.reduced, got.forcing, got.generator]).tobytes() \
-        == want.tobytes()
+    assert difference(base.rate_table, other.rate_table).at is not None
+    for grid in (16, 256):
+        for spec, perts in cases:
+            spec = replace(spec, validation_grid=2 * grid)
+            draws = [perturb(spec, pert) for pert in perts]
+            for chain in (spec, *draws[:2]):
+                assert chain.l_bound == _materialised_l_bound(chain)
+            w = random_weights(rng, spec.n)
+            for some in (draws[:1], draws[:2], draws):
+                _assert_full_sweep(spec, some, w, grid)
+        _assert_full_sweep(base, [other, perturb(base, modes[0])],
+                           random_weights(rng, 9), grid)
+    assert spike.l_bound > 1000
+
+
+def test_pruned_suprema_at_the_default_grid(loss_queue, pair_queue):
+    # the bundled queues at the default grid: 129 blocks per draw, and 65
+    # on the validation grid
+    modes = [Perturbation("rate-offsets", eps=0.01, seed=seed)
+             for seed in (1, 2)] + [Perturbation("multiplicative", eps=0.01)]
+    for spec, w in ((loss_queue, WeightSequence.unit(299)),
+                    (pair_queue, WeightSequence.geometric(2.0, 299))):
+        draws = [perturb(spec, pert) for pert in modes]
+        for chain in (spec, *draws):
+            assert chain.l_bound == _materialised_l_bound(chain)
+        _assert_full_sweep(spec, draws, w, ANALYSIS_GRID)
+        _assert_full_sweep(spec, [perturb(spec, Perturbation(
+            "mass-arrival", eps=0.01))], w, ANALYSIS_GRID)
+
+
+@pytest.mark.parametrize("name", ["mtmtnn", "pair_arrivals"])
+def test_gap_pass_evaluates_few_blocks(name, tmp_path, capsys, monkeypatch):
+    # on the bundled studies the block bounds leave out nearly every block
+    # of the gap pass and of the intensity bounds: a bound that became inf
+    # or lost its tightness would evaluate them all
+    pairs = {bounds_module: 0, model_module: 0}
+    evaluated = {bounds_module: 0, model_module: 0}
+    for module, evaluator in ((bounds_module, "_block_gaps"),
+                              (model_module, "_block_diag")):
+        def counted(*args, _fn=getattr(module, evaluator), _module=module):
+            evaluated[_module] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, evaluator, counted)
+
+        def recorded(blocks, tasks, count, _fn=module.block_suprema,
+                     _module=module):
+            blocks = list(blocks)
+            pairs[_module] += len(blocks) * len(tasks)
+            return _fn(blocks, tasks, count)
+        monkeypatch.setattr(module, "block_suprema", recorded)
+    scn = Path(model_module.__file__).parent / "scenarios" / f"{name}.scn"
+    assert main(["--out", str(tmp_path), "bounds", str(scn)]) == 0
+    capsys.readouterr()
+    assert pairs[bounds_module] >= 3 * 129 and pairs[model_module] >= 4 * 65
+    for module in pairs:
+        assert 20 * evaluated[module] <= pairs[module], module
 
 
 def test_gap_dimension_mismatch(loss_queue):

@@ -4,13 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ctmcpert
 from conftest import dense_generator
 from ctmcpert import (Perturbation, RateFunction, batch_arrival_chain,
                       batch_chain, batch_service_chain, birth_death_chain,
                       catastrophe_chain, delta_state, parse_rate, perturb,
                       rate_family, solver)
 from ctmcpert.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE,
-                          EXIT_VALIDATION, EXIT_VIOLATION, Scenario,
+                          EXIT_VALIDATION, EXIT_VIOLATION, MAX_GRID, Scenario,
                           ScenarioError, build_chain, build_weights,
                           bundled_scenario, load_scenario, main,
                           parse_scenario_text, run_pipeline,
@@ -849,6 +850,18 @@ def _report_values(text: str) -> dict:
         else:
             out[key] = raw
     return out
+
+
+def test_grid_beyond_the_limit_is_an_option_error(tmp_path, capsys):
+    # a grid of 1e18 asked numpy for an array of 2e18 nodes and exited 3
+    # with numpy's message; the limit is checked before anything is built
+    scn = Path(ctmcpert.__file__).parent / "scenarios" / "pair_arrivals.scn"
+    for grid in (10 ** 18, MAX_GRID + 2):
+        assert main(["--out", str(tmp_path), "--grid", str(grid), "bounds",
+                     str(scn)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "--grid" in err and str(MAX_GRID) in err and str(grid) in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("name, command", [

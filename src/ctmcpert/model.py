@@ -225,12 +225,12 @@ def block_suprema(blocks: Sequence[TimeBlock], tasks,
     bounds them, (B, count), for blocks whose rate values V of ``table``
     lie in boxes of midpoint ``mid`` (shaped as V, (B, rows, 1)), radius
     ``rad`` and largest magnitude ``top`` (each (B, rows)), by
-    ``box_bound`` of each quantity.
-    The boxes are taken from every block's V; the bounds are computed for
-    at most NODE_BLOCK blocks at once, no more than one block's table.
-    A bound that is not finite, of a box that is not or of a wide table,
-    is none, and so is every bound of a grid of one or two blocks, where
-    bounding costs about what it saves.  Per quantity, the (block, task) pairs are then evaluated in
+    ``box_bound`` of each quantity.  The boxes are taken from every
+    block's V; the bounds are computed for at most NODE_BLOCK blocks at
+    once, no more than one block's table.  A bound that is not finite, of
+    a box that is not or of a wide table, is none, and so is every bound
+    of a grid of one or two blocks, where bounding costs about what it
+    saves.  Per quantity, the (block, task) pairs are then evaluated in
     order of decreasing bound until the bound is no larger than the
     running supremum, which every evaluation raises for every quantity:
     a pair left out cannot raise any of them, so the suprema are those

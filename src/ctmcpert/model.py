@@ -200,18 +200,28 @@ def box_bound(value: np.ndarray, rad: np.ndarray, top: np.ndarray,
 
 
 def _boxes(blocks: Sequence[TimeBlock], table: RateTable):
-    """(lo, hi) of V over each block, (blocks, rows), by one min and one
-    max reduction over the values of each parent run of the blocks.  The
-    values are taken on a block of the run's nodes of its own, the same
-    numbers, so that a run keeps rate values only for blocks evaluated."""
+    """The boxes [lo, hi] of V over each block as their midpoints, radii
+    and largest magnitudes, (blocks, rows), and whether a box is not
+    finite, (blocks,).  lo and hi come from one min and one max reduction
+    over the values of each parent run of the blocks.  A run that holds
+    the values already (the validation blocks keep theirs) is read;
+    otherwise the values are taken on a block of the run's nodes of its
+    own, the same numbers, so that a run keeps rate values only for blocks
+    evaluated."""
+    fns = [f.rate_functions[0] for _, f in table.families]
     lo, hi = [], []
     for run, group in itertools.groupby(
             blocks, lambda tb: tb if tb._parent is None else tb._parent):
-        v = table.values(TimeBlock(run.ts))[:, :, 0]
+        held = all(id(fn) in run._values for fn in fns)
+        v = table.values(run if held else TimeBlock(run.ts))[:, :, 0]
         starts = [tb._at.start for tb in group]
         lo.append(np.minimum.reduceat(v, starts))
         hi.append(np.maximum.reduceat(v, starts))
-    return np.concatenate(lo), np.concatenate(hi)
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    bad = ~(np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1))
+    with np.errstate(all="ignore"):  # a bad box's bound is none
+        rad = (hi - lo) / 2
+        return lo + rad, rad, np.maximum(-lo, hi), bad
 
 
 def block_suprema(blocks: Sequence[TimeBlock], tasks,
@@ -228,41 +238,45 @@ def block_suprema(blocks: Sequence[TimeBlock], tasks,
     ``box_bound`` of each quantity.  The boxes are taken from every
     block's V; the bounds are computed for at most NODE_BLOCK blocks at
     once, no more than one block's table.  A bound that is not finite, of
-    a box that is not or of a wide table, is none, and so is every bound
-    of a grid of one or two blocks, where bounding costs about what it
-    saves.  Per quantity, the (block, task) pairs are then evaluated in
-    order of decreasing bound until the bound is no larger than the
-    running supremum, which every evaluation raises for every quantity:
-    a pair left out cannot raise any of them, so the suprema are those
-    of the full sweep, the same values folded in another order.
+    a box that is not or of a wide table, is none: the pairs with a
+    quantity that has none are evaluated first, in one pass.  Per
+    quantity, the other (block, task) pairs are then evaluated in order
+    of decreasing bound until the bound is no larger than the running
+    supremum, which every evaluation raises for every quantity: a pair
+    left out cannot raise any of them, so the suprema are those of the
+    full sweep, the same values folded in another order.
     """
     blocks = list(blocks)
     bounds = np.full((len(blocks), len(tasks), count), np.inf)
     boxes = {}  # by rate rows, which the draws of a chain share
     for i, (table, bound, _) in enumerate(tasks):
-        if table.wide or len(blocks) <= 2:
+        if table.wide:
             continue
         if table.families not in boxes:
             boxes[table.families] = _boxes(blocks, table)
-        lo, hi = boxes[table.families]
-        with np.errstate(all="ignore"):  # a bad box's bound is none
-            rad = (hi - lo) / 2
-            mid, top = lo + rad, np.maximum(-lo, hi)
+        mid, rad, top, bad = boxes[table.families]
+        with np.errstate(all="ignore"):
             for j in range(0, len(blocks), NODE_BLOCK):
                 at = slice(j, j + NODE_BLOCK)
                 bounds[at, i] = bound(mid[at, :, None], rad[at], top[at])
-        bad = ~(np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1))
         bounds[bad, i] = np.inf
+    del boxes  # the evaluations below need none of them
     bounds[~np.isfinite(bounds)] = np.inf
+
+    def fold(sups, b, i):
+        bounds[b, i] = -np.inf  # evaluated: no bound of it is needed
+        return [grid_sup(sup, values) for sup, values
+                in zip(sups, tasks[i][2](blocks[b]))]
+
     sups = [0.0] * count
+    for b, i in zip(*np.nonzero(np.isinf(bounds).any(axis=2))):
+        sups = fold(sups, b, i)
     for q in range(count):
         while bounds.size:  # no draws: nothing to evaluate
             b, i = divmod(int(bounds[:, :, q].argmax()), len(tasks))
             if bounds[b, i, q] <= sups[q]:
                 break
-            bounds[b, i] = -np.inf  # evaluated: no bound of it is needed
-            sups = [grid_sup(sup, values) for sup, values
-                    in zip(sups, tasks[i][2](blocks[b]))]
+            sups = fold(sups, b, i)
     return sups
 
 

@@ -268,6 +268,29 @@ def test_time_blocks_slice_one_evaluation_per_run(monkeypatch):
     assert np.signbit(got[0][0][0]) and got[3][64][1] == np.inf
 
 
+def test_draw_bounds_reuse_the_validated_values(monkeypatch):
+    # the draws of perturb share the base's rate functions: their intensity
+    # bounds, boxes included, read the values that validation left on the
+    # validation grid's runs, and evaluate no rate function again
+    rng = np.random.default_rng(5)
+    for kind in ("birth-death", "batch"):
+        spec = random_chain(rng, kind, 9, rate=rich_rate)
+        spec = replace(spec, validation_grid=4 * RATE_NODES)
+        assert spec.l_bound > 0 and spec._family_sups
+        calls, plain = [], RateFunction.values
+
+        def counted(fn, nodes):
+            calls.append(len(nodes))
+            return plain(fn, nodes)
+
+        monkeypatch.setattr(RateFunction, "values", counted)
+        for pert in (Perturbation("multiplicative", eps=0.05),
+                     Perturbation("rate-offsets", eps=0.05, seed=2)):
+            assert perturb(spec, pert).l_bound > 0
+        monkeypatch.undo()
+        assert calls == []
+
+
 def _reduced_matrix(chain, t):
     """B = D^{-1} (D B D^{-1}) D from the weighted reduced table with unit
     weights."""

@@ -22,8 +22,8 @@ from .model import (ChainSpec, ChainValidationError, MassArrivalChain,
                     Perturbation, RateFamily, batch_arrival_chain, batch_chain,
                     batch_service_chain, birth_death_chain, catastrophe_chain,
                     perturb, rate_family)
-from .rates import (RateEvalError, RateFunction, RateSyntaxError, eval_rate,
-                    parse_rate, periodic_mean)
+from .rates import (RateEvalError, RateFunction, RateSyntaxError, parse_rate,
+                    periodic_mean)
 from .solver import (DistanceCurve, ProbeResult, RegimeReport, SolverError,
                      Trajectory, delta_state, distance_curve, integrate,
                      limiting_regime, mass_arrival_probe, mean_state,

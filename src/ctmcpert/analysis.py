@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .model import (Chain, ChainSpec, GeneratorBands, GeneratorBlock,
-                    RateTable, TimeBlock, time_blocks)
+                    RateTable, TimeBlock, rate_runs, time_blocks)
 from .quadrature import (ANALYSIS_GRID, adaptive_simpson, doubled_grid,
                          grid_sup, peak_running_integral, simpson_on_grid)
 from .rates import RateFunction, periodic_mean
@@ -209,10 +209,14 @@ def weighted_reduced_bands(chain: Chain, w: WeightSequence,
     return reduced_block(chain.rate_table, TimeBlock(t), w).at(0)
 
 
-def column_stats(table: GeneratorBlock, rates: bool = True):
-    """(decay rates, l1 column sums) per time of a table, which is spent:
-    its entries are overwritten by their absolute values.  Without
-    ``rates`` the decay rates are None and the diagonal is spent too."""
+def column_stats(table: GeneratorBlock, rates: bool = True,
+                 sums: bool = True):
+    """(smallest decay rate, l1 column sums) per time of a table, which is
+    spent: its entries are overwritten by their absolute values, and with
+    ``sums`` its diagonal too.  A column's decay rate is -(its diagonal
+    entry plus the absolute values of its other entries); their minimum is
+    taken as minus the largest of the negated rates, the same number.
+    Without ``rates`` the rate is None, without ``sums`` the sums."""
     diag = table.diag  # read while the entries keep their signs
     for a in (table.data, table.row0):
         if a is not None:
@@ -220,10 +224,11 @@ def column_stats(table: GeneratorBlock, rates: bool = True):
     if table.col0 is not None:  # the rate table's own array: not spent
         table.col0 = np.abs(table.col0)
     offabs = table.column_sums()
-    if not rates:
-        offabs += np.abs(diag, out=diag)
-        return None, offabs
-    return -(diag + offabs), np.abs(diag) + offabs
+    alpha = -(diag + offabs).max(axis=1) if rates else None
+    if not sums:
+        return alpha, None
+    offabs += np.abs(diag, out=diag)
+    return alpha, offabs
 
 
 def _block_profile(per_block: Callable[[TimeBlock], np.ndarray]
@@ -241,7 +246,7 @@ def _block_profile(per_block: Callable[[TimeBlock], np.ndarray]
 def decay_rate_fn(spec: ChainSpec, w: WeightSequence) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized t -> overall decay rate, for quadrature."""
     return _block_profile(lambda tb: column_stats(
-        reduced_block(spec.rate_table, tb, w))[0].min(axis=1))
+        reduced_block(spec.rate_table, tb, w), sums=False)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -323,19 +328,22 @@ def weighted_certificate(spec: ChainSpec, w: WeightSequence,
     The mean decay rate over one period is the certified rate; the
     amplitude is exp of the peak running deviation of the decay rate from
     its mean.  The reduced-matrix and forcing norms are grid suprema over
-    one period (the doubled grid), not analytic bounds.
+    one period (the doubled grid), not analytic bounds.  The forcing
+    norms are taken once per run of rate values, each block's V sliced
+    from the run's.
     """
     period = _require_period(spec)
     if not isinstance(spec, ChainSpec) or spec.catastrophes is not None:
         raise CertificateError(f"no weighted certificate for kind {spec.kind!r}")
     alphas, b_sup, f_sup = [], 0.0, 0.0
     table = spec.rate_table
-    for tb in time_blocks(doubled_grid(period, grid)):
-        v = table.values(tb)
-        rates, colsums = column_stats(reduced_block(table, tb, w, v))
-        alphas.append(rates.min(axis=1))
-        b_sup = grid_sup(b_sup, colsums)
+    for run in rate_runs(doubled_grid(period, grid)):
+        v = table.values(run)
         f_sup = grid_sup(f_sup, w.weighted_norm(table.forcing_head(v)))
+        for tb in run.blocks():
+            alpha, colsums = column_stats(reduced_block(table, tb, w, v[tb.at]))
+            alphas.append(alpha)
+            b_sup = grid_sup(b_sup, colsums)
     return _certificate(
         "weighted", 1.0, decay_rate_fn(spec, w), np.concatenate(alphas),
         period, grid,

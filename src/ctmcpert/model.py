@@ -146,14 +146,14 @@ class TimeBlock:
     function (a base chain and its perturbed draws differ only in
     multipliers).  A block cut from a ``parent`` at ``start`` evaluates
     nothing: its values are slices of the parent's, the same numbers by
-    that property.
+    that property.  ``at`` is the block's slice of its parent's nodes.
     """
 
     def __init__(self, ts, parent: "TimeBlock | None" = None,
                  start: int = 0):
         self.ts = np.atleast_1d(np.asarray(ts, dtype=float))
         self._parent = parent
-        self._at = slice(start, start + len(self.ts))
+        self.at = slice(start, start + len(self.ts))
         self._values: dict[int, tuple[RateFunction, np.ndarray]] = {}
 
     def __len__(self) -> int:
@@ -163,19 +163,29 @@ class TimeBlock:
         hit = self._values.get(id(fn))
         if hit is None:  # the function is kept so that its id stays unique
             values = _node_values(fn, self.ts) if self._parent is None \
-                else self._parent.rate(fn)[self._at]
+                else self._parent.rate(fn)[self.at]
             hit = self._values[id(fn)] = (fn, values)
         return hit[1]
+
+    def blocks(self):
+        """Consecutive blocks of at most NODE_BLOCK of this block's nodes,
+        cut from it."""
+        for j in range(0, len(self), NODE_BLOCK):
+            yield TimeBlock(self.ts[j:j + NODE_BLOCK], self, j)
+
+
+def rate_runs(ts: np.ndarray):
+    """The nodes ``ts`` as consecutive parent blocks of at most RATE_NODES:
+    each rate function is evaluated once per run."""
+    for i in range(0, len(ts), RATE_NODES):
+        yield TimeBlock(ts[i:i + RATE_NODES])
 
 
 def time_blocks(ts: np.ndarray):
     """The nodes ``ts`` as consecutive blocks of at most NODE_BLOCK, cut
-    from one parent block per run of RATE_NODES: each rate function is
-    evaluated once per run."""
-    for i in range(0, len(ts), RATE_NODES):
-        run = TimeBlock(ts[i:i + RATE_NODES])
-        for j in range(0, len(run), NODE_BLOCK):
-            yield TimeBlock(run.ts[j:j + NODE_BLOCK], run, j)
+    from one parent block per run of RATE_NODES (``rate_runs``)."""
+    for run in rate_runs(ts):
+        yield from run.blocks()
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +224,7 @@ def _boxes(blocks: Sequence[TimeBlock], table: RateTable):
             blocks, lambda tb: tb if tb._parent is None else tb._parent):
         held = all(id(fn) in run._values for fn in fns)
         v = table.values(run if held else TimeBlock(run.ts))[:, :, 0]
-        starts = [tb._at.start for tb in group]
+        starts = [tb.at.start for tb in group]
         lo.append(np.minimum.reduceat(v, starts))
         hi.append(np.maximum.reduceat(v, starts))
     lo, hi = np.concatenate(lo), np.concatenate(hi)

@@ -125,7 +125,10 @@ def gauss_integral(f: VecFn, a: float, b: float) -> float:
 
 
 def _golden_max(fn: Callable[[float], float], a: float, b: float) -> float:
-    """Maximum of a unimodal scalar function on [a, b] by golden section."""
+    """Maximum of a unimodal scalar function on [a, b] by golden section.
+    Each distinct point is evaluated once: once the bracket is narrower
+    than an ulp, the points repeat."""
+    fn = functools.cache(fn)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)

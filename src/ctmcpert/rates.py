@@ -26,7 +26,6 @@ to infinity.
 from __future__ import annotations
 
 import ast
-import math
 import operator
 import re
 import warnings
@@ -48,7 +47,7 @@ class RateSyntaxError(ValueError):
 
 
 class RateEvalError(ValueError):
-    """Raised when evaluation produces a non-finite or negative value."""
+    """Raised when a step table or a constant rate holds a negative value."""
 
 
 # ---------------------------------------------------------------------------
@@ -230,22 +229,6 @@ class RateFunction:
 def parse_rate(source: str, period: float | None = None) -> RateFunction:
     """Parse a rate expression in the documented grammar."""
     return RateFunction.from_expression(source, period)
-
-
-def eval_rate(rate: RateFunction, t: float) -> float:
-    """Checked evaluation: finite and nonnegative, else RateEvalError."""
-    if t < 0:
-        raise ValueError(f"rates are defined for t >= 0, got t={t}")
-    with np.errstate(divide="raise", invalid="raise"):
-        try:
-            value = rate(t)
-        except FloatingPointError as exc:
-            raise RateEvalError(f"evaluation failed at t={t}: {exc}") from None
-    if not math.isfinite(value):
-        raise RateEvalError(f"non-finite rate value {value} at t={t}")
-    if value < 0:
-        raise RateEvalError(f"negative rate value {value} at t={t}")
-    return value
 
 
 def periodic_mean(rate: RateFunction) -> float:

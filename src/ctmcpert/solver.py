@@ -149,6 +149,11 @@ class _Workspace:
     ``start`` is k1 = A(t0) y from node 0."""
 
     def __init__(self, chains, widths, y: np.ndarray, h: float):
+        # the RK4 scalars as 0-d arrays, which numpy dispatches faster
+        # than Python floats, to the same products.  They are made before
+        # the buffers: made between them, they left the same heap use but
+        # a peak resident set about 0.15 MB larger on loss-verify
+        half, full, sixth, two = map(np.array, (0.5 * h, h, h / 6.0, 2.0))
         self.chains = chains
         tables = [c.rate_table for c in chains]
         self.widths = widths if len(tables) > 1 else [1]
@@ -181,7 +186,6 @@ class _Workspace:
         tail, sums = tmp[:, p + 1:p + n + 1], acc[:, -1]
         heads = [k[:, p] for k in ks]
         firsts = [w[0][:, p:p + 1] for w in windows]
-        half, sixth = 0.5 * h, h / 6.0
         # the tables (p zeros around), per node its bands and row0, and
         # apart their diagonals
         slots, size = len(self.m), self.m[0].size
@@ -215,13 +219,13 @@ class _Workspace:
             k1, k2, k3, k4 = ks
             z, ops = windows[1][0], []
             for i, (k, a, c) in enumerate(((k1, mid, half), (k2, mid, half),
-                                           (k3, end, h)), 1):
+                                           (k3, end, full)), 1):
                 ops += [(np.multiply, k, c, z), (np.add, z, y, z)]
                 ops += matvec(a, 1, i)
             # y + h/6 (k1 + 2 k2 + 2 k3 + k4), added from the left
             return ops + [
-                (np.multiply, k2, 2.0, k2), (np.add, k2, k1, k2),
-                (np.multiply, k3, 2.0, k3), (np.add, k2, k3, k2),
+                (np.multiply, k2, two, k2), (np.add, k2, k1, k2),
+                (np.multiply, k3, two, k3), (np.add, k2, k3, k2),
                 (np.add, k2, k4, k2), (np.multiply, k2, sixth, k2),
                 (np.add, y, k2, y)] + matvec(end, 0, 0)
 

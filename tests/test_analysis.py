@@ -1,24 +1,27 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ctmcpert import (CertificateError, ChainSpec, MassArrivalChain,
-                      Perturbation, RateFunction, WeightSequence,
-                      batch_chain, birth_death_chain, catastrophe_chain,
-                      catastrophe_uniform_certificate, parse_rate,
-                      peak_deviation, perturb, rate_family,
+from ctmcpert import analysis, cli, quadrature
+from ctmcpert import (CertificateError, ChainSpec, ErgodicityCertificate,
+                      MassArrivalChain, Perturbation, RateFunction,
+                      WeightSequence, batch_chain, birth_death_chain,
+                      catastrophe_chain, catastrophe_uniform_certificate,
+                      parse_rate, peak_deviation, perturb, rate_family,
                       uniform_from_weighted, weighted_certificate)
 from ctmcpert.analysis import (column_stats, decay_rate_fn,
                                reduced_bands_block, reduced_block,
                                weighted_reduced_bands)
 from ctmcpert.model import TimeBlock, difference, time_blocks
-from ctmcpert.quadrature import doubled_grid
+from ctmcpert.quadrature import doubled_grid, grid_sup
 from conftest import (dense_full, dense_rk4, expm_ode, family_at, log_norm,
                       random_chain, random_weights, rich_rate,
                       similarity_reduced, weight_matrices)
 
+DATA = Path(__file__).resolve().parent / "data"
 ONE = RateFunction.constant(1.0)
 FOUR = RateFunction.constant(4.0)
 ZERO = RateFunction.constant(0.0)
@@ -61,9 +64,15 @@ def test_weight_sequence_validation():
 # the weighted reduced matrix
 
 def _decay_rates(spec, w, t):
-    """Per-column decay rates of the weighted reduced matrix at time t;
-    their minimum is -log_norm of that matrix."""
-    return column_stats(reduced_block(spec.rate_table, TimeBlock(t), w))[0][0]
+    """Per-column decay rates of the weighted reduced matrix at time t,
+    minus its diagonal entry and the l1 norm of the rest of its column;
+    their minimum, ``column_stats``' rate, is -log_norm of that matrix."""
+    m = weighted_reduced_bands(spec, w, t).dense()
+    diag = np.diag(m)
+    rates = -(diag + np.abs(m - np.diag(diag)).sum(axis=0))
+    got = column_stats(reduced_block(spec.rate_table, TimeBlock(t), w))[0]
+    assert got[0] == pytest.approx(rates.min(), rel=1e-13, abs=1e-12)
+    return rates
 
 
 def test_loss_queue_unit_weight_matrix(loss_queue):
@@ -488,6 +497,101 @@ def test_grid_suprema_match_direct_norms(pair_queue):
     f_direct = w.weighted_norm(pair_queue.bands_block(tb).forcing()).max()
     assert cert.reduced_norm_sup >= b_direct - 1e-9
     assert cert.forcing_norm_sup >= f_direct - 1e-9
+
+
+def _plain_golden_max(fn, a, b):
+    """Golden section that evaluates every point it visits."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    for _ in range(quadrature.GOLDEN_ITERS):
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = fn(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = fn(x2)
+    return max(f1, f2)
+
+
+def _plain_weighted_certificate(spec, w, grid):
+    """The weighted certificate by the plain loop: per 64-node block its
+    rate values, the column statistics with every column's decay rate
+    formed before their minimum, and the forcing norm; the refinement by
+    ``_plain_golden_max``."""
+    table, period = spec.rate_table, spec.period
+
+    def stats(tb, v=None):
+        g = reduced_block(table, tb, w, v)
+        offabs = np.abs(g.data).sum(axis=1)
+        return (-(g.diag + offabs)).min(axis=1), np.abs(g.diag) + offabs
+
+    alphas, b_sup, f_sup = [], 0.0, 0.0
+    for tb in time_blocks(doubled_grid(period, grid)):
+        v = table.values(tb)
+        alpha, colsums = stats(tb, v)
+        alphas.append(alpha)
+        b_sup = grid_sup(b_sup, colsums)
+        f_sup = grid_sup(f_sup, w.weighted_norm(table.forcing_head(v)))
+
+    def profile(ts):
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        return np.concatenate([stats(tb)[0] for tb in time_blocks(ts)])
+
+    return analysis._certificate(
+        "weighted", 1.0, profile, np.concatenate(alphas), period, grid,
+        min_weight=w.min_weight, weight_state_ratio=w.state_ratio_min,
+        reduced_norm_sup=b_sup, forcing_norm_sup=f_sup)
+
+
+def test_weighted_certificate_matches_the_plain_loop(loss_queue, pair_queue,
+                                                     monkeypatch):
+    # the certificate takes its forcing norms once per run of rate values,
+    # each block's smallest decay rate as minus the largest negated rate,
+    # and its refinement evaluates each golden-section point once; every
+    # field must equal the plain loop's, nan for nan.  The reduced rows R
+    # of the batch chain's groups of two hold entries of both signs, the
+    # wide table has a rate function per state, and the pole is inf at
+    # t = 4097/8192, a node of the doubled grid at 4096 but of no
+    # validation grid
+    wide = birth_death_chain(
+        rate_family(members=[parse_rate(f"1+{k / 12}*sin(2*pi*t)", period=1.0)
+                             for k in range(1, 12)]),
+        rate_family(shared=FOUR, multipliers=np.arange(1, 12)), size=12)
+    pole = birth_death_chain(
+        parse_rate("1+0.001/((t-0.5001220703125)*(t-0.5001220703125))",
+                   period=1.0), rate_family(shared=FOUR, count=19), size=20)
+    scn = cli.parse_scenario_text((DATA / "pinned_batch.scn").read_text())
+    batch = cli.build_chain(scn)
+    cases = [(loss_queue, WeightSequence.unit(299), 4096),
+             (pair_queue, WeightSequence.geometric(1.5, 299), 4096),
+             (batch, cli.build_weights(scn, batch.n), 4096),
+             (batch, cli.build_weights(scn, batch.n), 256),
+             (wide, WeightSequence.geometric(1.3, 11), 1024),
+             (pole, WeightSequence.geometric(1.2, 19), 4096)]
+    plain_gauss, repeats = quadrature.gauss_integral, 0
+    for spec, w, grid in cases:
+        calls = []
+
+        def gauss(f, a, b):
+            calls.append((a, b))
+            return plain_gauss(f, a, b)
+
+        monkeypatch.setattr(quadrature, "gauss_integral", gauss)
+        got = weighted_certificate(spec, w, grid)
+        points = calls[:]
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_golden_max", _plain_golden_max)
+            want = _plain_weighted_certificate(spec, w, grid)
+        for field in fields(ErgodicityCertificate):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a == b or (math.isnan(a) and math.isnan(b)), field.name
+        # each distinct point once, and the same points as the plain loop
+        assert len(set(points)) == len(points) == len(set(calls[len(points):]))
+        repeats += len(calls) - 2 * len(points)
+    assert repeats > 0  # the plain section does revisit points
 
 
 def test_certified_decay_realized_on_trajectories():

@@ -1,27 +1,28 @@
 import numpy as np
 import pytest
 
-from ctmcpert import (RateEvalError, RateFunction, RateSyntaxError, eval_rate,
-                      parse_rate, periodic_mean)
+from ctmcpert import (ChainValidationError, RateEvalError, RateFunction,
+                      RateSyntaxError, birth_death_chain, parse_rate,
+                      periodic_mean)
 
 
 def test_parse_examples():
     r = parse_rate("1 + sin(2*pi*t)")
-    assert eval_rate(r, 0.25) == pytest.approx(2.0, abs=1e-15)
+    assert r(0.25) == pytest.approx(2.0, abs=1e-15)
     lam = parse_rate("200*(1+sin(2*pi*1*t))")
-    assert eval_rate(lam, 0.0) == pytest.approx(200.0)
+    assert lam(0.0) == pytest.approx(200.0)
     const = parse_rate("3")
-    assert eval_rate(const, 17.3) == 3.0
+    assert const(17.3) == 3.0
     assert const.time_invariant
 
 
 def test_eval_examples():
     r = parse_rate("1 + sin(2*pi*t)")
-    assert eval_rate(r, 0.75) == pytest.approx(0.0, abs=1e-15)
+    assert r(0.75) == pytest.approx(0.0, abs=1e-15)
     tab = RateFunction.from_table([(0, 1), (0.5, 4)])
-    assert eval_rate(tab, 0.6) == 4.0
+    assert tab(0.6) == 4.0
     clamp = parse_rate("min(t, 2)")
-    assert eval_rate(clamp, 5.0) == 2.0
+    assert clamp(5.0) == 2.0
 
 
 def test_table_semantics():
@@ -205,14 +206,15 @@ def test_inputs_outside_the_grammar(source):
 
 
 def test_eval_errors():
+    # evaluation is unchecked; a chain checks its rates on its validation
+    # grid, and refuses a negative value or a pole there
+    for source, message in (("t - 5", "negative rate value at t=0.0"),
+                            ("1/(t-1)", "non-finite"), ("1/0", "non-finite")):
+        with pytest.raises(ChainValidationError, match=message):
+            birth_death_chain(parse_rate(source), RateFunction.constant(1.0),
+                              size=3, validation_grid=16)
     with pytest.raises(RateEvalError, match="negative"):
-        eval_rate(parse_rate("t - 5"), 0.0)
-    with pytest.raises(RateEvalError):
-        eval_rate(parse_rate("1/(t-1)"), 1.0)
-    with pytest.raises(RateEvalError):
-        eval_rate(parse_rate("1/0"), 0.0)
-    with pytest.raises(ValueError, match="t >= 0"):
-        eval_rate(parse_rate("t"), -0.5)
+        RateFunction.constant(-1.0)
 
 
 def test_whitespace_insensitive():
@@ -224,5 +226,5 @@ def test_whitespace_insensitive():
 
 def test_scientific_literals():
     r = parse_rate("2.5e-4 + 1e2*t")
-    assert eval_rate(r, 0.0) == 2.5e-4
-    assert eval_rate(r, 1.0) == pytest.approx(100.00025)
+    assert r(0.0) == 2.5e-4
+    assert r(1.0) == pytest.approx(100.00025)

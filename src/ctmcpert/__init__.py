@@ -10,8 +10,7 @@ the truncated forward equations.
 
 from .analysis import (CertificateError, ErgodicityCertificate,
                        WeightSequence, catastrophe_uniform_certificate,
-                       peak_deviation, uniform_from_weighted,
-                       weighted_certificate)
+                       uniform_from_weighted, weighted_certificate)
 from .bounds import (BoundReport, InfeasibleBoundError, PerturbationGaps,
                      build_report, critical_reduced_gap, perturbation_gaps,
                      to_total_variation, uniform_bound_at,
@@ -26,7 +25,7 @@ from .rates import (RateEvalError, RateFunction, RateSyntaxError, parse_rate,
                     periodic_mean)
 from .solver import (DistanceCurve, ProbeResult, RegimeReport, SolverError,
                      Trajectory, delta_state, distance_curve, integrate,
-                     limiting_regime, mass_arrival_probe, mean_state,
+                     limiting_regime, mass_arrival_probe,
                      perturbation_distance, stationary_distribution,
                      write_mean_csv, write_states_csv)
 

@@ -28,7 +28,6 @@ flagged as such in reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -37,7 +36,6 @@ from .model import (Chain, ChainSpec, GeneratorBands, GeneratorBlock,
                     RateTable, TimeBlock, rate_runs, time_blocks)
 from .quadrature import (ANALYSIS_GRID, adaptive_simpson, doubled_grid,
                          grid_sup, peak_running_integral, simpson_on_grid)
-from .rates import RateFunction, periodic_mean
 
 
 class CertificateError(ValueError):
@@ -100,18 +98,10 @@ class WeightSequence:
         norms = np.abs(tails * self.values[:z.shape[-1]]).sum(axis=-1)
         return float(norms) if z.ndim == 1 else norms
 
-    @cached_property
-    def _ratios(self) -> dict[int, np.ndarray]:
-        return {}
-
     def ratio(self, k: int) -> np.ndarray:
-        """d_{i+k} / d_i over the states i of offset k in D B D^{-1},
-        computed once per offset."""
-        if k not in self._ratios:
-            d, n = self.values, len(self.values)
-            self._ratios[k] = (d[max(k, 0):n + min(k, 0)]
-                               / d[max(-k, 0):n - max(k, 0)])
-        return self._ratios[k]
+        """d_{i+k} / d_i over the states i of offset k in D B D^{-1}."""
+        d, n = self.values, len(self.values)
+        return d[max(k, 0):n + min(k, 0)] / d[max(-k, 0):n - max(k, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -177,25 +167,27 @@ def reduced_bands_block(g: GeneratorBlock,
 
 def reduced_rows(table: RateTable, w: WeightSequence) -> GeneratorBlock:
     """R, ``reduced_bands_block`` of each multiplier row of a table alone
-    (``table.block()``), cached on the table by weight sequence."""
+    (``table.block`` of the identity), cached on the table by weight
+    sequence."""
     if w not in table.reduced:
-        table.reduced[w] = reduced_bands_block(table.block(), w)
+        table.reduced[w] = reduced_bands_block(
+            table.block(np.eye(len(table.m))[..., None]), w)
     return table.reduced[w]
 
 
-def reduced_block(table: RateTable, tb: TimeBlock, w: WeightSequence,
-                  v: np.ndarray | None = None) -> GeneratorBlock:
-    """``reduced_bands_block(table.block(tb), w)`` as V times R, R reducing
-    each multiplier row alone (``table.block()``), cached on the table;
-    ``v`` may give V, ``table.values(tb)``.  The table and its diagonal
-    are two BLAS products, (T, rows) by (rows, K'n) and by (rows, n), whose
-    fused multiply-adds may round an entry in its last bits differently
-    from a plain sum of products.  An inf rate times a zero of R is a nan
-    without a warning, as the rate values themselves are.  A wide table,
-    whose rate values vary along the states, does not factor."""
+def reduced_block(table: RateTable, v: np.ndarray,
+                  w: WeightSequence) -> GeneratorBlock:
+    """``reduced_bands_block(table.block(v), w)`` for rate values V
+    (``table.values``) as V times R, R reducing each multiplier row alone
+    (``reduced_rows``).  The table and its diagonal are two BLAS products,
+    (T, rows) by (rows, K'n) and by (rows, n), whose fused multiply-adds
+    may round an entry in its last bits differently from a plain sum of
+    products.  An inf rate times a zero of R is a nan without a warning,
+    as the rate values themselves are.  A wide table, whose rate values
+    vary along the states, does not factor."""
     if table.wide:
-        return reduced_bands_block(table.block(tb), w)
-    r, v = reduced_rows(table, w), (table.values(tb) if v is None else v)[:, :, 0]
+        return reduced_bands_block(table.block(v), w)
+    r, v = reduced_rows(table, w), v[:, :, 0]
     with np.errstate(invalid="ignore", over="ignore"):
         data = v @ r.data.reshape(len(r.data), -1)
         diag = v @ r.diag
@@ -206,7 +198,8 @@ def reduced_block(table: RateTable, tb: TimeBlock, w: WeightSequence,
 def weighted_reduced_bands(chain: Chain, w: WeightSequence,
                            t: float) -> GeneratorBands:
     """``reduced_block`` at the single time t."""
-    return reduced_block(chain.rate_table, TimeBlock(t), w).at(0)
+    table = chain.rate_table
+    return reduced_block(table, table.values(TimeBlock(t)), w).at(0)
 
 
 def column_stats(table: GeneratorBlock, rates: bool = True,
@@ -245,26 +238,13 @@ def _block_profile(per_block: Callable[[TimeBlock], np.ndarray]
 
 def decay_rate_fn(spec: ChainSpec, w: WeightSequence) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized t -> overall decay rate, for quadrature."""
+    table = spec.rate_table
     return _block_profile(lambda tb: column_stats(
-        reduced_block(spec.rate_table, tb, w), sums=False)[0])
+        reduced_block(table, table.values(tb), w), sums=False)[0])
 
 
 # ---------------------------------------------------------------------------
 # certificates
-
-def peak_deviation(rate: RateFunction, mean: float | None = None,
-                   grid: int = ANALYSIS_GRID) -> float:
-    """Largest running integral of (rate - periodic mean) over one period.
-
-    exp of this value converts the integral decay e^{-int rate} into the
-    exponential-constant form amplitude * e^{-mean (t-s)}.
-    """
-    if rate.period is None:
-        raise ValueError("peak deviation requires a declared period")
-    if mean is None:
-        mean = periodic_mean(rate)
-    return peak_running_integral(rate.values, rate.period, mean, grid)
-
 
 @dataclass(frozen=True)
 class ErgodicityCertificate:
@@ -341,7 +321,7 @@ def weighted_certificate(spec: ChainSpec, w: WeightSequence,
         v = table.values(run)
         f_sup = grid_sup(f_sup, w.weighted_norm(table.forcing_head(v)))
         for tb in run.blocks():
-            alpha, colsums = column_stats(reduced_block(table, tb, w, v[tb.at]))
+            alpha, colsums = column_stats(reduced_block(table, v[tb.at], w))
             alphas.append(alpha)
             b_sup = grid_sup(b_sup, colsums)
     return _certificate(

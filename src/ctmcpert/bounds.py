@@ -26,8 +26,8 @@ import numpy as np
 
 from .analysis import (ErgodicityCertificate, WeightSequence, column_stats,
                        reduced_block, reduced_rows)
-from .model import (Chain, ChainSpec, RateTable, TimeBlock, block_suprema,
-                    box_bound, contract, difference, time_blocks)
+from .model import (Chain, ChainSpec, RateTable, block_suprema, contract,
+                    difference, time_blocks)
 from .quadrature import ANALYSIS_GRID, doubled_grid
 
 
@@ -155,8 +155,7 @@ class PerturbationGaps:
 def _generator_norms(diff: RateTable, v: np.ndarray) -> np.ndarray:
     """The l1 column norms of the generator difference V ⊙ (M' - M) with
     one rate row per offset, |v m| being |v| |m|: sum_r |v_r| |dm_r| +
-    |sum_r v_r dm_r| with the mass arrivals.  Where rows share an offset
-    they bound the norms from above."""
+    |sum_r v_r dm_r| with the mass arrivals."""
     s = contract(v, diff.m)
     norms = contract(np.abs(v), np.abs(diff.m))
     if diff.col0 is not None:
@@ -166,50 +165,35 @@ def _generator_norms(diff: RateTable, v: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _block_gaps(diff: RateTable, tb: TimeBlock, w: WeightSequence,
+def _block_gaps(diff: RateTable, v: np.ndarray, w: WeightSequence,
                 structural: bool) -> tuple[np.ndarray, ...]:
-    """The gaps of one draw at a block's times: the generator's l1 column
+    """The gaps of one draw at rate values V: the generator's l1 column
     norms and, with ``structural``, before them the weighted reduced
     column norms and the weighted forcing norms."""
-    v = diff.values(tb)
     if diff.at is None:
         gen = _generator_norms(diff, v)
     else:
-        gen = column_stats(diff.block(tb), rates=False)[1]
+        gen = column_stats(diff.block(v), rates=False)[1]
     if not structural:
         return (gen,)
-    return (column_stats(reduced_block(diff, tb, w, v), rates=False)[1],
+    return (column_stats(reduced_block(diff, v, w), rates=False)[1],
             w.weighted_norm(diff.forcing_head(v)), gen)
 
 
-def _gap_bound(diff: RateTable, w: WeightSequence, structural: bool):
-    """``block_suprema``'s bound of ``_block_gaps``: each gap is a norm of
-    a linear map of V, bounded over a box by its value at the midpoint
-    plus the rows' radii times their own norms (``model.box_bound``).  A
-    row's norm is twice its largest multiplier difference for the
-    generator, the largest column norm of its reduced table R, and the
-    weighted norm of its forcing head.  The reduced gap of a table whose
-    rows share an offset is not bounded: its blocks are evaluated."""
-    n_gen = 2 * np.abs(diff.m).max(axis=1, initial=0.0)
+def _row_norms(diff: RateTable, w: WeightSequence, structural: bool):
+    """Each rate row's own norm, with a constant, for each gap of
+    ``_block_gaps`` (``model.block_suprema``): twice its largest
+    multiplier difference for the generator, whose constant is the mass
+    arrivals' column, the largest column norm of its reduced table R, and
+    the weighted norm of its forcing head."""
     col0 = 0.0 if diff.col0 is None else 2 * np.abs(diff.col0)[1:].sum()
-    if structural:
-        r = reduced_rows(diff, w)
-        n_red = (np.abs(r.data).sum(axis=1) + np.abs(r.diag)).max(axis=1)
-        n_forc = w.weighted_norm(diff.forcing_head(np.eye(len(diff.m))[..., None]))
-
-    def bound(v, rad, top):
-        gen = box_bound(_generator_norms(diff, v).max(axis=1), rad, top,
-                        n_gen, col0)
-        if not structural:
-            return gen[:, None]
-        red = np.inf if diff.at is not None else box_bound(column_stats(
-            reduced_block(diff, None, w, v), rates=False)[1].max(axis=1),
-            rad, top, n_red)
-        forc = box_bound(w.weighted_norm(diff.forcing_head(v)), rad, top,
-                         n_forc)
-        return np.stack(np.broadcast_arrays(red, forc, gen), axis=1)
-
-    return bound
+    gen = (2 * np.abs(diff.m).max(axis=1, initial=0.0), col0)
+    if not structural:
+        return [gen]
+    r = reduced_rows(diff, w)
+    rows = np.eye(len(diff.m))[..., None]
+    return [((np.abs(r.data).sum(axis=1) + np.abs(r.diag)).max(axis=1), 0.0),
+            (w.weighted_norm(diff.forcing_head(rows)), 0.0), gen]
 
 
 def perturbation_gaps(spec: ChainSpec, draws: Sequence[Chain],
@@ -227,11 +211,12 @@ def perturbation_gaps(spec: ChainSpec, draws: Sequence[Chain],
     gap is defined for any perturbed chain on the same state space.
 
     The suprema are found by ``model.block_suprema``: every block of the
-    doubled grid is bounded from the box of its rate values
-    (``_gap_bound``), and a block is evaluated exactly (``_block_gaps``)
-    only where its bound reaches the running supremum, shared by the
-    draws.  The values folded are those of the same blocks and products,
-    so the gaps equal the full grid sweep's, bit for bit.
+    doubled grid is bounded from the box of its rate values, by
+    ``_block_gaps`` at the box's midpoint and the rows' own norms
+    (``_row_norms``), and a block is evaluated exactly only where its
+    bound reaches the running supremum, shared by the draws.  The values
+    folded are those of the same blocks and products, so the gaps equal
+    the full grid sweep's, bit for bit.
     """
     if any(chain.size != spec.size for chain in draws):
         raise ValueError("perturbed chain must share the state space")
@@ -240,9 +225,8 @@ def perturbation_gaps(spec: ChainSpec, draws: Sequence[Chain],
                          or chain.rate_table.col0 is not None
                          for chain in (spec, *draws))
     diffs = [difference(spec.rate_table, chain.rate_table) for chain in draws]
-    tasks = [(diff, _gap_bound(diff, w, structural),
-              lambda tb, diff=diff: _block_gaps(diff, tb, w, structural))
-             for diff in diffs]
+    tasks = [(diff, lambda v, diff=diff: _block_gaps(diff, v, w, structural),
+              _row_norms(diff, w, structural)) for diff in diffs]
     sups = block_suprema(time_blocks(doubled_grid(period, grid)), tasks,
                          3 if structural else 1)
     red, forc, gen = sups if structural else (math.nan, math.nan, *sups)

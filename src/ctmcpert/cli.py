@@ -15,7 +15,6 @@ Subcommands:
 * ``bounds <scn>``   — certificates plus perturbation bounds;
 * ``run <scn>``      — full pipeline including integration and the
   empirical soundness verdict;
-* ``compare <scn>``  — both bound routes side by side;
 * ``reproduce <id>`` — bundled studies: ``1`` (loss queue, both driving
   frequencies), ``2`` (pair-arrival queue), ``counterexample``
   (mass-arrival truncation probe).
@@ -540,7 +539,7 @@ def run_pipeline(scn: Scenario, out_dir: Path, stage: str,
                  grid: int = ANALYSIS_GRID, step: float | None = None,
                  seed: int | None = None) -> PipelineResult:
     """Execute the pipeline implied by the scenario sections up to
-    ``stage`` in {"analyze", "bounds", "run", "compare"}."""
+    ``stage`` in {"analyze", "bounds", "run"}."""
     solve = {key: _decode_positive(scn, "solve", key)
              for key in ("t_end", "step", "stride", "tolerance", "horizon")}
     outputs = {key: _decode_bool(scn, "outputs", key) for key in _OUTPUT_KEYS}
@@ -565,7 +564,7 @@ def run_pipeline(scn: Scenario, out_dir: Path, stage: str,
     eps = _decode_epsilon(scn)
     perturbed: list[tuple[str, model.Chain]] = []
     bound_report = None
-    if stage in ("bounds", "run", "compare") and scn.has("perturbation"):
+    if stage in ("bounds", "run") and scn.has("perturbation"):
         try:
             perturbed = scenario_perturbations(scn, spec, seed=seed)
         except ChainValidationError as exc:
@@ -589,8 +588,8 @@ def run_pipeline(scn: Scenario, out_dir: Path, stage: str,
                     bound_report.weighted_mean_limsup)
             rep.put("bounds.weighted.feasible", bound_report.weighted_feasible)
             rep.put("bounds.eps_critical", bound_report.eps_critical)
-            if stage == "compare" or bound_report.smaller_route is not None:
-                rep.put("bounds.smaller", bound_report.smaller_route or "none")
+            if bound_report.smaller_route is not None:
+                rep.put("bounds.smaller", bound_report.smaller_route)
             if uniform_cert is not None and uniform_cert.amplitude < 2.0:
                 rep.put("bounds.note", "amplitude below 2: log factor negative")
             if math.isnan(bound_report.best_tv_bound):
@@ -779,8 +778,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (("analyze", "certificates only"),
                             ("bounds", "certificates and bounds"),
-                            ("run", "full pipeline"),
-                            ("compare", "both bound routes side by side")):
+                            ("run", "full pipeline")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("scenario", type=str)
     p = sub.add_parser("reproduce", help="bundled studies")

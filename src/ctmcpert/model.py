@@ -192,21 +192,10 @@ def time_blocks(ts: np.ndarray):
 # grid suprema by block bounds
 
 #: a block bound is inflated by this much of its triangle norm, the sum
-#: over rows of max |v_r| times the row's own norm, which exceeds the
-#: rounding of the box, of the bound and of the block's own values by
-#: orders of magnitude
+#: over rows of max |v_r| times the row's own norm, plus the quantity's
+#: constant, which exceeds the rounding of the box, of the bound and of
+#: the block's own values by orders of magnitude
 BOUND_SLACK = 1e-9
-
-
-def box_bound(value: np.ndarray, rad: np.ndarray, top: np.ndarray,
-              norms: np.ndarray, const: float = 0.0) -> np.ndarray:
-    """A bound, per box of rate values, on a norm of a linear map of V
-    (plus a constant): ``value`` is the norm at the boxes' midpoints, to
-    which the triangle inequality adds each row's radius ``rad`` times
-    its own norm ``norms``.  ``top`` (max |v_r| per box) and ``const``
-    give the triangle norm that BOUND_SLACK inflates."""
-    return value + (rad * norms).sum(axis=1) \
-        + BOUND_SLACK * ((top * norms).sum(axis=1) + const)
 
 
 def _boxes(blocks: Sequence[TimeBlock], table: RateTable):
@@ -240,26 +229,28 @@ def block_suprema(blocks: Sequence[TimeBlock], tasks,
     largest over ``tasks`` of its values at every node, as ``grid_sup``
     folds them, evaluating only the blocks that can hold a supremum.
 
-    A task is (table, bound, evaluate): ``evaluate(tb)`` gives the
-    ``count`` arrays of a block's values, and ``bound(mid, rad, top)``
-    bounds them, (B, count), for blocks whose rate values V of ``table``
-    lie in boxes of midpoint ``mid`` (shaped as V, (B, rows, 1)), radius
-    ``rad`` and largest magnitude ``top`` (each (B, rows)), by
-    ``box_bound`` of each quantity.  The boxes are taken from every
-    block's V; the bounds are computed for at most NODE_BLOCK blocks at
-    once, no more than one block's table.  A bound that is not finite, of
-    a box that is not or of a wide table, is none: the pairs with a
-    quantity that has none are evaluated first, in one pass.  Per
-    quantity, the other (block, task) pairs are then evaluated in order
-    of decreasing bound until the bound is no larger than the running
-    supremum, which every evaluation raises for every quantity: a pair
-    left out cannot raise any of them, so the suprema are those of the
-    full sweep, the same values folded in another order.
+    A task is (table, evaluate, norms): ``evaluate(v)`` gives the
+    ``count`` arrays of the quantities at rate values V of ``table``
+    (``table.values``), one row per time, each entry a norm of a linear
+    map of V plus a constant, and ``norms[q]`` is quantity q's norm of
+    each rate row alone, (rows,), and its constant.  Over a box of V, the
+    triangle inequality bounds a quantity by ``evaluate`` at the box's
+    midpoint plus each row's radius times its norm, inflated by
+    BOUND_SLACK.  The boxes are taken from every block's V; the bounds
+    are computed for at most NODE_BLOCK blocks at once, no more than one
+    block's table.  A bound that is not finite, of a box that is not or
+    of a wide table, is none: the pairs with a quantity that has none are
+    evaluated first, in one pass.  Per quantity, the other (block, task)
+    pairs are then evaluated in order of decreasing bound until the bound
+    is no larger than the running supremum, which every evaluation raises
+    for every quantity: a pair left out cannot raise any of them, so the
+    suprema are those of the full sweep, the same values folded in
+    another order.
     """
     blocks = list(blocks)
     bounds = np.full((len(blocks), len(tasks), count), np.inf)
     boxes = {}  # by rate rows, which the draws of a chain share
-    for i, (table, bound, _) in enumerate(tasks):
+    for i, (table, evaluate, norms) in enumerate(tasks):
         if table.wide:
             continue
         if table.families not in boxes:
@@ -268,15 +259,21 @@ def block_suprema(blocks: Sequence[TimeBlock], tasks,
         with np.errstate(all="ignore"):
             for j in range(0, len(blocks), NODE_BLOCK):
                 at = slice(j, j + NODE_BLOCK)
-                bounds[at, i] = bound(mid[at, :, None], rad[at], top[at])
+                for q, (value, (norm, const)) in enumerate(
+                        zip(evaluate(mid[at, :, None]), norms)):
+                    bounds[at, i, q] = \
+                        value.reshape(len(value), -1).max(axis=1) \
+                        + (rad[at] * norm).sum(axis=1) \
+                        + BOUND_SLACK * ((top[at] * norm).sum(axis=1) + const)
         bounds[bad, i] = np.inf
     del boxes  # the evaluations below need none of them
     bounds[~np.isfinite(bounds)] = np.inf
 
     def fold(sups, b, i):
         bounds[b, i] = -np.inf  # evaluated: no bound of it is needed
+        table, evaluate, _ = tasks[i]
         return [grid_sup(sup, values) for sup, values
-                in zip(sups, tasks[i][2](blocks[b]))]
+                in zip(sups, evaluate(table.values(blocks[b])))]
 
     sups = [0.0] * count
     for b, i in zip(*np.nonzero(np.isinf(bounds).any(axis=2))):
@@ -474,10 +471,10 @@ class RateTable:
                 head[:, self.offsets[i] - 1] += v[:, r, 0] * self.m[r, 0]
         return head
 
-    def block(self, tb: TimeBlock | None = None) -> GeneratorBlock:
-        """V ⊙ M at the block's times; without ``tb``, V is the identity:
-        M as a block whose times are its rows, each alone at its offset."""
-        v = np.eye(len(self.m))[..., None] if tb is None else self.values(tb)
+    def block(self, v: np.ndarray) -> GeneratorBlock:
+        """V ⊙ M for rate values V (``values``), one time per row of V; V
+        the identity gives M as a block whose times are its rows, each
+        alone at its offset."""
         # the products of v * m, formed by einsum at about twice the speed
         # of a multiply that broadcasts v along the states
         table = v * self.m if self.wide else \
@@ -581,7 +578,8 @@ class ChainSpec:
                          cat is not None)
 
     def bands_block(self, tb: TimeBlock) -> GeneratorBlock:
-        return self.rate_table.block(tb)
+        table = self.rate_table
+        return table.block(table.values(tb))
 
     def bands_at(self, t: float) -> GeneratorBands:
         return self.bands_block(TimeBlock(t)).at(0)
@@ -694,7 +692,8 @@ class MassArrivalChain:
         return replace(self.base.rate_table, col0=self._col0)
 
     def bands_block(self, tb: TimeBlock) -> GeneratorBlock:
-        return self.rate_table.block(tb)
+        table = self.rate_table
+        return table.block(table.values(tb))
 
     def bands_at(self, t: float) -> GeneratorBands:
         return self.bands_block(TimeBlock(t)).at(0)
@@ -727,27 +726,20 @@ def _validate_family(name: str, fam: RateFamily, blocks):
         raise ChainValidationError(f"{name}: negative rate value at t={ts[i_t]}")
 
 
-def _block_diag(table: RateTable, tb: TimeBlock) -> tuple[np.ndarray]:
-    """|A_kk(t)| at a block's times, minus the column sums of V ⊙ M as one
+def _block_diag(table: RateTable, v: np.ndarray) -> tuple[np.ndarray]:
+    """|A_kk(t)| at rate values V, minus the column sums of V ⊙ M as one
     contraction of V with M."""
-    return (np.abs(contract(table.values(tb), table.m)),)
+    return (np.abs(contract(v, table.m)),)
 
 
 def _diag_sup(spec: ChainSpec, blocks) -> float:
     """Grid supremum of |A_kk(t)| over the blocks, checked against the
-    declared bound.  ``block_suprema`` bounds each block by the value at
-    the midpoint of its box of rate values plus each row's radius times
-    its largest multiplier, and evaluates ``_block_diag`` only where that
-    bound reaches the running supremum: the full grid sweep's value."""
+    declared bound.  ``block_suprema`` evaluates ``_block_diag`` only on
+    the blocks whose bound reaches the running supremum, a row's norm
+    being its largest multiplier: the full grid sweep's value."""
     table = spec.rate_table
-    norms = np.abs(table.m).max(axis=1)
-
-    def bound(v, rad, top):
-        value = np.abs(contract(v, table.m)).max(axis=1)
-        return box_bound(value, rad, top, norms)[:, None]
-
-    sup, = block_suprema(blocks, [(table, bound,
-                                   lambda tb: _block_diag(table, tb))], 1)
+    sup, = block_suprema(blocks, [(table, lambda v: _block_diag(table, v),
+                                   [(np.abs(table.m).max(axis=1), 0.0)])], 1)
     if spec.declared_bound is not None and sup > spec.declared_bound * (1 + 1e-12):
         raise ChainValidationError(
             f"declared intensity bound {spec.declared_bound} exceeded: "

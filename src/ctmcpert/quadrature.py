@@ -40,7 +40,9 @@ def adaptive_simpson(f: VecFn, a: float, b: float, start: int = SIMPSON_START,
     The subinterval count doubles until two successive estimates agree to
     ``SIMPSON_TOL`` (relative to max(1, |I|)) or ``cap`` subintervals are
     reached; at the cap the last estimate is returned.  Previously
-    evaluated nodes are reused across doublings.
+    evaluated nodes are reused across doublings, so a node where ``f`` is
+    nan makes every later estimate nan: the first such estimate is
+    returned.
     """
     if b <= a:
         raise ValueError(f"empty integration interval [{a}, {b}]")
@@ -49,6 +51,8 @@ def adaptive_simpson(f: VecFn, a: float, b: float, start: int = SIMPSON_START,
     vals = np.asarray(f(xs), dtype=float)
     est = _simpson_sum(vals, (b - a) / m)
     while m < cap:
+        if math.isnan(est) and np.isnan(vals).any():
+            return est
         mids = a + (b - a) * (np.arange(m) + 0.5) / m
         mid_vals = np.asarray(f(mids), dtype=float)
         merged = np.empty(2 * m + 1)

@@ -388,11 +388,6 @@ def delta_state(size: int, k: int) -> np.ndarray:
     return p
 
 
-def mean_state(p: np.ndarray) -> float:
-    """Expected state index of one probability vector."""
-    return float(p @ np.arange(len(p)))
-
-
 # ---------------------------------------------------------------------------
 # limiting regime
 

@@ -10,13 +10,14 @@ from ctmcpert import (CertificateError, ChainSpec, ErgodicityCertificate,
                       MassArrivalChain, Perturbation, RateFunction,
                       WeightSequence, batch_chain, birth_death_chain,
                       catastrophe_chain, catastrophe_uniform_certificate,
-                      parse_rate, peak_deviation, perturb, rate_family,
+                      parse_rate, perturb, rate_family,
                       uniform_from_weighted, weighted_certificate)
 from ctmcpert.analysis import (column_stats, decay_rate_fn,
                                reduced_bands_block, reduced_block,
                                weighted_reduced_bands)
 from ctmcpert.model import TimeBlock, difference, time_blocks
-from ctmcpert.quadrature import doubled_grid, grid_sup
+from ctmcpert.quadrature import (doubled_grid, grid_sup,
+                                 peak_running_integral)
 from conftest import (dense_full, dense_rk4, expm_ode, family_at, log_norm,
                       random_chain, random_weights, rich_rate,
                       similarity_reduced, weight_matrices)
@@ -70,7 +71,8 @@ def _decay_rates(spec, w, t):
     m = weighted_reduced_bands(spec, w, t).dense()
     diag = np.diag(m)
     rates = -(diag + np.abs(m - np.diag(diag)).sum(axis=0))
-    got = column_stats(reduced_block(spec.rate_table, TimeBlock(t), w))[0]
+    table = spec.rate_table
+    got = column_stats(reduced_block(table, table.values(TimeBlock(t)), w))[0]
     assert got[0] == pytest.approx(rates.min(), rel=1e-13, abs=1e-12)
     return rates
 
@@ -152,7 +154,7 @@ def test_reduced_block_from_reduced_multipliers():
             ts = rng.uniform(0, 2, 5)
             table = spec.rate_table
             wide += table.wide
-            got = reduced_block(table, TimeBlock(ts), w)
+            got = reduced_block(table, table.values(TimeBlock(ts)), w)
             assert w in table.reduced or table.wide
             want = reduced_bands_block(spec.bands_block(TimeBlock(ts)), w)
             assert got.offsets == want.offsets
@@ -165,7 +167,7 @@ def test_reduced_block_from_reduced_multipliers():
                     <= 1e-12 * max(1.0, np.abs(oracle).max())
             # a difference table sums the rows it puts on one offset
             diff = difference(table, other.rate_table)
-            got = reduced_block(diff, TimeBlock(ts), w)
+            got = reduced_block(diff, diff.values(TimeBlock(ts)), w)
             for i, t in enumerate(ts):
                 oracle = similarity_reduced(other, w, float(t)) \
                     - similarity_reduced(spec, w, float(t))
@@ -190,8 +192,9 @@ def test_reduced_block_products_match_the_reduction(loss_queue, pair_queue):
         for table in (spec.rate_table,
                       difference(spec.rate_table, draw.rate_table)):
             for tb in time_blocks(doubled_grid(1.0, 256)):
-                got = reduced_block(table, tb, w)
-                want = reduced_bands_block(table.block(tb), w)
+                v = table.values(tb)
+                got = reduced_block(table, v, w)
+                want = reduced_bands_block(table.block(v), w)
                 assert got.offsets == want.offsets
                 for a, b in ((got.data, want.data), (got.diag, want.diag)):
                     scale = np.abs(b).max(axis=-1, keepdims=True)
@@ -206,8 +209,9 @@ def test_reduced_block_of_an_infinite_rate_is_not_finite():
                        period=1.0)
     spec = birth_death_chain(birth, rate_family(shared=FOUR, count=19),
                              size=20)
-    got = reduced_block(spec.rate_table, TimeBlock([0.25, 0.5001220703125]),
-                        WeightSequence.unit(19))
+    table = spec.rate_table
+    v = table.values(TimeBlock([0.25, 0.5001220703125]))
+    got = reduced_block(table, v, WeightSequence.unit(19))
     for a in (got.data, got.diag):
         assert np.isfinite(a[0]).all() and not np.isfinite(a[1]).any()
 
@@ -253,9 +257,9 @@ def test_column_stats_leaves_the_rate_table_alone():
         perturb(spec, Perturbation("mass-arrival", eps=0.1)).rate_table,
         perturb(spec, Perturbation("multiplicative", eps=0.1)).rate_table)
     col0 = d.col0.copy()
-    tb = TimeBlock([0.0, 0.5])
-    first = column_stats(d.block(tb), rates=False)[1]
-    again = column_stats(d.block(tb), rates=False)[1]
+    v = d.values(TimeBlock([0.0, 0.5]))
+    first = column_stats(d.block(v), rates=False)[1]
+    again = column_stats(d.block(v), rates=False)[1]
     assert np.array_equal(first, again)
     assert np.array_equal(d.col0, col0)
     assert first[0, 0] == pytest.approx(0.2, rel=1e-12)
@@ -376,17 +380,18 @@ def test_constant_linear_service_profile():
 
 
 # ---------------------------------------------------------------------------
-# peak deviation
+# peak deviation: the largest running integral of a rate less its mean
 
 def test_peak_deviation_cases():
-    assert peak_deviation(RateFunction.constant(3.0, period=1.0)) == 0.0
+    const = RateFunction.constant(3.0, period=1.0)
+    assert peak_running_integral(const.values, 1.0, 3.0) == 0.0
     sine = parse_rate("1+sin(2*pi*t)", period=1.0)
-    assert peak_deviation(sine) == pytest.approx(1 / math.pi, abs=1e-12)
+    assert peak_running_integral(sine.values, 1.0, 1.0) \
+        == pytest.approx(1 / math.pi, abs=1e-12)
     # deviation integral stays nonpositive: the supremum sits at u = 0
     dipping = parse_rate("0.5 - 0.4*sin(2*pi*t)", period=1.0)
-    assert peak_deviation(dipping) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError, match="period"):
-        peak_deviation(parse_rate("1+sin(2*pi*t)"))
+    assert peak_running_integral(dipping.values, 1.0, 0.5) \
+        == pytest.approx(0.0, abs=1e-12)
 
 
 def test_peak_deviation_against_brute_force():
@@ -395,7 +400,8 @@ def test_peak_deviation_against_brute_force():
     g = rate.values(us) - 2.0
     brute = np.max(np.concatenate(([0.0], np.cumsum(
         (g[1:] + g[:-1]) / 2 * (us[1] - us[0])))))
-    assert peak_deviation(rate, mean=2.0) == pytest.approx(brute, abs=1e-9)
+    assert peak_running_integral(rate.values, 1.0, 2.0) \
+        == pytest.approx(brute, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +499,8 @@ def test_grid_suprema_match_direct_norms(pair_queue):
     cert = weighted_certificate(pair_queue, w, grid=512)
     ts = np.linspace(0, 1, 257)
     tb = TimeBlock(ts)
-    b_direct = column_stats(reduced_block(pair_queue.rate_table, tb, w))[1].max()
+    table = pair_queue.rate_table
+    b_direct = column_stats(reduced_block(table, table.values(tb), w))[1].max()
     f_direct = w.weighted_norm(pair_queue.bands_block(tb).forcing()).max()
     assert cert.reduced_norm_sup >= b_direct - 1e-9
     assert cert.forcing_norm_sup >= f_direct - 1e-9
@@ -523,22 +530,23 @@ def _plain_weighted_certificate(spec, w, grid):
     ``_plain_golden_max``."""
     table, period = spec.rate_table, spec.period
 
-    def stats(tb, v=None):
-        g = reduced_block(table, tb, w, v)
+    def stats(v):
+        g = reduced_block(table, v, w)
         offabs = np.abs(g.data).sum(axis=1)
         return (-(g.diag + offabs)).min(axis=1), np.abs(g.diag) + offabs
 
     alphas, b_sup, f_sup = [], 0.0, 0.0
     for tb in time_blocks(doubled_grid(period, grid)):
         v = table.values(tb)
-        alpha, colsums = stats(tb, v)
+        alpha, colsums = stats(v)
         alphas.append(alpha)
         b_sup = grid_sup(b_sup, colsums)
         f_sup = grid_sup(f_sup, w.weighted_norm(table.forcing_head(v)))
 
     def profile(ts):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.concatenate([stats(tb)[0] for tb in time_blocks(ts)])
+        return np.concatenate([stats(table.values(tb))[0]
+                               for tb in time_blocks(ts)])
 
     return analysis._certificate(
         "weighted", 1.0, profile, np.concatenate(alphas), period, grid,

@@ -334,9 +334,10 @@ def _materialised_gaps(spec, draws, w, grid):
     red = forc = gen = 0.0
     for tb in time_blocks(doubled_grid(spec.period, grid)):
         for diff in diffs:
-            g = diff.block(tb)
+            v = diff.values(tb)
+            g = diff.block(v)
             if structural:
-                red = grid_sup(red, column_stats(reduced_block(diff, tb, w),
+                red = grid_sup(red, column_stats(reduced_block(diff, v, w),
                                                  rates=False)[1])
                 head = g.forcing()[:, :max(0, *g.offsets)]
                 forc = grid_sup(forc, w.weighted_norm(head))
@@ -424,21 +425,30 @@ def test_pruned_suprema_at_the_default_grid(loss_queue, pair_queue):
 def test_gap_pass_evaluates_few_blocks(name, tmp_path, capsys, monkeypatch):
     # on the bundled studies the block bounds leave out nearly every block
     # of the gap pass and of the intensity bounds: a bound that became inf
-    # or lost its tightness would evaluate them all
+    # or lost its tightness would evaluate them all.  A (block, task) pair
+    # is evaluated by reading the rate values of a block of the list that
+    # ``block_suprema`` was given; the bounds read those of whole runs
     pairs = {bounds_module: 0, model_module: 0}
     evaluated = {bounds_module: 0, model_module: 0}
-    for module, evaluator in ((bounds_module, "_block_gaps"),
-                              (model_module, "_block_diag")):
-        def counted(*args, _fn=getattr(module, evaluator), _module=module):
-            evaluated[_module] += 1
-            return _fn(*args)
-        monkeypatch.setattr(module, evaluator, counted)
+    listed = {}  # id of a listed block -> the module that listed it
+    values = model_module.RateTable.values
 
+    def counted(table, tb):
+        if id(tb) in listed:
+            evaluated[listed[id(tb)]] += 1
+        return values(table, tb)
+    monkeypatch.setattr(model_module.RateTable, "values", counted)
+    for module in pairs:
         def recorded(blocks, tasks, count, _fn=module.block_suprema,
                      _module=module):
             blocks = list(blocks)
             pairs[_module] += len(blocks) * len(tasks)
-            return _fn(blocks, tasks, count)
+            listed.update((id(tb), _module) for tb in blocks)
+            try:
+                return _fn(blocks, tasks, count)
+            finally:
+                for tb in blocks:
+                    del listed[id(tb)]
         monkeypatch.setattr(module, "block_suprema", recorded)
     scn = Path(model_module.__file__).parent / "scenarios" / f"{name}.scn"
     assert main(["--out", str(tmp_path), "bounds", str(scn)]) == 0

@@ -240,9 +240,9 @@ def test_run_determinism(small_scn, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_compare_marks_smaller_route(tmp_path):
+def test_bounds_marks_smaller_route(tmp_path):
     scn = bundled_scenario("mtmtnn")
-    result = run_pipeline(scn, tmp_path, "compare", grid=512)
+    result = run_pipeline(scn, tmp_path, "bounds", grid=512)
     rep = result.report.entries
     assert rep["bounds.smaller"] == "uniform"
     assert rep["cert.uniform.amplitude"] == pytest.approx(1196.0, rel=1e-9)
@@ -332,10 +332,8 @@ def test_main_exit_codes(small_scn, tmp_path, capsys):
     assert (tmp_path / "cli_out" / "small.report.kv").exists()
     assert main(["--out", out, "--grid", "256", "bounds",
                  str(small_scn)]) == EXIT_OK
-    assert "bounds" in capsys.readouterr().out
-    assert main(["--out", out, "--grid", "256", "compare",
-                 str(small_scn)]) == EXIT_OK
-    assert "smaller" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "bounds" in captured.out and "smaller" in captured.out
     assert main(["--out", out, "analyze", "missing.scn"]) == EXIT_PARSE
     bad = tmp_path / "bad.scn"
     bad.write_text("[chain]\nkind = birth-death\nstates = 5\n"
@@ -717,14 +715,13 @@ epsilon = 0.01
 draws = 2
 """)
     out = tmp_path / "out"
-    for command in ("bounds", "compare"):
-        assert main(["--out", str(out), "--grid", "256", command,
-                     str(path)]) == EXIT_OK
-        kv = dict(line.split(" = ") for line in
-                  (out / "cat.report.kv").read_text().splitlines())
-        assert math.isfinite(float(kv["bounds.uniform.limsup"]))
-        assert 0 < float(kv["bounds.gaps.generator"]) <= 2 * 3 * 0.01
-        assert kv["bounds.gaps.reduced"] == "nan"
+    assert main(["--out", str(out), "--grid", "256", "bounds",
+                 str(path)]) == EXIT_OK
+    kv = dict(line.split(" = ") for line in
+              (out / "cat.report.kv").read_text().splitlines())
+    assert math.isfinite(float(kv["bounds.uniform.limsup"]))
+    assert 0 < float(kv["bounds.gaps.generator"]) <= 2 * 3 * 0.01
+    assert kv["bounds.gaps.reduced"] == "nan"
     capsys.readouterr()
 
 

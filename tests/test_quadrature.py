@@ -26,6 +26,22 @@ def test_adaptive_simpson_step_function_hits_cap():
     assert val == pytest.approx(2.0, abs=1e-2)
 
 
+def test_adaptive_simpson_stops_at_a_nan_node():
+    # a node where the profile is nan stays in every later estimate, so
+    # doubling on to the cap would only return nan after 2^20 subintervals;
+    # the pole at 0.5 + 2^-12 is a node of the first doubling of the 2048
+    # subintervals of [0, 1]
+    pole = 0.5 + 2.0 ** -12
+    nodes = []
+
+    def f(ts):
+        nodes.append(len(ts))
+        return np.where(ts == pole, np.nan, 1.0 + ts)
+
+    assert math.isnan(adaptive_simpson(f, 0.0, 1.0))
+    assert sum(nodes) == 2 ** 12 + 1
+
+
 def test_gauss_integral_exact_for_polynomials():
     assert gauss_integral(lambda t: t ** 7 - t, 0.0, 1.0) == pytest.approx(
         1 / 8 - 1 / 2, abs=1e-14)

@@ -9,7 +9,7 @@ from conftest import (dense_generator, dense_rk4, random_batches,
 from ctmcpert import (Perturbation, RateFunction, SolverError, batch_chain,
                       birth_death_chain, catastrophe_chain, delta_state,
                       integrate, limiting_regime, mass_arrival_probe,
-                      mean_state, parse_rate, perturb, perturbation_distance,
+                      parse_rate, perturb, perturbation_distance,
                       rate_family, stationary_distribution, write_mean_csv,
                       write_states_csv)
 from ctmcpert import solver
@@ -53,12 +53,6 @@ def test_order_four_convergence():
         errs.append(max(abs(p[1] - two_state_closed(1.0, 2.0, t))
                         for t, p in zip(traj.times, traj.states)))
     assert errs[0] / errs[1] >= 14.0
-
-
-def test_mean_state():
-    assert mean_state(delta_state(6, 0)) == 0.0
-    assert mean_state(delta_state(6, 5)) == 5.0
-    assert mean_state(np.full(5, 0.2)) == pytest.approx(2.0)
 
 
 def test_default_step_and_guard(loss_queue):

@@ -27,7 +27,6 @@ flagged as such in reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -45,15 +44,11 @@ class CertificateError(ValueError):
 # ---------------------------------------------------------------------------
 # weight sequences
 
-@dataclass(frozen=True, eq=False)
 class WeightSequence:
     """Nondecreasing positive weights d_1 <= d_2 <= ... <= d_n."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
+    def __init__(self, values):
+        vals = self.values = np.asarray(values, dtype=float)
         if vals.ndim != 1 or len(vals) == 0:
             raise ValueError("weights must be a nonempty vector")
         if not np.all(np.isfinite(vals) & (vals > 0)):
@@ -246,7 +241,6 @@ def decay_rate_fn(spec: ChainSpec, w: WeightSequence) -> Callable[[np.ndarray], 
 # ---------------------------------------------------------------------------
 # certificates
 
-@dataclass(frozen=True)
 class ErgodicityCertificate:
     """Constants witnessing exponential weak ergodicity.
 
@@ -256,17 +250,23 @@ class ErgodicityCertificate:
     solutions) is bounded by amplitude * exp(-rate (t-s)); amplitude >= 2.
     """
 
-    approach: str
-    certified: bool
-    amplitude: float
-    rate: float
-    peak_dev: float
-    period: float
-    grid: int
-    min_weight: float | None = None
-    weight_state_ratio: float | None = None
-    reduced_norm_sup: float | None = None
-    forcing_norm_sup: float | None = None
+    def __init__(self, approach: str, certified: bool, amplitude: float,
+                 rate: float, peak_dev: float, period: float, grid: int,
+                 min_weight: float | None = None,
+                 weight_state_ratio: float | None = None,
+                 reduced_norm_sup: float | None = None,
+                 forcing_norm_sup: float | None = None):
+        self.approach = approach
+        self.certified = certified
+        self.amplitude = amplitude
+        self.rate = rate
+        self.peak_dev = peak_dev
+        self.period = period
+        self.grid = grid
+        self.min_weight = min_weight
+        self.weight_state_ratio = weight_state_ratio
+        self.reduced_norm_sup = reduced_norm_sup
+        self.forcing_norm_sup = forcing_norm_sup
 
     @property
     def has_mean_bound(self) -> bool:
@@ -343,7 +343,10 @@ def uniform_from_weighted(cert: ErgodicityCertificate,
     if not cert.certified:
         raise CertificateError("cannot derive uniform constants: not certified")
     c = 4.0 * w.column_norm * cert.amplitude / w.min_weight
-    return replace(cert, approach="uniform", amplitude=c)
+    return ErgodicityCertificate(
+        "uniform", cert.certified, c, cert.rate, cert.peak_dev, cert.period,
+        cert.grid, cert.min_weight, cert.weight_state_ratio,
+        cert.reduced_norm_sup, cert.forcing_norm_sup)
 
 
 def catastrophe_uniform_certificate(spec: ChainSpec,

@@ -19,7 +19,6 @@ rate moves by at most eps) are exposed only as cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -140,16 +139,17 @@ def to_total_variation(bound_weighted: float, min_weight: float) -> float:
 # ---------------------------------------------------------------------------
 # computed gaps
 
-@dataclass(frozen=True)
 class PerturbationGaps:
     """Grid suprema of the distances between an original and a perturbed
     chain: weighted reduced-matrix gap, weighted forcing gap, and the
     plain operator-norm gap of the full generators."""
 
-    reduced: float
-    forcing: float
-    generator: float
-    grid: int
+    def __init__(self, reduced: float, forcing: float, generator: float,
+                 grid: int):
+        self.reduced = reduced
+        self.forcing = forcing
+        self.generator = generator
+        self.grid = grid
 
 
 def _generator_norms(diff: RateTable, v: np.ndarray) -> np.ndarray:
@@ -236,21 +236,25 @@ def perturbation_gaps(spec: ChainSpec, draws: Sequence[Chain],
 # ---------------------------------------------------------------------------
 # report
 
-@dataclass(frozen=True)
 class BoundReport:
     """Both routes evaluated for one perturbation size, with feasibility
     flags; nan marks a bound that does not apply."""
 
-    eps: float
-    gaps: PerturbationGaps | None
-    uniform_limsup: float
-    uniform_mean_limsup: float
-    weighted_limsup: float
-    weighted_tv_limsup: float
-    weighted_mean_limsup: float
-    weighted_feasible: bool
-    eps_critical: float
-    smaller_route: str | None
+    def __init__(self, eps: float, gaps: PerturbationGaps | None,
+                 uniform_limsup: float, uniform_mean_limsup: float,
+                 weighted_limsup: float, weighted_tv_limsup: float,
+                 weighted_mean_limsup: float, weighted_feasible: bool,
+                 eps_critical: float, smaller_route: str | None):
+        self.eps = eps
+        self.gaps = gaps
+        self.uniform_limsup = uniform_limsup
+        self.uniform_mean_limsup = uniform_mean_limsup
+        self.weighted_limsup = weighted_limsup
+        self.weighted_tv_limsup = weighted_tv_limsup
+        self.weighted_mean_limsup = weighted_mean_limsup
+        self.weighted_feasible = weighted_feasible
+        self.eps_critical = eps_critical
+        self.smaller_route = smaller_route
 
     @property
     def best_tv_bound(self) -> float:

@@ -23,8 +23,10 @@ Exit codes: 0 success, 2 scenario parse error or bad option (a scenario
 file that cannot be read as UTF-8 text, a key the chain kind, the
 perturbation mode or the weights kind does not read, ``--grid`` not a
 positive even integer up to ``MAX_GRID``, ``--seed`` negative, ``--step``
-not a positive finite number, a scenario number out of range, or an
-``[outputs]`` value other than true/false, yes/no, on/off or 1/0), 3
+not a positive finite number, a scenario number out of range, a state
+count above ``MAX_STATES``, a ``table:`` literal whose brackets hold
+anything but comma-separated pairs, or an ``[outputs]`` value other than
+true/false, yes/no, on/off or 1/0), 3
 validation error, 4 no feasible bound, 5 empirical violation of a
 reported bound.
 
@@ -38,7 +40,6 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -57,9 +58,19 @@ EXIT_VIOLATION = 5
 
 #: slack applied when comparing a measured distance against a bound
 VERDICT_SLACK = 1e-6
+#: units in the last place per state of the absolute resolution of a
+#: measured distance: the l1 distance of two computed probability vectors
+#: on ``size`` states has a rounding floor, measured at up to 3.5 ulps per
+#: state (2 to 300 states over 64 periods), and the decay envelope and the
+#: reported bound are floored at VERDICT_ULPS * size * eps, below which no
+#: distance is resolved
+VERDICT_ULPS = 64
 #: largest ``--grid``: its doubled grid of 2 * grid + 1 nodes takes 16 MiB
 #: per array of rate or decay values, and a certificate holds several
 MAX_GRID = 2 ** 20
+#: largest ``[chain] states``: a 64-node block of one generator band on
+#: 2**16 states takes 32 MiB, and a chain holds several
+MAX_STATES = 2 ** 16
 
 
 class ScenarioError(ValueError):
@@ -98,10 +109,10 @@ _SOLVE_KEYS = {"t_end", "step", "stride", "tolerance", "horizon"}
 _OUTPUT_KEYS = {"transient_means", "limit_states", "limit_mean", "distance"}
 
 
-@dataclass(frozen=True)
 class Scenario:
-    name: str
-    sections: dict[str, dict[str, str]]
+    def __init__(self, name: str, sections: dict[str, dict[str, str]]):
+        self.name = name
+        self.sections = sections
 
     def get(self, section: str, key: str, default=None) -> str | None:
         return self.sections.get(section, {}).get(key, default)
@@ -174,7 +185,10 @@ def load_scenario(path: str | Path) -> Scenario:
 # value decoding -------------------------------------------------------------
 
 _TABLE_RE = re.compile(r"table:\s*\[(.*)\]\s*$")
-_PAIR_RE = re.compile(r"\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)")
+_PAIR = r"\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)"
+_PAIR_RE = re.compile(_PAIR)
+#: the brackets of a table hold comma-separated pairs and nothing else
+_PAIRS_RE = re.compile(rf"\s*{_PAIR}(\s*,\s*{_PAIR})*\s*")
 
 
 def _decode_rate(value: str, period: float | None, section: str,
@@ -185,9 +199,14 @@ def _decode_rate(value: str, period: float | None, section: str,
             return RateFunction.from_expression(value[1:-1], period)
         m = _TABLE_RE.match(value)
         if m:
-            pairs = [(float(a), float(b)) for a, b in _PAIR_RE.findall(m.group(1))]
-            if not pairs:
+            body = m.group(1)
+            if not body.strip():
                 raise ScenarioError("empty table", section, key)
+            if not _PAIRS_RE.fullmatch(body):
+                raise ScenarioError(f"bad table {value!r}: expected "
+                                    "comma-separated (t, v) pairs",
+                                    section, key)
+            pairs = [(float(a), float(b)) for a, b in _PAIR_RE.findall(body)]
             return RateFunction.from_table(pairs, period)
         return RateFunction.constant(float(value), period)
     except (RateSyntaxError, ValueError) as exc:
@@ -316,6 +335,9 @@ def build_chain(scn: Scenario, section: str = "chain") -> model.ChainSpec:
                             "states")
     if size < 2:
         raise ScenarioError("need at least two states", section, "states")
+    if size > MAX_STATES:
+        raise ScenarioError(f"at most {MAX_STATES} states, got {size}",
+                            section, "states")
 
     def inherited(decode, key: str) -> float | None:
         value = decode(scn, section, key)
@@ -458,9 +480,9 @@ def scenario_perturbations(scn: Scenario, spec: model.ChainSpec,
 # ---------------------------------------------------------------------------
 # report document
 
-@dataclass
 class Report:
-    entries: dict[str, object] = field(default_factory=dict)
+    def __init__(self, entries: dict[str, object] | None = None):
+        self.entries = {} if entries is None else entries
 
     def put(self, key: str, value):
         if isinstance(value, np.generic):
@@ -515,10 +537,10 @@ def _cert_entries(rep: Report, prefix: str,
 # ---------------------------------------------------------------------------
 # pipeline
 
-@dataclass
 class PipelineResult:
-    report: Report
-    exit_code: int = EXIT_OK
+    def __init__(self, report: Report, exit_code: int = EXIT_OK):
+        self.report = report
+        self.exit_code = exit_code
 
 
 def _certificates(spec: model.ChainSpec, weights: analysis.WeightSequence,
@@ -644,11 +666,15 @@ def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
     search = solver.regime_search(spec, tolerance=tol, max_horizon=horizon,
                                   step=step, columns=columns)
     rep.put("empirical.extreme_final_dist", float(dists[-1]))
+    # an envelope or a bound below the distances' rounding floor resolves
+    # nothing: both are floored at it
+    resolution = VERDICT_ULPS * spec.size * np.finfo(float).eps
     decay_ok = True
     if uniform_cert is not None and uniform_cert.certified:
-        envelope = np.minimum(
-            2.0, uniform_cert.amplitude * np.exp(-uniform_cert.rate
-                                                 * traj.times[boundary]))
+        envelope = np.clip(
+            uniform_cert.amplitude * np.exp(-uniform_cert.rate
+                                            * traj.times[boundary]),
+            resolution, 2.0)
         decay_ok = bool(np.all(dists[boundary]
                                <= envelope * (1 + VERDICT_SLACK)))
         rep.put("empirical.decay_within_envelope", decay_ok)
@@ -685,7 +711,7 @@ def _solve_stage(scn, spec, perturbed, uniform_cert, bound_report, rep,
         rep.put("empirical.final_period_sup", worst_sup)
         rep.put("empirical.bound", best)
         if not math.isnan(best):
-            ok = worst_sup <= best * (1 + VERDICT_SLACK)
+            ok = worst_sup <= max(best, resolution) * (1 + VERDICT_SLACK)
             rep.put("empirical.bound_respected", ok)
             sound = sound and ok
     rep.put("verdict.sound", sound)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -52,7 +51,6 @@ class ChainValidationError(ValueError):
 # ---------------------------------------------------------------------------
 # rate families
 
-@dataclass(frozen=True, eq=False)
 class RateFamily:
     """A k-indexed family of nonnegative rates.
 
@@ -63,13 +61,9 @@ class RateFamily:
     one row per time, which the multipliers scale.
     """
 
-    multipliers: np.ndarray
-    rate_functions: tuple[RateFunction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "multipliers",
-                           np.asarray(self.multipliers, dtype=float))
-        object.__setattr__(self, "rate_functions", tuple(self.rate_functions))
+    def __init__(self, multipliers, rate_functions):
+        self.multipliers = np.asarray(multipliers, dtype=float)
+        self.rate_functions = tuple(rate_functions)
         if len(self.rate_functions) not in (1, self.count):
             raise ValueError("member count does not match multipliers")
 
@@ -84,7 +78,7 @@ class RateFamily:
 
     def scaled(self, factor) -> "RateFamily":
         """Multipliers times ``factor``, a number or one per member."""
-        return replace(self, multipliers=self.multipliers * factor)
+        return RateFamily(self.multipliers * factor, self.rate_functions)
 
 
 def rate_family(shared: RateFunction | None = None,
@@ -290,18 +284,20 @@ def block_suprema(blocks: Sequence[TimeBlock], tasks,
 # ---------------------------------------------------------------------------
 # generator slices
 
-@dataclass
 class GeneratorBands:
     """One time slice of A(t), the view ``GeneratorBlock.at(i)``:
     ``data[i, j] = A[j + offsets[i], j]`` with ``data`` of shape (K, n+1),
     and ``diag``, ``row0`` and ``col0`` of shape (n+1,)."""
 
-    n: int
-    offsets: tuple[int, ...]
-    data: np.ndarray
-    diag: np.ndarray
-    row0: np.ndarray | None = None
-    col0: np.ndarray | None = None
+    def __init__(self, n: int, offsets: tuple[int, ...], data: np.ndarray,
+                 diag: np.ndarray, row0: np.ndarray | None = None,
+                 col0: np.ndarray | None = None):
+        self.n = n
+        self.offsets = offsets
+        self.data = data
+        self.diag = diag
+        self.row0 = row0
+        self.col0 = col0
 
     def matvec(self, p: np.ndarray) -> np.ndarray:
         """A @ p for one state vector, summed as the solver's step sums."""
@@ -333,7 +329,6 @@ class GeneratorBands:
         return m
 
 
-@dataclass
 class GeneratorBlock:
     """The slices of A(t) at a block of times as one table.
 
@@ -349,12 +344,16 @@ class GeneratorBlock:
     reduced matrix on states 0..n-1.
     """
 
-    n: int
-    offsets: tuple[int, ...]
-    data: np.ndarray
-    row0: np.ndarray | None = None
-    col0: np.ndarray | None = None
-    fixed_diag: np.ndarray | None = None
+    def __init__(self, n: int, offsets: tuple[int, ...], data: np.ndarray,
+                 row0: np.ndarray | None = None,
+                 col0: np.ndarray | None = None,
+                 fixed_diag: np.ndarray | None = None):
+        self.n = n
+        self.offsets = offsets
+        self.data = data
+        self.row0 = row0
+        self.col0 = col0
+        self.fixed_diag = fixed_diag
 
     @property
     def times(self) -> int:
@@ -420,7 +419,6 @@ def merged_offsets(offset_lists: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(merged)
 
 
-@dataclass(frozen=True, eq=False)
 class RateTable:
     """A chain's generator tables as rate values times multipliers, V ⊙ M.
 
@@ -437,14 +435,18 @@ class RateTable:
     ``reduced`` caches ``analysis.reduced_block``'s R by weight sequence.
     """
 
-    n: int
-    offsets: tuple[int, ...]
-    families: tuple[tuple[int, RateFamily], ...]
-    m: np.ndarray
-    row0: bool
-    col0: np.ndarray | None = None
-    at: tuple[int, ...] | None = None
-    reduced: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, n: int, offsets: tuple[int, ...],
+                 families: tuple[tuple[int, RateFamily], ...], m: np.ndarray,
+                 row0: bool, col0: np.ndarray | None = None,
+                 at: tuple[int, ...] | None = None):
+        self.n = n
+        self.offsets = offsets
+        self.families = families
+        self.m = m
+        self.row0 = row0
+        self.col0 = col0
+        self.at = at
+        self.reduced: dict = {}
 
     @cached_property
     def wide(self) -> bool:
@@ -528,26 +530,50 @@ _SLOT_TABLE = (("births", "birth"), ("deaths", "death"),
                ("service_batches", "service"), ("catastrophes", "catastrophe"))
 
 
-@dataclass(frozen=True, eq=False)
 class ChainSpec:
     """An inhomogeneous chain: the rate families that are set define its
     transitions, and ``kind`` names the structure for reports.
 
-    Immutable; generator slices are pure functions of (spec, t) and safe
-    to evaluate concurrently.
+    Never changed once built (``_replace`` builds a new chain); generator
+    slices are pure functions of (spec, t) and safe to evaluate
+    concurrently.
     """
 
-    kind: str
-    n: int
-    period: float | None = None
-    births: RateFamily | None = None          # birth-death, batch-service
-    deaths: RateFamily | None = None          # birth-death
-    services: RateFamily | None = None        # batch-arrival
-    arrival_batches: Mapping[int, RateFamily] = field(default_factory=dict)
-    service_batches: Mapping[int, RateFamily] = field(default_factory=dict)
-    catastrophes: RateFamily | None = None    # catastrophe
-    declared_bound: float | None = None
-    validation_grid: int = ANALYSIS_GRID
+    def __init__(self, kind: str, n: int, period: float | None = None,
+                 births: RateFamily | None = None,
+                 deaths: RateFamily | None = None,
+                 services: RateFamily | None = None,
+                 arrival_batches: Mapping[int, RateFamily] | None = None,
+                 service_batches: Mapping[int, RateFamily] | None = None,
+                 catastrophes: RateFamily | None = None,
+                 declared_bound: float | None = None,
+                 validation_grid: int = ANALYSIS_GRID):
+        self.kind = kind
+        self.n = n
+        self.period = period
+        self.births = births              # birth-death, batch-service
+        self.deaths = deaths              # birth-death
+        self.services = services          # batch-arrival
+        self.arrival_batches = {} if arrival_batches is None \
+            else arrival_batches
+        self.service_batches = {} if service_batches is None \
+            else service_batches
+        self.catastrophes = catastrophes  # catastrophe
+        self.declared_bound = declared_bound
+        self.validation_grid = validation_grid
+
+    def _replace(self, **changes) -> "ChainSpec":
+        """A new chain of this one's constructor fields, ``changes``
+        replacing some; nothing cached on this one is carried over."""
+        return ChainSpec(**{
+            "kind": self.kind, "n": self.n, "period": self.period,
+            "births": self.births, "deaths": self.deaths,
+            "services": self.services,
+            "arrival_batches": self.arrival_batches,
+            "service_batches": self.service_batches,
+            "catastrophes": self.catastrophes,
+            "declared_bound": self.declared_bound,
+            "validation_grid": self.validation_grid, **changes})
 
     @property
     def size(self) -> int:
@@ -613,33 +639,39 @@ class ChainSpec:
                 kw[name] = new[slot]
             else:
                 kw.setdefault(name, dict(getattr(self, name)))[k] = new[slot]
-        return replace(self, **kw)
+        return self._replace(**kw)
+
+    @cached_property
+    def _validation_runs(self) -> tuple[TimeBlock, ...]:
+        """The validation grid in runs (``rate_runs``), keeping the rate
+        values that validation reads once per run and that the draws of
+        ``perturb``, sharing the rate functions, reuse."""
+        return tuple(rate_runs(np.linspace(
+            0.0, 1.0 if self.period is None else self.period,
+            self.validation_grid + 1)))
 
     @cached_property
     def _validation_blocks(self) -> tuple[TimeBlock, ...]:
-        """The validation grid in blocks, keeping the rate values that the
-        draws of ``perturb``, sharing the rate functions, reuse."""
-        return tuple(time_blocks(np.linspace(
-            0.0, 1.0 if self.period is None else self.period,
-            self.validation_grid + 1)))
+        """The validation runs in blocks (``time_blocks``), cut from them."""
+        return tuple(tb for run in self._validation_runs
+                     for tb in run.blocks())
 
     @cached_property
     def l_bound(self) -> float:
         """Grid supremum of |A_kk(t)| (the validated intensity bound)."""
         for name, fam in self.rate_slots():
-            _validate_family(name, fam, self._validation_blocks)
+            _validate_family(name, fam, self._validation_runs)
         return _diag_sup(self, self._validation_blocks)
 
     @cached_property
     def _family_sups(self) -> dict[str, np.ndarray]:
         """Per-member grid suprema of each family, shaping offset draws:
         fl(max v * m), which is the largest fl(v * m) for m >= 0."""
-        return {name: np.concatenate([f.values(tb) for tb in
-                                      self._validation_blocks]).max(axis=0)
+        return {name: np.concatenate([f.values(run) for run in
+                                      self._validation_runs]).max(axis=0)
                 * f.multipliers for name, f in self.rate_slots()}
 
 
-@dataclass(frozen=True, eq=False)
 class MassArrivalChain:
     """A chain perturbed by jumps from the empty state to every state k at
     rate eps/(k(k+1)).
@@ -650,13 +682,12 @@ class MassArrivalChain:
     the same as for the countable chain.
     """
 
-    base: ChainSpec
-    eps: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.eps) and self.eps >= 0):
+    def __init__(self, base: ChainSpec, eps: float):
+        if not (math.isfinite(eps) and eps >= 0):
             raise ValueError("mass-arrival magnitude must be finite and "
-                             f"nonnegative, got {self.eps}")
+                             f"nonnegative, got {eps}")
+        self.base = base
+        self.eps = eps
 
     @property
     def n(self) -> int:
@@ -689,7 +720,9 @@ class MassArrivalChain:
 
     @cached_property
     def rate_table(self) -> RateTable:
-        return replace(self.base.rate_table, col0=self._col0)
+        table = self.base.rate_table
+        return RateTable(table.n, table.offsets, table.families, table.m,
+                         table.row0, self._col0, table.at)
 
     def bands_block(self, tb: TimeBlock) -> GeneratorBlock:
         table = self.rate_table
@@ -710,6 +743,9 @@ Chain = ChainSpec | MassArrivalChain
 # validation
 
 def _validate_family(name: str, fam: RateFamily, blocks):
+    """Checks the family's products v * m at the nodes of ``blocks``, the
+    consecutive blocks of a grid: a chain gives its validation runs, so
+    that each rate function's values are read once per run."""
     if np.any(fam.multipliers < 0):
         raise ChainValidationError(f"{name}: negative multiplier")
     # rounding is monotone in m >= 0: a shared rate times the largest
@@ -769,7 +805,7 @@ def _resolve_period(spec: ChainSpec) -> float | None:
 
 
 def _built(spec: ChainSpec) -> ChainSpec:
-    spec = replace(spec, period=_resolve_period(spec))
+    spec = spec._replace(period=_resolve_period(spec))
     spec.l_bound  # eager validation
     return spec
 
@@ -872,15 +908,14 @@ def catastrophe_chain(base: ChainSpec, catastrophes,
     if not isinstance(base, ChainSpec) or base.catastrophes is not None:
         raise TypeError("catastrophes must be added to a structural chain "
                         "without catastrophes")
-    return _built(replace(
-        base, kind="catastrophe", declared_bound=declared_bound,
+    return _built(base._replace(
+        kind="catastrophe", declared_bound=declared_bound,
         catastrophes=_family_arg(catastrophes, base.n, "catastrophes")))
 
 
 # ---------------------------------------------------------------------------
 # perturbations
 
-@dataclass(frozen=True)
 class Perturbation:
     """Recipe for a perturbed chain.
 
@@ -890,18 +925,17 @@ class Perturbation:
     by 1 + eps).  A chain with replaced rates is built directly instead.
     """
 
-    mode: str
-    eps: float = 0.0
-    seed: int | None = None
-
     MODES = ("rate-offsets", "mass-arrival", "multiplicative")
 
-    def __post_init__(self):
-        if self.mode not in self.MODES:
-            raise ValueError(f"unknown perturbation mode {self.mode!r}")
-        if not (math.isfinite(self.eps) and self.eps >= 0):
+    def __init__(self, mode: str, eps: float = 0.0, seed: int | None = None):
+        if mode not in self.MODES:
+            raise ValueError(f"unknown perturbation mode {mode!r}")
+        if not (math.isfinite(eps) and eps >= 0):
             raise ValueError("perturbation magnitude must be finite and "
-                             f"nonnegative, got {self.eps}")
+                             f"nonnegative, got {eps}")
+        self.mode = mode
+        self.eps = eps
+        self.seed = seed
 
 
 def _offset_family(fam: RateFamily, eps: float, coeffs: np.ndarray,

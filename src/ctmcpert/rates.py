@@ -29,7 +29,6 @@ import ast
 import operator
 import re
 import warnings
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -136,20 +135,24 @@ def _compile(node: ast.expr, source: str) -> Callable:
 # ---------------------------------------------------------------------------
 # rate functions
 
-@dataclass(frozen=True)
 class RateFunction:
     """A nonnegative time-dependent rate, evaluable at any t >= 0.
 
     One of three shapes: a parsed expression, a right-continuous step
     table, or a constant.  ``period``, when set, drives periodic means and
     certificate constants and makes tables wrap modulo the period.
+    ``_fn`` is an expression's evaluator.
     """
 
-    expr: ast.expr | None = None
-    table: tuple[tuple[float, float], ...] | None = None
-    const: float | None = None
-    period: float | None = None
-    _fn: Callable = field(default=None, repr=False, compare=False)
+    def __init__(self, expr: ast.expr | None = None,
+                 table: tuple[tuple[float, float], ...] | None = None,
+                 const: float | None = None, period: float | None = None,
+                 _fn: Callable | None = None):
+        self.expr = expr
+        self.table = table
+        self.const = const
+        self.period = period
+        self._fn = _fn
 
     @staticmethod
     def from_expression(source: str, period: float | None = None) -> "RateFunction":

@@ -32,7 +32,6 @@ band storage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,16 +100,24 @@ def _check_columns(y: np.ndarray, t: float):
 # ---------------------------------------------------------------------------
 # the stepping engine
 
-@dataclass(frozen=True)
 class Clock:
     """Segments of length ``seg_dt``, each of ``steps`` steps of size
     ``h``; segment k starts at ``t0 + k*seg_dt`` and its nodes are that
     start plus multiples of ``h``."""
 
-    t0: float
-    h: float
-    steps: int
-    seg_dt: float
+    def __init__(self, t0: float, h: float, steps: int, seg_dt: float):
+        self.t0 = t0
+        self.h = h
+        self.steps = steps
+        self.seg_dt = seg_dt
+
+    def __eq__(self, other) -> bool:
+        """Clocks with the same four numbers put their nodes at the same
+        times."""
+        if not isinstance(other, Clock):
+            return NotImplemented
+        return (self.t0, self.h, self.steps, self.seg_dt) == \
+            (other.t0, other.h, other.steps, other.seg_dt)
 
     def stage_times(self, k0: int, first: int, count: int) -> np.ndarray:
         """The stage times of steps first, ..., first+count-1 of a march
@@ -300,7 +307,6 @@ def march(chains, widths, y: np.ndarray, clock: Clock, k0: int = 0,
 # ---------------------------------------------------------------------------
 # sampled runs
 
-@dataclass(frozen=True)
 class Trajectory:
     """Sampled solution of the forward system; one state per row.
 
@@ -308,9 +314,10 @@ class Trajectory:
     (samples, dim, columns).
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    step: float
+    def __init__(self, times: np.ndarray, states: np.ndarray, step: float):
+        self.times = times
+        self.states = states
+        self.step = step
 
     @property
     def final(self) -> np.ndarray:
@@ -391,7 +398,6 @@ def delta_state(size: int, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # limiting regime
 
-@dataclass(frozen=True)
 class RegimeReport:
     """Transient horizon and the limiting periodic regime.
 
@@ -401,12 +407,13 @@ class RegimeReport:
     the limiting-mean curve taken from the lower trajectory.
     """
 
-    transient_horizon: float
-    limit: Trajectory
-    phi_values: np.ndarray
+    def __init__(self, transient_horizon: float, limit: Trajectory,
+                 phi_values: np.ndarray):
+        self.transient_horizon = transient_horizon
+        self.limit = limit
+        self.phi_values = phi_values
 
 
-@dataclass(frozen=True)
 class RegimeSearch:
     """What ``regime_search`` found: the distance between the extreme
     columns at each period boundary 0, T, ... it read, the first boundary
@@ -414,13 +421,16 @@ class RegimeSearch:
     horizon ran out first) and the extreme columns ``y`` there, on the
     period clock ``clock``."""
 
-    chain: Chain
-    tolerance: float
-    max_horizon: float
-    clock: Clock
-    dists: tuple[float, ...]
-    horizon: float | None
-    y: np.ndarray
+    def __init__(self, chain: Chain, tolerance: float, max_horizon: float,
+                 clock: Clock, dists: tuple[float, ...],
+                 horizon: float | None, y: np.ndarray):
+        self.chain = chain
+        self.tolerance = tolerance
+        self.max_horizon = max_horizon
+        self.clock = clock
+        self.dists = dists
+        self.horizon = horizon
+        self.y = y
 
     def report(self) -> RegimeReport:
         """The regime found, its limit period sampled 200 times by a
@@ -492,11 +502,12 @@ def limiting_regime(chain: Chain, tolerance: float, max_horizon: float,
 # ---------------------------------------------------------------------------
 # empirical measurements
 
-@dataclass(frozen=True)
 class DistanceCurve:
-    times: np.ndarray
-    dists: np.ndarray
-    final_sup: float
+    def __init__(self, times: np.ndarray, dists: np.ndarray,
+                 final_sup: float):
+        self.times = times
+        self.dists = dists
+        self.final_sup = final_sup
 
 
 def distance_curve(traj: Trajectory, column: int, horizon: float,
@@ -619,11 +630,12 @@ def stationary_distribution(chain: Chain) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
 class ProbeResult:
-    levels: tuple[int, ...]
-    p0_values: tuple[float, ...]
-    recursion_residuals: tuple[float, ...]
+    def __init__(self, levels: tuple[int, ...], p0_values: tuple[float, ...],
+                 recursion_residuals: tuple[float, ...]):
+        self.levels = levels
+        self.p0_values = p0_values
+        self.recursion_residuals = recursion_residuals
 
 
 def mass_arrival_probe(eps: float, levels) -> ProbeResult:

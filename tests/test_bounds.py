@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -393,7 +392,7 @@ def test_contracted_suprema_equal_the_materialised_tables(loss_queue):
     assert difference(base.rate_table, other.rate_table).at is not None
     for grid in (16, 256):
         for case, perts in cases:
-            spec = replace(case, validation_grid=2 * grid)
+            spec = case._replace(validation_grid=2 * grid)
             draws = [perturb(spec, pert) for pert in perts]
             for chain in (spec, *draws[:2]):
                 assert chain.l_bound == _materialised_l_bound(chain)

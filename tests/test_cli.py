@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,13 +11,13 @@ import ctmcpert
 from conftest import dense_generator
 from ctmcpert import (Perturbation, RateFunction, batch_arrival_chain,
                       batch_chain, batch_service_chain, birth_death_chain,
-                      catastrophe_chain, delta_state, parse_rate, perturb,
-                      rate_family, solver)
+                      catastrophe_chain, delta_state, model, parse_rate,
+                      perturb, rate_family, solver)
 from ctmcpert.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE,
-                          EXIT_VALIDATION, EXIT_VIOLATION, MAX_GRID, Scenario,
-                          ScenarioError, build_chain, build_weights,
-                          bundled_scenario, load_scenario, main,
-                          parse_scenario_text, run_pipeline,
+                          EXIT_VALIDATION, EXIT_VIOLATION, MAX_GRID,
+                          MAX_STATES, Scenario, ScenarioError, build_chain,
+                          build_weights, bundled_scenario, load_scenario,
+                          main, parse_scenario_text, run_pipeline,
                           scenario_perturbations)
 
 SMALL = """
@@ -323,6 +326,52 @@ horizon = 6
     assert result.report.entries["verdict.sound"] is False
 
 
+def test_verdict_is_floored_at_the_distance_resolution(tmp_path,
+                                                       monkeypatch):
+    # past t = 8 the extremes meet to their distance's rounding floor
+    # (2.1e-15 at t = 16) while c e^{-bt} falls to 6e-20; unfloored, that
+    # reads as a violation and exits 5
+    text = SMALL.replace("t_end = 8", "t_end = 16").replace(
+        "horizon = 8", "horizon = 16")
+    scn = parse_scenario_text(text, name="small")
+    result = run_pipeline(scn, tmp_path, "run", grid=256)
+    assert result.exit_code == EXIT_OK
+    assert result.report.entries["empirical.decay_within_envelope"] is True
+    with monkeypatch.context() as m:
+        m.setattr("ctmcpert.cli.VERDICT_ULPS", 0)
+        result = run_pipeline(scn, tmp_path, "run", grid=256)
+        assert result.exit_code == EXIT_VIOLATION
+        assert result.report.entries["empirical.decay_within_envelope"] \
+            is False
+    # an amplitude scaled down by 1e9 puts the envelope above the floor
+    # (3.6e-13) and below the distances measured up to t = 5 (1.1e-10
+    # against 9.5e-3 at t = 4): still a violation
+    plain = ctmcpert.analysis.uniform_from_weighted
+
+    def scaled(cert, w):
+        out = plain(cert, w)
+        out.amplitude *= 1e-9
+        return out
+
+    monkeypatch.setattr("ctmcpert.analysis.uniform_from_weighted", scaled)
+    result = run_pipeline(scn, tmp_path, "run", grid=256)
+    assert result.exit_code == EXIT_VIOLATION
+    assert result.report.entries["empirical.decay_within_envelope"] is False
+    monkeypatch.undo()
+    # the reported bound is floored too: scaling every rate by 1 + 1.2e-16
+    # moves the multipliers by one ulp, and the draw's distance, rounding
+    # alone (4.6e-16 over the last period), exceeded the bound (4.2e-16)
+    text = SMALL.replace("mode = rate-offsets", "mode = multiplicative") \
+        .replace("epsilon = 0.01", "epsilon = 1.2e-16") \
+        .replace("draws = 2\n", "").replace("seed = 7\n", "")
+    result = run_pipeline(parse_scenario_text(text, name="tiny"), tmp_path,
+                          "run", grid=256)
+    assert result.report.entries["empirical.bound"] < \
+        result.report.entries["empirical.final_period_sup"]
+    assert result.report.entries["empirical.bound_respected"] is True
+    assert result.exit_code == EXIT_OK
+
+
 def test_main_exit_codes(small_scn, tmp_path, capsys):
     out = str(tmp_path / "cli_out")
     assert main(["--out", out, "--grid", "256", "analyze",
@@ -402,6 +451,24 @@ def test_main_exit_codes(small_scn, tmp_path, capsys):
         path.write_text(chain.replace('birth = "1"', f'birth = "{rate}"'))
         assert main(["--out", out, "analyze", str(path)]) == EXIT_PARSE
         assert "non-finite rate value" in capsys.readouterr().err
+    # the brackets of a table hold comma-separated pairs and nothing else:
+    # each of these was read as the table ((0, 1),) or ((0, 1), (0.5, 2))
+    for table in ("[(0,1),(0.5,)]", "[(0,1),(0.5,2,3)]",
+                  "[(0,1),(0.5,2), junk]", "[(0,1) (0.5,2)]"):
+        path = tmp_path / "table.scn"
+        path.write_text(chain.replace('birth = "1"', f"birth = table: {table}"))
+        assert main(["--out", out, "analyze", str(path)]) == EXIT_PARSE
+        assert "[chain] key 'birth'" in capsys.readouterr().err
+    # a state count past the limit is rejected before anything is built:
+    # 1e8 states asked numpy for a (64, 1e8) block and exited 1
+    for states in (100000000, MAX_STATES + 1):
+        path = tmp_path / "huge.scn"
+        path.write_text(chain.replace("states = 4", f"states = {states}"))
+        assert main(["--out", out, "--grid", "64", "bounds",
+                     str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "[chain] key 'states'" in err and str(MAX_STATES) in err \
+            and str(states) in err
     # a scenario path that is a directory or not UTF-8 text cannot be read
     latin = tmp_path / "latin.scn"
     latin.write_bytes(chain.encode() + b"# caf\xe9\n")
@@ -919,3 +986,42 @@ def test_non_finite_rate_makes_suprema_inf(birth, tmp_path, capsys):
                 "cert.weighted.forcing_norm_sup", "bounds.gaps.reduced",
                 "bounds.gaps.forcing", "bounds.gaps.generator"):
         assert rep[key] == math.inf, key
+
+
+def test_import_compiles_no_generated_code():
+    # records are plain classes: importing the command line loads no
+    # ``dataclasses``, whose decorator compiles generated source for each
+    package = Path(ctmcpert.__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, numpy\n"
+            "eager = 'dataclasses' in sys.modules\n"
+            "import ctmcpert.cli\n"
+            "print(eager, 'dataclasses' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    eager, loaded = done.stdout.split()[-2:]
+    if eager == "True":
+        pytest.skip("this numpy imports dataclasses with numpy")
+    assert loaded == "False"
+
+
+def test_build_reads_each_family_once_per_run(monkeypatch):
+    # validation reads a family's rate values once per run of RATE_NODES
+    # nodes, from the run that holds them, not once per block
+    scn = load_scenario(DATA / "pinned_batch.scn")
+    calls = []
+    plain = model.RateFamily.values
+
+    def counted(fam, tb):
+        calls.append(fam)
+        return plain(fam, tb)
+
+    monkeypatch.setattr(model.RateFamily, "values", counted)
+    spec = build_chain(scn)
+    families = [fam for _, fam in spec.rate_slots()]
+    runs = -(-(spec.validation_grid + 1) // model.RATE_NODES)
+    assert len(families) == 4 and runs == 5
+    assert len(calls) == len(families) * runs
+    assert all(calls.count(fam) == runs for fam in families)

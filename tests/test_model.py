@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +8,8 @@ from ctmcpert import (ChainValidationError, MassArrivalChain, Perturbation,
                       batch_chain, batch_service_chain, birth_death_chain,
                       catastrophe_chain, parse_rate, perturb, rate_family)
 from ctmcpert.analysis import weighted_reduced_bands
-from ctmcpert.model import (NODE_BLOCK, RATE_NODES, TimeBlock, _built,
-                            _validate_family, time_blocks)
+from ctmcpert.model import (NODE_BLOCK, RATE_NODES, RateFamily, TimeBlock,
+                            _built, _validate_family, time_blocks)
 from ctmcpert.quadrature import doubled_grid
 from conftest import (dense_generator, random_chain, random_family, rich_rate,
                       weight_matrices)
@@ -275,7 +274,7 @@ def test_draw_bounds_reuse_the_validated_values(monkeypatch):
     rng = np.random.default_rng(5)
     for kind in ("birth-death", "batch"):
         spec = random_chain(rng, kind, 9, rate=rich_rate)
-        spec = replace(spec, validation_grid=4 * RATE_NODES)
+        spec = spec._replace(validation_grid=4 * RATE_NODES)
         assert spec.l_bound > 0 and spec._family_sups
         calls, plain = [], RateFunction.values
 
@@ -403,8 +402,8 @@ def test_draw_bound_equals_a_fresh_build():
         for pert in (Perturbation("rate-offsets", eps=0.2, seed=5),
                      Perturbation("multiplicative", eps=0.2)):
             draw = perturb(spec, pert)
-            assert draw.l_bound == _built(replace(draw)).l_bound
-            tight = replace(spec, declared_bound=spec.l_bound)
+            assert draw.l_bound == _built(draw._replace()).l_bound
+            tight = spec._replace(declared_bound=spec.l_bound)
             if pert.mode == "multiplicative":
                 with pytest.raises(ChainValidationError, match="declared"):
                     perturb(tight, pert)
@@ -565,7 +564,7 @@ def test_family_check_without_products():
         shift = float(rng.uniform(-2.0, 0.5))
         fns = [parse_rate(f"{f.canonical()}+({shift})", period=1.0)
                for f in fam.rate_functions]
-        fam = replace(fam, rate_functions=fns)
+        fam = RateFamily(fam.multipliers, fns)
         assert _family_check_message(fam, blocks) == \
             _family_check_of_products(fam, ts)
 
